@@ -34,18 +34,19 @@ from .curvature import (
     CurvaturePackage,
     curvature_package,
     dual_curvature_matrix,
-    dual_metric,
+    fundamental_matrix_batch,
     hodge_curvature_matrix,
     hodge_metric,
+    pairing_matrix_batch,
 )
-from .errors import BadParameters, BadSampleCount, DimensionMismatch
-from .extform import ExtForm, FormMatrix, gen_count, pair_index, restrict_to_plane
-from .linalg import LinSubspace, SiegelPoint, sym_basis
+from .errors import BadParameters, BadSampleCount
+from .extform import ExtForm, FormMatrix, restrict_to_plane
+from .linalg import LinSubspace, SiegelPoint, sym_basis, sym_dim
 from .report import VerificationReport, floor_check, passing, reporting
 from .sampling import derive_rng, random_subspace, random_unit_vector
 from .symmaps import (
+    _random_rational_w,
     check_evaluation_degeneracy,
-    frac_rank,
     rational_span_to_subspace,
     wperp_exact,
 )
@@ -65,22 +66,12 @@ def normalized_curvature(x, bundle: str = "dual") -> FormMatrix:
     return BUNDLES[bundle](_point(x)).scale(1.0 / (2j * np.pi))
 
 
-def _truncate(a: ExtForm, max_degree: int | None) -> ExtForm:
-    if max_degree is None:
-        return a
-    kept = {
-        k: c for k, c in a.terms().items()
-        if k[0].bit_count() + k[1].bit_count() <= max_degree
-    }
-    return ExtForm(a.g, kept)
-
-
 def chern_total(x, bundle: str = "dual", k_max: int | None = None) -> ExtForm:
     """Total Chern form det(I - G), optionally truncated to degree 2 k_max."""
     gm = normalized_curvature(x, bundle)
     cap = None if k_max is None else 2 * k_max
-    det = (FormMatrix.identity(gm.g) - gm).det(max_degree=cap)
-    return _truncate(det, cap)
+    # the capped determinant never emits a term above the cap
+    return (FormMatrix.identity(gm.g) - gm).det(max_degree=cap)
 
 
 def chern_classes(x, bundle: str = "dual") -> list[ExtForm]:
@@ -143,30 +134,6 @@ def segre_by_moments(x, k_max: int) -> ExtForm:
 # ---------------------------------------------------------------------------
 
 
-def _fold_projector(g: int) -> np.ndarray:
-    """P[alpha, i, j] = 1 when the ordered entry (i, j) folds to generator alpha."""
-    n = gen_count(g)
-    p = np.zeros((n, g, g))
-    for i in range(g):
-        for j in range(g):
-            p[pair_index(g, i, j), i, j] = 1.0
-    return p
-
-
-def pairing_matrix_batch(pkg: CurvaturePackage, v_batch: np.ndarray) -> np.ndarray:
-    """Coefficient matrices of <G v, v> for a batch of fiber vectors.
-
-    Row n of the result satisfies
-    <G v_n, v_n> = sum K[n, a, b] dt[a] ^ dtbar[b].
-    """
-    b = pkg.h  # inverse of Im(tau)
-    z = v_batch @ b.T
-    p = _fold_projector(pkg.g)
-    left = np.einsum("ni,aij->naj", z.conj(), p)
-    right = np.einsum("bkl,nl->nbk", p, z)
-    return (1j / (8 * np.pi)) * np.einsum("naj,jk,nbk->nab", left, b, right)
-
-
 def wedge_power_stats(k_batch: np.ndarray, k: int):
     """Mean and variance of the coefficients of omega^k over a batch.
 
@@ -190,6 +157,34 @@ def wedge_power_stats(k_batch: np.ndarray, k: int):
             means[(smask, tmask)] = mu
             variances[(smask, tmask)] = float(dets.real.var() + dets.imag.var())
     return means, variances
+
+
+def _sphere_average(metric: np.ndarray, rng, n_samples: int, batch_size: int,
+                    k: int, coeff_batch) -> dict:
+    """Monte Carlo mean and standard error of the omega^k coefficients.
+
+    Vectors are drawn one at a time, uniform on the unit sphere of metric;
+    coeff_batch maps a batch of them to the coefficient matrices of omega.
+    Returns key -> (mean, standard error) in the key order of
+    wedge_power_stats.
+    """
+    count = 0
+    sums: dict[tuple[int, int], complex] = {}
+    sumsq: dict[tuple[int, int], float] = {}
+    while count < n_samples:
+        take = min(batch_size, n_samples - count)
+        v = np.array([random_unit_vector(metric, rng) for _ in range(take)])
+        means, variances = wedge_power_stats(coeff_batch(v), k)
+        for key, mu in means.items():
+            sums[key] = sums.get(key, 0.0) + mu * take
+            sumsq[key] = sumsq.get(key, 0.0) + (variances[key] + abs(mu) ** 2) * take
+        count += take
+    out = {}
+    for key, total in sums.items():
+        mu = total / count
+        var = sumsq[key] / count - abs(mu) ** 2
+        out[key] = (mu, math.sqrt(max(var, 0.0) / count))
+    return out
 
 
 @dataclass(frozen=True)
@@ -229,29 +224,11 @@ def segre_by_quadrature(x, k: int, n_samples: int = 100_000,
         raise BadParameters(f"degree {k} outside 0..{2 * g} for genus {g}")
     rng = derive_rng(seed, "quadrature", k)
     weight = math.comb(g + k - 1, k)
-    batch_size = 4096
-    count = 0
-    sums: dict[tuple[int, int], complex] = {}
-    sumsq: dict[tuple[int, int], float] = {}
-    while count < n_samples:
-        take = min(batch_size, n_samples - count)
-        v = np.array([random_unit_vector(pkg.h, rng) for _ in range(take)])
-        kb = pairing_matrix_batch(pkg, v)
-        means, variances = wedge_power_stats(kb, k)
-        for key, mu in means.items():
-            sums[key] = sums.get(key, 0.0) + mu * take
-            sumsq[key] = sumsq.get(key, 0.0) + (
-                variances[key] + abs(mu) ** 2) * take
-        count += take
-    coeffs = {}
-    stderr = {}
-    for key, total in sums.items():
-        mu = total / count
-        var = sumsq[key] / count - abs(mu) ** 2
-        coeffs[key] = weight * mu
-        stderr[key] = weight * math.sqrt(max(var, 0.0) / count)
-    form = ExtForm(g, coeffs)
-    return QuadratureEstimate(form, stderr, count, k)
+    stats = _sphere_average(pkg.h, rng, n_samples, 4096, k,
+                            lambda v: pairing_matrix_batch(pkg, v))
+    coeffs = {key: weight * mu for key, (mu, _) in stats.items()}
+    stderr = {key: weight * se for key, (_, se) in stats.items()}
+    return QuadratureEstimate(ExtForm(g, coeffs), stderr, n_samples, k)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +246,7 @@ def check_pointwise_identity(tau: SiegelPoint, tol: float = 1e-9,
          "n_samples": n_samples},
     )
     g = tau.g
-    n = gen_count(g)
+    n = sym_dim(g)
     pkg = curvature_package(tau)
     c_total = chern_total(pkg, "dual")
     s_inv = segre_by_inverse(pkg)
@@ -376,33 +353,21 @@ def check_average_wedge_powers(tau: SiegelPoint, k: int = 1,
     s_k = segre_by_moments(pkg, k).component(k, k)
     y = hodge_metric(tau)
     rng = derive_rng(seed, "avg-wedge", k)
-    n = gen_count(g)
     basis = sym_basis(g)
 
-    batch_size = 2048
-    count = 0
-    sums: dict[tuple[int, int], complex] = {}
-    sumsq: dict[tuple[int, int], float] = {}
-    while count < n_samples:
-        take = min(batch_size, n_samples - count)
-        w = np.array([random_unit_vector(y, rng) for _ in range(take)])
+    def coeff_batch(w):
         mw = np.einsum("agh,nh->nga", basis, w)
-        l_batch = np.einsum("ngb,gh,nha->nba", mw.conj(), dual_metric(tau), mw)
-        kb = _fundamental_matrix_batch(l_batch, g)
-        means, variances = wedge_power_stats(kb, k)
-        for key, mu in means.items():
-            sums[key] = sums.get(key, 0.0) + mu * take
-            sumsq[key] = sumsq.get(key, 0.0) + (variances[key] + abs(mu) ** 2) * take
-        count += take
+        l_batch = np.einsum("ngb,gh,nha->nba", mw.conj(), pkg.h, mw)
+        return fundamental_matrix_batch(l_batch, g)
+
+    stats = _sphere_average(y, rng, n_samples, 2048, k, coeff_batch)
 
     ratio = math.comb(g + k - 1, k) / (4 * np.pi) ** k
     num = 0.0
     den = 0.0
     worst = 0.0
-    for key in set(sums) | set(s_k.terms()):
-        mu = sums.get(key, 0.0) / count
-        var = max(sumsq.get(key, 0.0) / count - abs(mu) ** 2, 0.0)
-        se = math.sqrt(var / count)
+    for key in set(stats) | set(s_k.terms()):
+        mu, se = stats.get(key, (0.0, 0.0))
         target = s_k.coefficient(*key)
         num += (np.conj(mu) * target).real
         den += abs(mu) ** 2
@@ -427,18 +392,6 @@ def check_average_wedge_powers(tau: SiegelPoint, k: int = 1,
     return report
 
 
-def _fundamental_matrix_batch(l_batch: np.ndarray, g: int) -> np.ndarray:
-    """Coefficient matrices of the fundamental forms of a batch of Hermitian forms."""
-    from .extform import index_pairs
-
-    n = l_batch.shape[1]
-    if n != gen_count(g):
-        raise DimensionMismatch(f"forms have size {n}, genus {g} needs {gen_count(g)}")
-    mults = np.array([1.0 if a == b else 2.0 for (a, b) in index_pairs(g)])
-    scale = 0.5j * np.sqrt(np.outer(mults, mults))
-    return scale[None, :, :] * np.swapaxes(l_batch, 1, 2)
-
-
 def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
                                    trials: int = 1000, seed: int = 0,
                                    n_v_samples: int = 100) -> VerificationReport:
@@ -458,7 +411,7 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
          "n_v_samples": n_v_samples})
     pkg = curvature_package(tau)
     s_i = segre_by_moments(pkg, i).component(i, i)
-    n = gen_count(g)
+    n = sym_dim(g)
     rng = derive_rng(seed, "posvan", g, i)
 
     worst = np.inf
@@ -471,8 +424,6 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
         worst, -1e-10))
 
     if i >= 3:
-        from fractions import Fraction
-
         c = i - 1
         wdim = g - c
         if wdim < 1:
@@ -481,12 +432,7 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
         degeneracy_ok = True
         n_spaces = 10
         for trial in range(n_spaces):
-            while True:
-                rows = [[Fraction(int(x)) for x in rng.integers(-9, 10, size=g)]
-                        for _ in range(wdim)]
-                if frac_rank(rows) == wdim:
-                    break
-            perp = wperp_exact(rows, g)
+            perp = wperp_exact(_random_rational_w(g, wdim, rng), g)
             deg = check_evaluation_degeneracy(perp, i, n_v_samples, seed + trial)
             degeneracy_ok = degeneracy_ok and deg.satisfied
             perp_sub = rational_span_to_subspace(perp)

@@ -85,6 +85,7 @@ def _env_seed() -> int | None:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
+    defaults = RunConfig()
 
     def pick(flag_value, file_key, default):
         if flag_value is not None:
@@ -99,7 +100,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if seed is None:
         seed = _env_seed()
     if seed is None:
-        seed = 0
+        seed = defaults.seed
     if not isinstance(seed, int):
         raise ConfigInvalid(f"seed must be an integer, got {seed!r}")
 
@@ -113,7 +114,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigInvalid("config key 'suites' must be a list")
         suites = list(raw)
 
-    genus = pick(args.genus, "genus", [1, 2, 3])
+    genus = pick(args.genus, "genus", defaults.genus_list)
     if not isinstance(genus, (list, tuple)):
         raise ConfigInvalid("genus must be a list")
 
@@ -128,14 +129,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         genus_list=tuple(genus),
         suites=tuple(suites),
         seed=seed,
-        n_samples=int(pick(args.samples, "n_samples", 20_000)),
-        n_tau=int(file_cfg.get("n_tau", 3)),
-        plane_trials=int(file_cfg.get("plane_trials", 200)),
-        eval_trials=int(file_cfg.get("eval_trials", 50)),
-        rank_pairs=int(file_cfg.get("rank_pairs", 25)),
+        n_samples=int(pick(args.samples, "n_samples", defaults.n_samples)),
+        n_tau=int(file_cfg.get("n_tau", defaults.n_tau)),
+        plane_trials=int(file_cfg.get("plane_trials", defaults.plane_trials)),
+        eval_trials=int(file_cfg.get("eval_trials", defaults.eval_trials)),
+        rank_pairs=int(file_cfg.get("rank_pairs", defaults.rank_pairs)),
         tolerances=tolerances,
-        output_path=pick(args.out, "out", None),
-        parallel=bool(args.parallel or file_cfg.get("parallel", False)),
+        output_path=pick(args.out, "out", defaults.output_path),
+        parallel=bool(args.parallel or file_cfg.get("parallel", defaults.parallel)),
     )
     return cfg.validate()
 

@@ -29,16 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroVector
-from .extform import (
-    ExtForm,
-    FormMatrix,
-    dtau_bar_matrix,
-    dtau_matrix,
-    gen_count,
-    index_pairs,
-    pair_index,
-)
-from .linalg import SiegelPoint, sym_basis, sym_dim
+from .extform import ExtForm, FormMatrix, dtau_bar_matrix, dtau_matrix, pair_index
+from .linalg import SiegelPoint, sym_basis, sym_dim, sym_index_pairs
 
 
 def dual_metric(tau: SiegelPoint) -> np.ndarray:
@@ -107,8 +99,6 @@ def _perturbation(g: int, alpha: tuple[int, int]) -> np.ndarray:
     e = np.zeros((g, g))
     e[a, b] = 1.0
     e[b, a] = 1.0  # off-diagonal coordinates move both entries
-    if a == b:
-        e[a, b] = 1.0
     return e
 
 
@@ -123,7 +113,7 @@ def curvature_fd(tau: SiegelPoint, metric: str = "dual", step: float = 1e-5):
     """
     metric_fn = METRICS[metric]
     g = tau.g
-    pairs = index_pairs(g)
+    pairs = sym_index_pairs(g)
     base = tau.tau
 
     def connection(alpha_pert: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -155,7 +145,7 @@ def curvature_fd(tau: SiegelPoint, metric: str = "dual", step: float = 1e-5):
 def curvature_coefficients(omega: FormMatrix):
     """Reorganize a curvature matrix into the layout of curvature_fd."""
     g = omega.g
-    n = gen_count(g)
+    n = sym_dim(g)
     out = {
         (ia, ib): np.zeros((g, g), dtype=complex)
         for ia in range(n)
@@ -209,22 +199,28 @@ def curvature_pairing_form(pkg: CurvaturePackage, v) -> ExtForm:
     return acc
 
 
-def pairing_coefficient_matrix(pkg: CurvaturePackage, v: np.ndarray) -> np.ndarray:
-    """Generator-indexed coefficient matrix K of <G v, v> = sum K[a, b] dt_a ^ dtbar_b."""
-    g = pkg.g
-    n = gen_count(g)
-    b = np.linalg.inv(pkg.tau.y)
-    z = b @ np.asarray(v, dtype=complex)
-    t = np.einsum("i,jk,l->ijkl", np.conj(z), b, z) * (1j / (8 * np.pi))
-    k = np.zeros((n, n), dtype=complex)
+def _fold_projector(g: int) -> np.ndarray:
+    """P[alpha, i, j] = 1 when the ordered entry (i, j) folds to generator alpha."""
+    n = sym_dim(g)
+    p = np.zeros((n, g, g))
     for i in range(g):
         for j in range(g):
-            ia = pair_index(g, i, j)
-            for p in range(g):
-                for q in range(g):
-                    ib = pair_index(g, p, q)
-                    k[ia, ib] += t[i, j, p, q]
-    return k
+            p[pair_index(g, i, j), i, j] = 1.0
+    return p
+
+
+def pairing_matrix_batch(pkg: CurvaturePackage, v_batch: np.ndarray) -> np.ndarray:
+    """Coefficient matrices of <G v, v> for a batch of fiber vectors.
+
+    Row n of the result satisfies
+    <G v_n, v_n> = sum K[n, a, b] dt[a] ^ dtbar[b].
+    """
+    b = pkg.h  # inverse of Im(tau)
+    z = v_batch @ b.T
+    p = _fold_projector(pkg.g)
+    left = np.einsum("ni,aij->naj", z.conj(), p)
+    right = np.einsum("bkl,nl->nbk", p, z)
+    return (1j / (8 * np.pi)) * np.einsum("naj,jk,nbk->nab", left, b, right)
 
 
 def line_hermitian_form(tau: SiegelPoint, w) -> np.ndarray:
@@ -247,27 +243,33 @@ def line_hermitian_form(tau: SiegelPoint, w) -> np.ndarray:
     return np.einsum("gb,gh,ha->ba", np.conj(mw), h, mw) / denom
 
 
+def fundamental_matrix_batch(l_batch: np.ndarray, g: int) -> np.ndarray:
+    """Coefficient matrices of the fundamental forms of a batch of Hermitian forms.
+
+    Row n is K[n, a, b] = (i/2) H_n(E'_a, E'_b) with E' the plain entry-basis
+    matrices, so the form is sum K[n, a, b] dt_a ^ dtbar_b.
+    """
+    n = l_batch.shape[1]
+    if n != sym_dim(g):
+        raise DimensionMismatch(f"forms have size {n}, genus {g} needs {sym_dim(g)}")
+    mults = np.array([1.0 if a == b else 2.0 for (a, b) in sym_index_pairs(g)])
+    scale = 0.5j * np.sqrt(np.outer(mults, mults))
+    return scale[None, :, :] * np.swapaxes(l_batch, 1, 2)
+
+
 def fundamental_form(l_matrix: np.ndarray, g: int) -> ExtForm:
     """(1, 1)-form of a Hermitian form on symmetric maps, positive convention.
 
-    For the Hermitian form H given in the Frobenius-orthonormal basis, returns
-    (i/2) sum H(E'_a, E'_b) dt_a ^ dtbar_b over plain entry-basis matrices
-    E'.  For H = line_hermitian_form(tau, w) this equals
-    4 pi <G v, v> / <v, v> at the matched v = Im(tau) conj(w).
+    The one-row case of fundamental_matrix_batch, for H given in the
+    Frobenius-orthonormal basis.  For H = line_hermitian_form(tau, w) this
+    equals 4 pi <G v, v> / <v, v> at the matched v = Im(tau) conj(w).
     """
     n = sym_dim(g)
     l_matrix = np.asarray(l_matrix, dtype=complex)
     if l_matrix.shape != (n, n):
         raise DimensionMismatch(f"form matrix shape {l_matrix.shape}, expected ({n}, {n})")
-    pairs = index_pairs(g)
-    weights = np.array([1.0 if a == b else np.sqrt(2.0) for (a, b) in pairs])
-    terms = {}
-    for ia in range(n):
-        for ib in range(n):
-            c = 0.5j * weights[ia] * weights[ib] * l_matrix[ib, ia]
-            if c != 0:
-                terms[(1 << ia, 1 << ib)] = c
-    return ExtForm(g, terms)
+    k = fundamental_matrix_batch(l_matrix[None], g)[0]
+    return ExtForm(g, {(1 << a, 1 << b): k[a, b] for a in range(n) for b in range(n)})
 
 
 def matched_dual_vector(tau: SiegelPoint, w) -> np.ndarray:

@@ -33,15 +33,7 @@ from .errors import (
     NotUnitScalar,
     OddComponent,
 )
-from .linalg import LinSubspace, as_sym_array, vec_to_sym
-
-
-def gen_count(g: int) -> int:
-    return g * (g + 1) // 2
-
-
-def index_pairs(g: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(g) for b in range(a, g)]
+from .linalg import LinSubspace, as_sym_array, sym_dim, sym_index_pairs, vec_to_sym
 
 
 def pair_index(g: int, a: int, b: int) -> int:
@@ -71,7 +63,7 @@ class ExtForm:
 
     def __init__(self, g: int, terms: dict[tuple[int, int], complex] | None = None):
         self.g = int(g)
-        self.n = gen_count(self.g)
+        self.n = sym_dim(self.g)
         clean: dict[tuple[int, int], complex] = {}
         if terms:
             limit = 1 << self.n
@@ -208,44 +200,34 @@ class ExtForm:
             (s, t, c, s.bit_count() + t.bit_count(), s.bit_count() & 1)
             for (s, t), c in other._terms.items()
         ]
-        if max_degree is not None:
+        if max_degree is None:
+            # one bucket in the original order; no term exceeds degree 2n
+            max_degree = 2 * self.n
+            buckets = [(0, items_b)]
+        else:
             # bucket the right factor by degree so over-cap pairs are never
             # visited; the pair loop is the hot path for large sparse forms
             by_degree: dict[int, list] = {}
             for item in items_b:
                 by_degree.setdefault(item[3], []).append(item)
-            for s1, t1, c1, d1, t1par in items_a:
-                for d2, bucket in by_degree.items():
-                    if d1 + d2 > max_degree:
-                        continue
-                    for s2, t2, c2, _, s2par in bucket:
-                        if s1 & s2 or t1 & t2:
-                            continue
-                        parity = (t1par & s2par) ^ mp(s1, s2) ^ mp(t1, t2)
-                        c = c1 * c2
-                        if parity:
-                            c = -c
-                        key = (s1 | s2, t1 | t2)
-                        v = out.get(key, 0.0) + c
-                        if v == 0:
-                            out.pop(key, None)
-                        else:
-                            out[key] = v
-            return ExtForm(self.g, out)
+            buckets = list(by_degree.items())
         for s1, t1, c1, d1, t1par in items_a:
-            for s2, t2, c2, d2, s2par in items_b:
-                if s1 & s2 or t1 & t2:
+            for d2, bucket in buckets:
+                if d1 + d2 > max_degree:
                     continue
-                parity = (t1par & s2par) ^ mp(s1, s2) ^ mp(t1, t2)
-                c = c1 * c2
-                if parity:
-                    c = -c
-                key = (s1 | s2, t1 | t2)
-                v = out.get(key, 0.0) + c
-                if v == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+                for s2, t2, c2, _, s2par in bucket:
+                    if s1 & s2 or t1 & t2:
+                        continue
+                    parity = (t1par & s2par) ^ mp(s1, s2) ^ mp(t1, t2)
+                    c = c1 * c2
+                    if parity:
+                        c = -c
+                    key = (s1 | s2, t1 | t2)
+                    v = out.get(key, 0.0) + c
+                    if v == 0:
+                        out.pop(key, None)
+                    else:
+                        out[key] = v
         return ExtForm(self.g, out)
 
     def __xor__(self, other):
@@ -274,7 +256,7 @@ class ExtForm:
                 raise DimensionMismatch(
                     f"tangent vector shape {v.shape} does not match genus {self.g}"
                 )
-        pairs = index_pairs(self.g)
+        pairs = sym_index_pairs(self.g)
         p_rows = np.array([[v[a, b] for (a, b) in pairs] for v in hol], dtype=complex)
         q_rows = np.array(
             [[np.conj(v[a, b]) for (a, b) in pairs] for v in anti], dtype=complex
@@ -330,7 +312,7 @@ class ExtForm:
     def __repr__(self):
         if not self._terms:
             return f"ExtForm(g={self.g}, 0)"
-        pairs = index_pairs(self.g)
+        pairs = sym_index_pairs(self.g)
         bits = []
         for (s, t), c in sorted(self._terms.items()):
             gens = [f"dt{pairs[i]}" for i in _mask_indices(s)]
@@ -395,7 +377,7 @@ def restrict_to_plane(a: ExtForm, y: LinSubspace) -> float:
         raise DimensionMismatch(f"plane must live in Sg coordinates, got {y.ambient_tag!r}")
     n = y.ambient_dim
     g = a.g
-    if n != gen_count(g):
+    if n != sym_dim(g):
         raise DimensionMismatch(
             f"plane ambient dimension {n} does not match genus {g}"
         )
@@ -412,7 +394,7 @@ def _volume_contraction(g: int, mats: list[np.ndarray]) -> complex:
     theta_j is the Frobenius dual of mats[j]: entries weighted 2 off the
     diagonal so theta_j(t) equals the Frobenius inner product <t, mats[j]>.
     """
-    pairs = index_pairs(g)
+    pairs = sym_index_pairs(g)
     k = len(mats)
     # theta matrix: Theta[j, l] = theta_l(mats[j]) = Frobenius <mats[j], mats[l]>
     theta = np.empty((k, k), dtype=complex)
@@ -488,22 +470,13 @@ class FormMatrix:
                     row.append(acc)
                 out.append(row)
             return FormMatrix(g, out)
-        a = np.asarray(other, dtype=complex)
-        if a.shape != (g, g):
-            raise DimensionMismatch(f"scalar matrix shape {a.shape} vs genus {g}")
-        out = []
-        for i in range(g):
-            row = []
-            for j in range(g):
-                acc = ExtForm.zero(g)
-                for k in range(g):
-                    if a[k, j] != 0:
-                        acc = acc + self.entries[i][k] * a[k, j]
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(g, out)
+        return self._scalar_product(other, left=False)
 
     def rmatmul_scalar(self, m) -> "FormMatrix":
+        return self._scalar_product(m, left=True)
+
+    def _scalar_product(self, m, left: bool) -> "FormMatrix":
+        """m @ self when left, else self @ m; zero scalars are skipped."""
         a = np.asarray(m, dtype=complex)
         g = self.g
         if a.shape != (g, g):
@@ -514,8 +487,10 @@ class FormMatrix:
             for j in range(g):
                 acc = ExtForm.zero(g)
                 for k in range(g):
-                    if a[i, k] != 0:
-                        acc = acc + self.entries[k][j] * a[i, k]
+                    c = a[i, k] if left else a[k, j]
+                    if c != 0:
+                        entry = self.entries[k][j] if left else self.entries[i][k]
+                        acc = acc + entry * c
                 row.append(acc)
             out.append(row)
         return FormMatrix(g, out)
@@ -550,14 +525,6 @@ class FormMatrix:
         for i in range(self.g):
             acc = acc + self.entries[i][i]
         return acc
-
-    def power(self, m: int, max_degree: int | None = None) -> "FormMatrix":
-        if m < 1:
-            raise DimensionMismatch("power expects a positive exponent")
-        out = self
-        for _ in range(m - 1):
-            out = out.matmul(self, max_degree=max_degree)
-        return out
 
     def det(self, max_degree: int | None = None) -> ExtForm:
         """Leibniz determinant; assumes entries commute (even forms)."""

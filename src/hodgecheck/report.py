@@ -8,6 +8,7 @@ converts every number to a plain Python type before dumping.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,8 @@ class CheckRecord:
 
     measured is compared against tolerance by the producing check; passed
     records the verdict.  Report-only checks carry asserting=False and
-    passed=None; they never influence an exit code.
+    passed=None; they never influence an exit code.  A non-finite measured
+    value fails its check and serializes as null.
     """
 
     name: str
@@ -51,10 +53,11 @@ class CheckRecord:
     notes: str = ""
 
     def to_dict(self) -> dict:
+        finite = math.isfinite(self.measured)
         return {
             "name": self.name,
             "anchor": self.anchor,
-            "measured": jsonable(self.measured),
+            "measured": jsonable(self.measured) if finite else None,
             "tolerance": jsonable(self.tolerance),
             "passed": self.passed,
             "asserting": self.asserting,
@@ -63,14 +66,16 @@ class CheckRecord:
 
 
 def passing(name, anchor, measured, tolerance, notes=""):
-    return CheckRecord(name, anchor, float(measured), float(tolerance),
-                       bool(measured <= tolerance), True, notes)
+    measured = float(measured)
+    return CheckRecord(name, anchor, measured, float(tolerance),
+                       bool(math.isfinite(measured) and measured <= tolerance), True, notes)
 
 
 def floor_check(name, anchor, measured, floor, notes=""):
     """Pass when measured >= floor (signed lower bounds, e.g. positivity)."""
-    return CheckRecord(name, anchor, float(measured), float(floor),
-                       bool(measured >= floor), True, notes)
+    measured = float(measured)
+    return CheckRecord(name, anchor, measured, float(floor),
+                       bool(math.isfinite(measured) and measured >= floor), True, notes)
 
 
 def reporting(name, anchor, measured, notes=""):

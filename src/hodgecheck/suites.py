@@ -29,6 +29,8 @@ from .slices import check_embedded_subspace_invariance
 from .symmaps import (
     annihilator_rigidity_suite,
     find_rank_ones,
+    frac_nullspace,
+    frac_rank,
     pencil_rank_profile,
     random_rank_k_symmap,
     random_rational_symmap,
@@ -229,8 +231,7 @@ def _rank_locus(cfg: RunConfig) -> VerificationReport:
                 float(tangent_rejected), 0.5))
 
         # a pencil spanned by two rank ones reaches rank 2 but never 3
-        m1, f1 = random_rank_k_symmap(g, 1, rng)
-        m2, f2 = random_rank_k_symmap(g, 1, rng)
+        m1, m2, _ = _independent_rank_ones(g, rng)
         prof = pencil_rank_profile(m1.as_float(), m2.as_float())
         report.add(passing(
             f"g{g}.pencil-max-rank",
@@ -246,19 +247,27 @@ def _rank_locus(cfg: RunConfig) -> VerificationReport:
     return report
 
 
-def _pencil_rank_one_recovery(g: int, rng) -> int:
-    from .linalg import sym_to_vec
-    from .symmaps import frac_nullspace
+def _independent_rank_ones(g: int, rng):
+    """Two rank-one maps u u^T, w w^T with u, w independent, and [u, w].
 
-    # two rank ones annihilating a common vector v, then search for them
+    Proportional factors would give proportional maps, so the pair is
+    redrawn until the factors have rank 2; an independent first draw
+    consumes no extra random numbers.
+    """
     while True:
         m1, f1 = random_rank_k_symmap(g, 1, rng)
         m2, f2 = random_rank_k_symmap(g, 1, rng)
-        stack = [list(f1[0]), list(f2[0])]
-        null = frac_nullspace(stack, g)
-        if null:
-            break
-    v = np.array([float(x) for x in null[0]])
+        factors = [list(f1[0]), list(f2[0])]
+        if frac_rank(factors) == 2:
+            return m1, m2, factors
+
+
+def _pencil_rank_one_recovery(g: int, rng) -> int:
+    from .linalg import sym_to_vec
+
+    # two rank ones annihilating a common vector v (g >= 3), then search for them
+    m1, m2, factors = _independent_rank_ones(g, rng)
+    v = np.array([float(x) for x in frac_nullspace(factors, g)[0]])
     basis_rows = np.array([sym_to_vec(m1.as_float()), sym_to_vec(m2.as_float())])
     span = LinSubspace.from_spanning(basis_rows, "Sg")
     return len(find_rank_ones(span, v))

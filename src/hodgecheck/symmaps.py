@@ -260,24 +260,6 @@ def wperp_exact(w_rows: list[list[Fraction]], g: int) -> list[RationalSymMap]:
     return [rational_from_vec(v, g) for v in null]
 
 
-@dataclass(frozen=True)
-class EvalOperator:
-    """Evaluation of a basis of symmetric maps on one fiber vector."""
-
-    x_basis: tuple
-    v: np.ndarray
-    matrix: np.ndarray
-
-    @classmethod
-    def build(cls, x_basis, v) -> "EvalOperator":
-        mats = [as_sym_array(x) for x in x_basis]
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        if any(m.shape[0] != v.shape[0] for m in mats):
-            raise DimensionMismatch("basis maps and vector disagree in dimension")
-        rows = np.array([m @ v for m in mats], dtype=complex)
-        return cls(tuple(SymMap(m) for m in mats), v, rows)
-
-
 def eval_matrix_exact(basis: list[RationalSymMap], v: list[Fraction]):
     return [m.apply(v) for m in basis]
 
@@ -350,18 +332,16 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100, seed: int = 0
     )
     if exact:
         basis: list[RationalSymMap] = list(x)
-        g = basis[0].g
         dim = len(basis)
         if dim < i:
             raise BadDimension(f"space of dimension {dim} cannot carry rank {i}")
-        for _ in range(n_v_samples):
-            v = random_rational_vector(g, rng)
-            rows = eval_matrix_exact(basis, v)
-            if frac_rank(rows) >= i:
-                idx = frac_independent_rows(rows)[:i]
-                return DegeneracyReport(False, DegeneracyWitness(v, idx, frac_rank(rows)),
-                                        i, dim, n_v_samples, True, "witness is exact")
-        return DegeneracyReport(True, None, i, dim, n_v_samples, True, note)
+        hit = _find_witness(basis, i, n_v_samples, rng)
+        if hit is None:
+            return DegeneracyReport(True, None, i, dim, n_v_samples, True, note)
+        v, rows, rank = hit
+        idx = frac_independent_rows(rows)[:i]
+        return DegeneracyReport(False, DegeneracyWitness(v, idx, rank),
+                                i, dim, n_v_samples, True, "witness is exact")
 
     mats = _float_basis(x)
     dim = len(mats)
@@ -370,13 +350,28 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100, seed: int = 0
         raise BadDimension(f"space of dimension {dim} cannot carry rank {i}")
     for _ in range(n_v_samples):
         v = rng.standard_normal(g) + 1j * rng.standard_normal(g)
-        op = EvalOperator.build(mats, v)
-        rank, _, _ = rank_with_kernel(op.matrix)
+        rows = np.array([m @ v for m in mats], dtype=complex)
+        rank, _, _ = rank_with_kernel(rows)
         if rank >= i:
-            idx = _independent_rows_float(op.matrix, i)
+            idx = _independent_rows_float(rows, i)
             return DegeneracyReport(False, DegeneracyWitness(v, idx, rank),
                                     i, dim, n_v_samples, False, "")
     return DegeneracyReport(True, None, i, dim, n_v_samples, False, note)
+
+
+def _find_witness(basis: list[RationalSymMap], i: int, n_v: int, rng):
+    """First of n_v random rational v with rank(e_v) >= i, as (v, rows, rank).
+
+    Returns None when no draw reaches rank i.
+    """
+    g = basis[0].g
+    for _ in range(n_v):
+        v = random_rational_vector(g, rng)
+        rows = eval_matrix_exact(basis, v)
+        rank = frac_rank(rows)
+        if rank >= i:
+            return v, rows, rank
+    return None
 
 
 def _independent_rows_float(matrix: np.ndarray, count: int) -> list[int]:
@@ -409,15 +404,6 @@ def _random_rational_space(g: int, dim: int, rng) -> list[RationalSymMap]:
         basis = [random_rational_symmap(g, rng) for _ in range(dim)]
         if frac_rank([m.flatten() for m in basis]) == dim:
             return basis
-
-
-def _witness_found(basis: list[RationalSymMap], i: int, n_v: int, rng) -> bool:
-    g = basis[0].g
-    for _ in range(n_v):
-        v = random_rational_vector(g, rng)
-        if frac_rank(eval_matrix_exact(basis, v)) >= i:
-            return True
-    return False
 
 
 def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
@@ -488,7 +474,7 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
                         example = ("example witness v = ["
                                    + ", ".join(str(x) for x in probe.witness.v)
                                    + f"], rank {probe.witness.rank}")
-                elif not _witness_found(perturbed, i, n_v_samples, rng):
+                elif _find_witness(perturbed, i, n_v_samples, rng) is None:
                     missed += 1
             report.add(passing(
                 f"perturbed-witness-eps-{label}",
@@ -497,8 +483,8 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
                 float(missed), 0.5, notes=example))
 
         missed = sum(
-            0 if _witness_found(_random_rational_space(g, d, rng),
-                                i, n_v_samples, rng) else 1
+            _find_witness(_random_rational_space(g, d, rng),
+                          i, n_v_samples, rng) is None
             for _ in range(trials))
         report.add(passing(
             "generic-same-dim-witness",
@@ -506,8 +492,8 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
             float(missed), 0.5))
 
         missed = sum(
-            0 if _witness_found(_random_rational_space(g, d + 1, rng),
-                                i, n_v_samples, rng) else 1
+            _find_witness(_random_rational_space(g, d + 1, rng),
+                          i, n_v_samples, rng) is None
             for _ in range(trials))
         report.add(passing(
             "larger-dim-witness",
@@ -519,8 +505,8 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
             continue
         dim_small = max(small_i, small_i * (small_i - 1) // 2)
         missed = sum(
-            0 if _witness_found(_random_rational_space(g, dim_small, rng),
-                                small_i, n_v_samples, rng) else 1
+            _find_witness(_random_rational_space(g, dim_small, rng),
+                          small_i, n_v_samples, rng) is None
             for _ in range(10))
         report.add(passing(
             f"rank-{small_i}-always-witnessed",

@@ -36,6 +36,15 @@ def test_run_suites_structure():
     assert "schema_version" in result
 
 
+@pytest.mark.parametrize("seed", [49, 51])
+def test_rank_locus_pencils_have_independent_endpoints(seed):
+    # at these seeds the stream first draws a proportional pair of rank-one
+    # factors: for the genus-3 rank-one recovery at 49, for a pencil at 51
+    cfg = RunConfig(genus_list=(2, 3, 4), suites=("rank-locus",), seed=seed)
+    result = run_suites(cfg)
+    assert result["passed"] is True
+
+
 def test_parallel_matches_serial():
     kwargs = dict(genus_list=(2,), suites=("slice-embed", "curvature-fd"),
                   seed=9, n_tau=2)

@@ -10,13 +10,15 @@ from hodgecheck.curvature import (
     dual_metric,
     fd_relative_error,
     fundamental_form,
+    fundamental_matrix_batch,
     hodge_curvature_matrix,
     hodge_metric,
     line_hermitian_form,
     matched_dual_vector,
+    pairing_matrix_batch,
 )
 from hodgecheck.errors import ZeroVector
-from hodgecheck.extform import conjugate, restrict_to_plane
+from hodgecheck.extform import ExtForm, conjugate, restrict_to_plane
 from hodgecheck.linalg import make_siegel_point
 from hodgecheck.sampling import (
     derive_rng,
@@ -160,6 +162,42 @@ def test_fundamental_form_bridge():
         ff = fundamental_form(line_hermitian_form(x, w), g)
         pf = curvature_pairing_form(pkg, matched_dual_vector(x, w))
         assert ff.max_coeff_diff(pf * (4 * np.pi)) < 1e-12
+
+
+def one_one_form(k, g):
+    """The (1, 1)-form sum k[a, b] dt_a ^ dtbar_b."""
+    n = k.shape[0]
+    return ExtForm(g, {(1 << a, 1 << b): k[a, b] for a in range(n) for b in range(n)})
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_pairing_matrix_batch_rows_match_pairing_form(g):
+    rng = derive_rng(27, "pairing-batch", g)
+    x = random_siegel_point(g, rng)
+    pkg = curvature_package(x)
+    v = np.array([random_complex_vector(g, rng) for _ in range(4)])
+    kb = pairing_matrix_batch(pkg, v)
+    assert kb.shape == (4, g * (g + 1) // 2, g * (g + 1) // 2)
+    for row, vn in zip(kb, v):
+        form = curvature_pairing_form(pkg, vn)
+        assert one_one_form(row, g).max_coeff_diff(form) < 1e-12 * form.norm_inf()
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_fundamental_matrix_batch_matches_fundamental_form(g):
+    rng = derive_rng(28, "fundamental-batch", g)
+    x = random_siegel_point(g, rng)
+    pkg = curvature_package(x)
+    y = hodge_metric(x)
+    w = np.array([random_complex_vector(g, rng) for _ in range(4)])
+    w = w / np.sqrt(np.einsum("ni,ij,nj->n", w.conj(), y, w).real)[:, None]
+    kb = fundamental_matrix_batch(np.array([line_hermitian_form(x, wn) for wn in w]), g)
+    # the two batched builders agree through the matched dual vectors
+    pb = pairing_matrix_batch(pkg, np.array([matched_dual_vector(x, wn) for wn in w]))
+    assert np.max(np.abs(kb - 4 * np.pi * pb)) < 1e-12 * np.max(np.abs(kb))
+    for row, wn in zip(kb, w):
+        ff = fundamental_form(line_hermitian_form(x, wn), g)
+        assert one_one_form(row, g).max_coeff_diff(ff) < 1e-12 * ff.norm_inf()
 
 
 @pytest.mark.parametrize("g,seed", FD_POINTS)

@@ -12,13 +12,12 @@ from hodgecheck.extform import (
     FormMatrix,
     conjugate,
     contract,
-    gen_count,
     inverse_even,
     pair_index,
     restrict_to_plane,
     wedge,
 )
-from hodgecheck.linalg import LinSubspace, sym_to_vec
+from hodgecheck.linalg import LinSubspace, sym_dim, sym_to_vec
 from hodgecheck.sampling import derive_rng, random_plane_sg, random_symmetric_complex
 
 
@@ -32,7 +31,7 @@ def ebar(g, a, b):
 
 def random_form(g, rng, n_terms=8, max_deg=4):
     """Sparse random form with a handful of random-bidegree terms."""
-    n = gen_count(g)
+    n = sym_dim(g)
     terms = {}
     for _ in range(n_terms):
         p = int(rng.integers(0, min(max_deg, n) + 1))
@@ -122,7 +121,7 @@ def test_inverse_geometric_series():
 def test_inverse_roundtrip_random_even():
     rng = derive_rng(9, "inv")
     g = 3
-    n = gen_count(g)
+    n = sym_dim(g)
     for _ in range(5):
         u = ExtForm.zero(g)
         for _ in range(10):
@@ -213,7 +212,7 @@ def test_restrict_sign_is_basis_independent():
     rng = derive_rng(15, "rb")
     g = 2
     kahler = ExtForm.zero(g)
-    for a in range(gen_count(g)):
+    for a in range(sym_dim(g)):
         s = 1 << a
         kahler = kahler + ExtForm(g, {(s, s): (0.3 + 0.1 * a) * 1j})
     form = kahler.wedge(kahler)

@@ -96,3 +96,15 @@ def test_random_plane_orthonormal():
     gram = y.basis @ y.basis.conj().T
     assert np.allclose(gram, np.eye(2))
     assert y.ambient_tag == "Sg"
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_measurement_fails_and_serializes_as_null(value):
+    checks = [passing("p", "anchor", value, 1e-9),
+              floor_check("f", "anchor", value, 1e-12)]
+    assert all(c.passed is False for c in checks)
+    rep = VerificationReport("demo", {})
+    rep.extend(checks + [reporting("r", "anchor", value)])
+    assert not rep.passed
+    doc = json.loads(canonical_json(rep.to_dict()))
+    assert [c["measured"] for c in doc["checks"]] == [None, None, None]
