@@ -32,10 +32,9 @@ import numpy as np
 
 from .curvature import (
     CurvaturePackage,
+    curvature_matrix,
     curvature_package,
-    dual_curvature_matrix,
     fundamental_matrix_batch,
-    hodge_curvature_matrix,
     hodge_metric,
     pairing_matrix_batch,
 )
@@ -51,19 +50,15 @@ from .symmaps import (
     wperp_exact,
 )
 
-BUNDLES = {"dual": dual_curvature_matrix, "hodge": hodge_curvature_matrix}
-
 
 def _point(x) -> SiegelPoint:
     return x.tau if isinstance(x, CurvaturePackage) else x
 
 
 def normalized_curvature(x, bundle: str = "dual") -> FormMatrix:
-    if bundle not in BUNDLES:
-        raise BadParameters(f"unknown bundle {bundle!r}, expected one of {sorted(BUNDLES)}")
     if isinstance(x, CurvaturePackage) and bundle == "dual":
         return x.g_normalized
-    return BUNDLES[bundle](_point(x)).scale(1.0 / (2j * np.pi))
+    return curvature_matrix(_point(x), bundle).scale(1.0 / (2j * np.pi))
 
 
 def chern_total(x, bundle: str = "dual", k_max: int | None = None) -> ExtForm:

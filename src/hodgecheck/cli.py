@@ -1,8 +1,8 @@
 """Command line front end: configure, run suites, emit one JSON report.
 
 Exit codes: 0 all asserting checks passed, 1 some check failed, 2 the
-configuration was unusable.  Settings resolve as flag > config file >
-VERIFY_SEED environment variable > built-in default.
+configuration was unusable or verified nothing.  Settings resolve as
+flag > config file > VERIFY_SEED environment variable > built-in default.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", metavar="PATH",
                         help="write the report here instead of stdout")
     parser.add_argument("--parallel", action="store_true",
-                        help="run suites in worker threads")
+                        help="run suites in worker processes")
     return parser
 
 
@@ -149,6 +149,11 @@ def main(argv=None) -> int:
         result = run_suites(cfg)
     except (ConfigInvalid, SuiteUnknown) as exc:
         print(f"hodgecheck: {exc}", file=sys.stderr)
+        return 2
+    if all(body["passed"] is None for body in result["suites"].values()):
+        names = ", ".join(result["config"]["suites"])
+        print(f"hodgecheck: nothing verified: no asserting check in {names} "
+              f"at genus {list(cfg.genus_list)}", file=sys.stderr)
         return 2
     text = canonical_json(result)
     if cfg.output_path:

@@ -9,7 +9,8 @@ Chern connection curvature dbar(h^{-1} dh) evaluates in closed form to
     omega_hodge = -(1/4) y^{-1} dtbar y^{-1} dt
 
 with wedge products between the 1-form factors and ordinary products with the
-scalar matrices.  Both are validated against a finite-difference evaluation
+scalar matrices, evaluated once as coefficient arrays by curvature_array.
+Both are validated against a finite-difference evaluation
 of dbar(h^{-1} dh) itself (see curvature_fd), which uses the convention that
 dbar acts from the left: for a matrix A of functions and the (1, 0)-form
 A dz, the coefficient of dz ^ dzbar in dbar(A dz) is -dbar A.
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroVector
-from .extform import ExtForm, FormMatrix, dtau_bar_matrix, dtau_matrix, pair_index
+from .errors import BadParameters, DimensionMismatch, ZeroVector
+from .extform import ExtForm, FormMatrix, pair_index
 from .linalg import SiegelPoint, sym_basis, sym_dim, sym_index_pairs
 
 
@@ -42,20 +43,53 @@ def hodge_metric(tau: SiegelPoint) -> np.ndarray:
     return tau.y.astype(complex)
 
 
-def dual_curvature_matrix(tau: SiegelPoint) -> FormMatrix:
-    g = tau.g
+def _fold_projector(g: int) -> np.ndarray:
+    """P[alpha, i, j] = 1 when the ordered entry (i, j) folds to generator alpha."""
+    n = sym_dim(g)
+    p = np.zeros((n, g, g))
+    for i in range(g):
+        for j in range(g):
+            p[pair_index(g, i, j), i, j] = 1.0
+    return p
+
+
+def curvature_array(tau: SiegelPoint, bundle: str = "dual") -> np.ndarray:
+    """The closed-form curvature as coefficients, shape (g, g, n, n).
+
+    C[i, j, a, b] is the coefficient of dt[a] ^ dtbar[b] in entry (i, j) of
+    omega.  Every other view of the curvature is read off this array.
+    """
+    if bundle not in METRICS:
+        raise BadParameters(f"unknown bundle {bundle!r}, expected one of {sorted(METRICS)}")
+    p = _fold_projector(tau.g)
     b = np.linalg.inv(tau.y)
-    dt = dtau_matrix(g)
-    dtb = dtau_bar_matrix(g)
-    return dt.matmul(b).matmul(dtb).matmul(b).scale(-0.25)
+    if bundle == "dual":
+        return -0.25 * np.einsum("aik,kl,blm,mj->ijab", p, b, p, b)
+    # dtbar ^ dt = -dt ^ dtbar flips the sign of the hodge product
+    return 0.25 * np.einsum("ik,bkl,lm,amj->ijab", b, p, b, p)
+
+
+def curvature_matrix(tau: SiegelPoint, bundle: str = "dual") -> FormMatrix:
+    """omega as a matrix of (1, 1)-forms, read off curvature_array."""
+    c = curvature_array(tau, bundle)
+    g, n = tau.g, c.shape[2]
+    # The order terms enter each entry fixes the summation order of every
+    # later wedge; it follows the factor order of the closed formulas, so
+    # dual entries are beta-major (for b: for a:) and hodge entries alpha-major.
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    order = [(a, b) for b, a in pairs] if bundle == "dual" else pairs
+    return FormMatrix(g, [
+        [ExtForm(g, {(1 << a, 1 << b): c[i, j, a, b] for a, b in order}) for j in range(g)]
+        for i in range(g)
+    ])
+
+
+def dual_curvature_matrix(tau: SiegelPoint) -> FormMatrix:
+    return curvature_matrix(tau, "dual")
 
 
 def hodge_curvature_matrix(tau: SiegelPoint) -> FormMatrix:
-    g = tau.g
-    b = np.linalg.inv(tau.y)
-    dt = dtau_matrix(g)
-    dtb = dtau_bar_matrix(g)
-    return (b @ dtb).matmul(b).matmul(dt).scale(-0.25)
+    return curvature_matrix(tau, "hodge")
 
 
 @dataclass(frozen=True)
@@ -142,32 +176,11 @@ def curvature_fd(tau: SiegelPoint, metric: str = "dual", step: float = 1e-5):
     return out
 
 
-def curvature_coefficients(omega: FormMatrix):
-    """Reorganize a curvature matrix into the layout of curvature_fd."""
-    g = omega.g
-    n = sym_dim(g)
-    out = {
-        (ia, ib): np.zeros((g, g), dtype=complex)
-        for ia in range(n)
-        for ib in range(n)
-    }
-    for i in range(g):
-        for j in range(g):
-            for (s, t), c in omega.entries[i][j].terms().items():
-                if s.bit_count() != 1 or t.bit_count() != 1:
-                    raise DimensionMismatch("curvature entries must be (1,1)-forms")
-                ia = s.bit_length() - 1
-                ib = t.bit_length() - 1
-                out[(ia, ib)][i, j] += c
-    return out
-
-
 def fd_relative_error(tau: SiegelPoint, metric: str = "dual", step: float = 1e-5) -> float:
-    omega = dual_curvature_matrix(tau) if metric == "dual" else hodge_curvature_matrix(tau)
-    analytic = curvature_coefficients(omega)
+    analytic = curvature_array(tau, metric)
     fd = curvature_fd(tau, metric=metric, step=step)
     scale = max(np.max(np.abs(m)) for m in fd.values())
-    worst = max(np.max(np.abs(analytic[k] - fd[k])) for k in fd)
+    worst = max(np.max(np.abs(analytic[:, :, ia, ib] - m)) for (ia, ib), m in fd.items())
     return float(worst / scale)
 
 
@@ -199,28 +212,14 @@ def curvature_pairing_form(pkg: CurvaturePackage, v) -> ExtForm:
     return acc
 
 
-def _fold_projector(g: int) -> np.ndarray:
-    """P[alpha, i, j] = 1 when the ordered entry (i, j) folds to generator alpha."""
-    n = sym_dim(g)
-    p = np.zeros((n, g, g))
-    for i in range(g):
-        for j in range(g):
-            p[pair_index(g, i, j), i, j] = 1.0
-    return p
-
-
 def pairing_matrix_batch(pkg: CurvaturePackage, v_batch: np.ndarray) -> np.ndarray:
     """Coefficient matrices of <G v, v> for a batch of fiber vectors.
 
     Row n of the result satisfies
     <G v_n, v_n> = sum K[n, a, b] dt[a] ^ dtbar[b].
     """
-    b = pkg.h  # inverse of Im(tau)
-    z = v_batch @ b.T
-    p = _fold_projector(pkg.g)
-    left = np.einsum("ni,aij->naj", z.conj(), p)
-    right = np.einsum("bkl,nl->nbk", p, z)
-    return (1j / (8 * np.pi)) * np.einsum("naj,jk,nbk->nab", left, b, right)
+    gm = curvature_array(pkg.tau, "dual") / (2j * np.pi)
+    return np.einsum("ni,ijab,nj->nab", np.conj(v_batch) @ pkg.h, gm, v_batch)
 
 
 def line_hermitian_form(tau: SiegelPoint, w) -> np.ndarray:

@@ -419,13 +419,11 @@ class FormMatrix:
     """A g x g matrix whose entries are exterior forms.
 
     Products use the wedge on entries and preserve factor order.  Determinants
-    and traces are only meaningful when entries are even (they then commute);
-    the curvature pipeline only ever builds such matrices beyond single
-    1-form factors.
+    and traces are only meaningful when entries are even (they then commute),
+    as they are for the curvature matrices of 2-forms this package builds.
     """
 
     __slots__ = ("g", "entries")
-    __array_ufunc__ = None  # a @ b with ndarray a must reach __rmatmul__
 
     def __init__(self, g: int, entries):
         self.g = int(g)
@@ -441,65 +439,33 @@ class FormMatrix:
         self.entries = [list(r) for r in rows]
 
     @classmethod
-    def from_scalar_matrix(cls, m, g: int) -> "FormMatrix":
-        a = np.asarray(m, dtype=complex)
-        return cls(g, [[ExtForm.scalar(a[i, j], g) for j in range(g)] for i in range(g)])
-
-    @classmethod
     def identity(cls, g: int) -> "FormMatrix":
-        return cls.from_scalar_matrix(np.eye(g), g)
+        return cls(g, [[ExtForm.one(g) if i == j else ExtForm.zero(g) for j in range(g)]
+                       for i in range(g)])
 
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
 
-    def matmul(self, other, max_degree: int | None = None) -> "FormMatrix":
+    def matmul(self, other: "FormMatrix", max_degree: int | None = None) -> "FormMatrix":
         g = self.g
-        if isinstance(other, FormMatrix):
-            if other.g != g:
-                raise GenusMismatch(f"genus {g} vs {other.g}")
-            out = []
-            for i in range(g):
-                row = []
-                for j in range(g):
-                    acc = ExtForm.zero(g)
-                    for k in range(g):
-                        acc = acc + self.entries[i][k].wedge(
-                            other.entries[k][j], max_degree=max_degree
-                        )
-                    row.append(acc)
-                out.append(row)
-            return FormMatrix(g, out)
-        return self._scalar_product(other, left=False)
-
-    def rmatmul_scalar(self, m) -> "FormMatrix":
-        return self._scalar_product(m, left=True)
-
-    def _scalar_product(self, m, left: bool) -> "FormMatrix":
-        """m @ self when left, else self @ m; zero scalars are skipped."""
-        a = np.asarray(m, dtype=complex)
-        g = self.g
-        if a.shape != (g, g):
-            raise DimensionMismatch(f"scalar matrix shape {a.shape} vs genus {g}")
+        if other.g != g:
+            raise GenusMismatch(f"genus {g} vs {other.g}")
         out = []
         for i in range(g):
             row = []
             for j in range(g):
                 acc = ExtForm.zero(g)
                 for k in range(g):
-                    c = a[i, k] if left else a[k, j]
-                    if c != 0:
-                        entry = self.entries[k][j] if left else self.entries[i][k]
-                        acc = acc + entry * c
+                    acc = acc + self.entries[i][k].wedge(
+                        other.entries[k][j], max_degree=max_degree
+                    )
                 row.append(acc)
             out.append(row)
         return FormMatrix(g, out)
 
     def __matmul__(self, other):
         return self.matmul(other)
-
-    def __rmatmul__(self, other):
-        return self.rmatmul_scalar(other)
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         if self.g != other.g:
@@ -565,18 +531,3 @@ def _perm_sign(perm) -> float:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def dtau_matrix(g: int) -> FormMatrix:
-    """Matrix of holomorphic coordinate 1-forms; (i, j) entry is dt[min, max]."""
-    return FormMatrix(
-        g,
-        [[ExtForm.generator(g, i, j) for j in range(g)] for i in range(g)],
-    )
-
-
-def dtau_bar_matrix(g: int) -> FormMatrix:
-    return FormMatrix(
-        g,
-        [[ExtForm.generator(g, i, j, conjugated=True) for j in range(g)] for i in range(g)],
-    )

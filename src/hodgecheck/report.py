@@ -90,8 +90,10 @@ class VerificationReport:
     wall_time_ms: int = 0
 
     @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.asserting)
+    def passed(self) -> bool | None:
+        """None when no asserting check ran: the report verified nothing."""
+        verdicts = [c.passed for c in self.checks if c.asserting]
+        return all(verdicts) if verdicts else None
 
     def add(self, check: CheckRecord):
         self.checks.append(check)

@@ -4,6 +4,7 @@ import pytest
 
 from hodgecheck.cli import main
 from hodgecheck.errors import ConfigInvalid, SuiteUnknown
+from hodgecheck.report import canonical_json
 from hodgecheck.suites import SUITES, RunConfig, run_suites
 
 
@@ -43,6 +44,25 @@ def test_rank_locus_pencils_have_independent_endpoints(seed):
     cfg = RunConfig(genus_list=(2, 3, 4), suites=("rank-locus",), seed=seed)
     result = run_suites(cfg)
     assert result["passed"] is True
+
+
+@pytest.mark.parametrize("suite,genus", [("rank-locus", 1), ("slice-embed", 1),
+                                         ("curvature-fd", 4)])
+def test_cli_run_that_verifies_nothing_exits_2(suite, genus, capsys):
+    assert main(["--suite", suite, "--genus", str(genus)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert suite in captured.err and f"[{genus}]" in captured.err
+
+
+def test_suite_without_checks_is_null_and_does_not_fail_the_run():
+    result = run_suites(RunConfig(genus_list=(1,)))
+    verdicts = {name: body["passed"] for name, body in result["suites"].items()}
+    assert verdicts.pop("rank-locus") is None
+    assert verdicts.pop("slice-embed") is None
+    assert all(v is True for v in verdicts.values())
+    assert result["passed"] is True
+    assert '"passed": null' in canonical_json(result)
 
 
 def test_parallel_matches_serial():

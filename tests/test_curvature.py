@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hodgecheck.curvature import (
-    curvature_coefficients,
+    curvature_array,
     curvature_fd,
     curvature_package,
     curvature_pairing_form,
@@ -17,8 +17,8 @@ from hodgecheck.curvature import (
     matched_dual_vector,
     pairing_matrix_batch,
 )
-from hodgecheck.errors import ZeroVector
-from hodgecheck.extform import ExtForm, conjugate, restrict_to_plane
+from hodgecheck.errors import BadParameters, ZeroVector
+from hodgecheck.extform import ExtForm, FormMatrix, conjugate, restrict_to_plane
 from hodgecheck.linalg import make_siegel_point
 from hodgecheck.sampling import (
     derive_rng,
@@ -208,11 +208,51 @@ def test_finite_difference_agreement(g, seed):
     assert fd_relative_error(x, metric="hodge", step=1e-5) < 1e-6
 
 
-def test_finite_difference_identity_point():
+@pytest.mark.parametrize("metric", ["dual", "hodge"])
+def test_finite_difference_identity_point(metric):
     x = make_siegel_point(np.zeros((2, 2)), np.eye(2))
-    analytic = curvature_coefficients(dual_curvature_matrix(x))
-    fd = curvature_fd(x, metric="dual", step=1e-5)
-    assert set(analytic) == set(fd)
+    analytic = curvature_array(x, metric)
+    fd = curvature_fd(x, metric=metric, step=1e-5)
+    n = analytic.shape[2]
+    assert set(fd) == {(a, b) for a in range(n) for b in range(n)}
     scale = max(np.max(np.abs(m)) for m in fd.values())
-    for key in fd:
-        assert np.max(np.abs(analytic[key] - fd[key])) < 1e-6 * scale
+    for (a, b), m in fd.items():
+        assert np.max(np.abs(analytic[:, :, a, b] - m)) < 1e-6 * scale
+
+
+def test_curvature_array_rejects_unknown_bundle():
+    x = make_siegel_point(np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(BadParameters):
+        curvature_array(x, "tangent")
+
+
+def generator_product(factors, g):
+    """Product of g x g matrices whose factors are forms or scalar matrices.
+
+    A form factor is "dt" or "dtbar", the matrix of coordinate 1-forms;
+    entries multiply by the wedge, so factor order is kept.
+    """
+    acc = None
+    for f in factors:
+        if isinstance(f, str):
+            m = [[ExtForm.generator(g, i, j, conjugated=(f == "dtbar")) for j in range(g)]
+                 for i in range(g)]
+        else:
+            m = [[ExtForm.scalar(f[i, j], g) for j in range(g)] for i in range(g)]
+        if acc is None:
+            acc = m
+            continue
+        acc = [[sum((acc[i][k].wedge(m[k][j]) for k in range(g)), ExtForm.zero(g))
+                for j in range(g)] for i in range(g)]
+    return FormMatrix(g, acc)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_curvature_matches_wedge_algebra(g):
+    """The closed formulas, multiplied out in the exterior algebra."""
+    x = random_siegel_point(g, derive_rng(29, "wedge-oracle", g))
+    b = np.linalg.inv(x.y)
+    dual = generator_product(["dt", b, "dtbar", b], g).scale(-0.25)
+    hodge = generator_product([b, "dtbar", b, "dt"], g).scale(-0.25)
+    assert dual_curvature_matrix(x).max_coeff_diff(dual) < 1e-14 * np.max(np.abs(b)) ** 2
+    assert hodge_curvature_matrix(x).max_coeff_diff(hodge) < 1e-14 * np.max(np.abs(b)) ** 2

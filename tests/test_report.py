@@ -37,6 +37,15 @@ def test_report_conjunction_ignores_reporting():
     assert not rep.passed
 
 
+def test_report_without_asserting_checks_is_null():
+    rep = VerificationReport("demo", {})
+    assert rep.passed is None
+    rep.add(reporting("b", "x", 99.0))
+    assert rep.passed is None
+    assert rep.to_dict()["passed"] is None
+    assert '"passed": null' in canonical_json(rep.to_dict())
+
+
 def test_report_merge_prefixes():
     a = VerificationReport("outer", {})
     b = VerificationReport("inner", {})
