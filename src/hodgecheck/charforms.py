@@ -19,7 +19,10 @@ coefficient matrix K being k! times the sum of its k x k minors:
     omega^k = (-1)^(k(k-1)/2) k! sum_{|S|=|T|=k} det(K[S,T]) dt[S]^dtbar[T]
 
 with both index blocks ascending.  That identity is also what lets the
-sampling loops run as batched determinant calls.
+sampling loops run on whole batches: each batch of unit vectors is one
+draw, and wedge_power_stats builds the minors of all its coefficient
+matrices at once by row expansion instead of one determinant per pair of
+index blocks.
 """
 
 from __future__ import annotations
@@ -129,28 +132,57 @@ def segre_by_moments(x, k_max: int) -> ExtForm:
 # ---------------------------------------------------------------------------
 
 
+def _expansion_tables(n: int, k: int) -> list:
+    """Index tables for expanding the m x m minors along a row, m = 1..k.
+
+    Entry m - 1 holds (cols, drop), both of shape (C(n, m), m): for the t-th
+    m-subset T of columns in combinations order, cols[t, j] = T[j] and
+    drop[t, j] is the position of T without T[j] among the (m-1)-subsets.
+    """
+    tables = []
+    position = {(): 0}
+    for m in range(1, k + 1):
+        subsets = list(combinations(range(n), m))
+        cols = np.array(subsets, dtype=int).reshape(len(subsets), m)
+        drop = np.array([[position[t[:j] + t[j + 1:]] for j in range(m)]
+                         for t in subsets], dtype=int).reshape(len(subsets), m)
+        tables.append((cols, drop))
+        position = {t: i for i, t in enumerate(subsets)}
+    return tables
+
+
 def wedge_power_stats(k_batch: np.ndarray, k: int):
     """Mean and variance of the coefficients of omega^k over a batch.
 
     k_batch has shape (N, n, n); entry (a, b) multiplies dt[a] ^ dtbar[b].
     Returns (means, variances) keyed by canonical bitmask pairs; variance is
     var(Re) + var(Im) of the underlying per-sample coefficient.
+
+    For each k-subset S of rows, the minors of rows S[:m] over all column
+    m-subsets come from those of rows S[:m-1] by expansion along row S[m-1],
+    with samples on the last axis: one (C(n, m), N) array per step.
     """
     n_samples, n, _ = k_batch.shape
     sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
     prefactor = sign * math.factorial(k)
+    entries = k_batch.transpose(1, 2, 0)
+    tables = _expansion_tables(n, k)
+    masks = [sum(1 << b for b in cols) for cols in combinations(range(n), k)]
     means: dict[tuple[int, int], complex] = {}
     variances: dict[tuple[int, int], float] = {}
-    subsets = list(combinations(range(n), k))
-    for s_rows in subsets:
-        rows = k_batch[:, s_rows, :]
+    for s_rows in combinations(range(n), k):
+        minors = np.ones((1, n_samples), dtype=k_batch.dtype)
+        for m, (a, (cols, drop)) in enumerate(zip(s_rows, tables)):
+            # row a sits at position m, so column j carries (-1)^(m + j)
+            minors = sum((-1) ** (m + j) * entries[a][cols[:, j]] * minors[drop[:, j]]
+                         for j in range(m + 1))
+        dets = prefactor * minors
         smask = sum(1 << a for a in s_rows)
-        for t_cols in subsets:
-            dets = prefactor * np.linalg.det(rows[:, :, t_cols])
-            tmask = sum(1 << b for b in t_cols)
-            mu = complex(dets.mean())
-            means[(smask, tmask)] = mu
-            variances[(smask, tmask)] = float(dets.real.var() + dets.imag.var())
+        mus = dets.mean(axis=-1)
+        vs = dets.real.var(axis=-1) + dets.imag.var(axis=-1)
+        for tmask, mu, var in zip(masks, mus, vs):
+            means[(smask, tmask)] = complex(mu)
+            variances[(smask, tmask)] = float(var)
     return means, variances
 
 
@@ -158,8 +190,10 @@ def _sphere_average(metric: np.ndarray, rng, n_samples: int, batch_size: int,
                     k: int, coeff_batch) -> dict:
     """Monte Carlo mean and standard error of the omega^k coefficients.
 
-    Vectors are drawn one at a time, uniform on the unit sphere of metric;
-    coeff_batch maps a batch of them to the coefficient matrices of omega.
+    Each batch of vectors, uniform on the unit sphere of metric, is one call
+    of random_unit_vector; coeff_batch maps it to the coefficient matrices
+    of omega, and wedge_power_stats reduces their k x k minors to per-batch
+    means and variances, which are pooled here.
     Returns key -> (mean, standard error) in the key order of
     wedge_power_stats.
     """
@@ -168,7 +202,7 @@ def _sphere_average(metric: np.ndarray, rng, n_samples: int, batch_size: int,
     sumsq: dict[tuple[int, int], float] = {}
     while count < n_samples:
         take = min(batch_size, n_samples - count)
-        v = np.array([random_unit_vector(metric, rng) for _ in range(take)])
+        v = random_unit_vector(metric, rng, take)
         means, variances = wedge_power_stats(coeff_batch(v), k)
         for key, mu in means.items():
             sums[key] = sums.get(key, 0.0) + mu * take

@@ -464,9 +464,6 @@ class FormMatrix:
             out.append(row)
         return FormMatrix(g, out)
 
-    def __matmul__(self, other):
-        return self.matmul(other)
-
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         if self.g != other.g:
             raise GenusMismatch(f"genus {self.g} vs {other.g}")

@@ -49,22 +49,23 @@ def random_siegel_point(g: int, rng: np.random.Generator, spread: float = 0.8,
     return SiegelPoint(x + 1j * y)
 
 
-def random_complex_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+def random_unit_vector(metric: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform draws from the unit sphere of the Hermitian metric, as rows.
 
+    With metric = L L^*, the map z -> L^{-*} z is an isometry from C^g with
+    the standard inner product onto C^g with the metric.  A standard complex
+    Gaussian z is unitarily invariant, so z / |z| is uniform on the Euclidean
+    unit sphere, and its image v = L^{-*} z / |z| is uniform on the metric
+    sphere, with v^* metric v = 1.
 
-def random_unit_vector(metric: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the unit sphere of the Hermitian metric.
-
-    A standard complex Gaussian pushed through the inverse Cholesky factor is
-    unitarily invariant in any metric-orthonormal frame; normalizing gives the
-    sphere measure.
+    The n vectors come from one (n, 2, g) normal draw (real, then imaginary
+    parts of each vector in turn), one Cholesky factor and one solve.
     """
     g = metric.shape[0]
-    z = random_complex_vector(g, rng)
+    parts = rng.standard_normal((n, 2, g))
+    z = parts[:, 0] + 1j * parts[:, 1]
     ell = np.linalg.cholesky(metric)
-    v = np.linalg.solve(ell.conj().T, z)
-    return v / np.linalg.norm(z)
+    return np.linalg.solve(ell.conj().T, z.T).T / np.linalg.norm(z, axis=1)[:, None]
 
 
 def random_subspace(ambient_dim: int, dim: int, rng: np.random.Generator,

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,11 @@ from hodgecheck.charforms import (
     segre_by_inverse,
     segre_by_moments,
     segre_by_quadrature,
+    wedge_power_stats,
 )
 from hodgecheck.errors import BadParameters, BadSampleCount
 from hodgecheck.extform import ExtForm, restrict_to_plane
-from hodgecheck.linalg import make_siegel_point
+from hodgecheck.linalg import make_siegel_point, sym_index_pairs
 from hodgecheck.sampling import derive_rng, random_plane_sg, random_siegel_point
 
 
@@ -161,3 +164,58 @@ def test_average_wedge_report():
         check_average_wedge_powers(x, k=1, n_samples=10)
     with pytest.raises(BadParameters):
         check_average_wedge_powers(x, k=5, n_samples=1000)
+
+
+def det_loop_stats(k_batch, k):
+    """wedge_power_stats spelled out with one determinant call per (S, T)."""
+    n = k_batch.shape[1]
+    prefactor = (-1.0) ** (k * (k - 1) // 2) * np.prod(np.arange(1, k + 1))
+    means, variances = {}, {}
+    for rows in combinations(range(n), k):
+        for cols in combinations(range(n), k):
+            dets = prefactor * np.linalg.det(k_batch[:, rows][:, :, cols])
+            key = (sum(1 << a for a in rows), sum(1 << b for b in cols))
+            means[key] = dets.mean()
+            variances[key] = dets.real.var() + dets.imag.var()
+    return means, variances
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_wedge_power_stats_matches_determinant_loop(n, k):
+    rng = derive_rng(41, "minors", n, k)
+    k_batch = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
+    means, variances = wedge_power_stats(k_batch, k)
+    want_means, want_variances = det_loop_stats(k_batch, k)
+    assert list(means) == list(want_means)
+    assert list(variances) == list(want_variances)
+    if not means:
+        return  # k > n: no minors
+    got = np.array(list(means.values()))
+    want = np.array(list(want_means.values()))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    got = np.array(list(variances.values()))
+    want = np.array(list(want_variances.values()))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_wedge_power_stats_matches_exterior_power(k):
+    """One sample at genus 2: the coefficients of omega^k by repeated wedge."""
+    g = 2
+    pairs = sym_index_pairs(g)
+    rng = derive_rng(42, "wedge-power", k)
+    coeffs = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    omega = ExtForm.zero(g)
+    for p, dt in enumerate(pairs):
+        for q, dtbar in enumerate(pairs):
+            term = ExtForm.generator(g, *dt).wedge(ExtForm.generator(g, *dtbar, conjugated=True))
+            omega = omega + term * coeffs[p, q]
+    power = ExtForm.one(g)
+    for _ in range(k):
+        power = power.wedge(omega)
+    means, variances = wedge_power_stats(coeffs[None], k)
+    assert set(means) == set(power.terms())
+    assert all(var == 0.0 for var in variances.values())
+    form = ExtForm(g, means)
+    assert form.max_coeff_diff(power) < 1e-13 * power.norm_inf()

@@ -22,12 +22,15 @@ from hodgecheck.extform import ExtForm, FormMatrix, conjugate, restrict_to_plane
 from hodgecheck.linalg import make_siegel_point
 from hodgecheck.sampling import (
     derive_rng,
-    random_complex_vector,
     random_plane_sg,
     random_siegel_point,
 )
 
 FD_POINTS = [(1, 0), (2, 1), (3, 2)]
+
+
+def complex_vector(dim, rng):
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
 def test_metrics():
@@ -79,7 +82,7 @@ def test_pairing_form_is_real():
         for _ in range(7):
             x = random_siegel_point(g, rng)
             pkg = curvature_package(x)
-            v = random_complex_vector(g, rng)
+            v = complex_vector(g, rng)
             form = curvature_pairing_form(pkg, v)
             assert form.bidegrees() <= {(1, 1)}
             assert conjugate(form).max_coeff_diff(form) < 1e-12
@@ -95,7 +98,7 @@ def test_pairing_form_scales_quadratically():
     rng = derive_rng(23, "scale")
     x = random_siegel_point(2, rng)
     pkg = curvature_package(x)
-    v = random_complex_vector(2, rng)
+    v = complex_vector(2, rng)
     c = 1.3 - 0.4j
     a = curvature_pairing_form(pkg, c * v)
     b = curvature_pairing_form(pkg, v) * (abs(c) ** 2)
@@ -120,7 +123,7 @@ def test_pairing_form_nonnegative_on_lines():
     for _ in range(5):
         x = random_siegel_point(2, rng)
         pkg = curvature_package(x)
-        v = random_complex_vector(2, rng)
+        v = complex_vector(2, rng)
         form = curvature_pairing_form(pkg, v)
         for _ in range(10):
             line = random_plane_sg(2, 1, rng)
@@ -131,7 +134,7 @@ def test_line_form_properties():
     rng = derive_rng(25, "line-form")
     for g in (1, 2, 3):
         x = random_siegel_point(g, rng)
-        w = random_complex_vector(g, rng)
+        w = complex_vector(g, rng)
         L = line_hermitian_form(x, w)
         assert np.allclose(L, L.conj().T)
         evals = np.linalg.eigvalsh(L)
@@ -157,7 +160,7 @@ def test_fundamental_form_bridge():
         x = random_siegel_point(g, rng)
         pkg = curvature_package(x)
         y = hodge_metric(x)
-        w = random_complex_vector(g, rng)
+        w = complex_vector(g, rng)
         w = w / np.sqrt((w.conj() @ y @ w).real)
         ff = fundamental_form(line_hermitian_form(x, w), g)
         pf = curvature_pairing_form(pkg, matched_dual_vector(x, w))
@@ -175,7 +178,7 @@ def test_pairing_matrix_batch_rows_match_pairing_form(g):
     rng = derive_rng(27, "pairing-batch", g)
     x = random_siegel_point(g, rng)
     pkg = curvature_package(x)
-    v = np.array([random_complex_vector(g, rng) for _ in range(4)])
+    v = np.array([complex_vector(g, rng) for _ in range(4)])
     kb = pairing_matrix_batch(pkg, v)
     assert kb.shape == (4, g * (g + 1) // 2, g * (g + 1) // 2)
     for row, vn in zip(kb, v):
@@ -189,7 +192,7 @@ def test_fundamental_matrix_batch_matches_fundamental_form(g):
     x = random_siegel_point(g, rng)
     pkg = curvature_package(x)
     y = hodge_metric(x)
-    w = np.array([random_complex_vector(g, rng) for _ in range(4)])
+    w = np.array([complex_vector(g, rng) for _ in range(4)])
     w = w / np.sqrt(np.einsum("ni,ij,nj->n", w.conj(), y, w).real)[:, None]
     kb = fundamental_matrix_batch(np.array([line_hermitian_form(x, wn) for wn in w]), g)
     # the two batched builders agree through the matched dual vectors

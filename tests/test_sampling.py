@@ -1,0 +1,29 @@
+import numpy as np
+import pytest
+
+from hodgecheck.curvature import hodge_metric
+from hodgecheck.sampling import derive_rng, random_siegel_point, random_unit_vector
+
+
+def metric_for(g):
+    return hodge_metric(random_siegel_point(g, derive_rng(50, "sphere-metric", g)))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_batch_draw_matches_single_draws(g):
+    metric = metric_for(g)
+    batch_rng, single_rng = derive_rng(51, "sphere", g), derive_rng(51, "sphere", g)
+    batch = random_unit_vector(metric, batch_rng, 300)
+    single = np.array([random_unit_vector(metric, single_rng, 1)[0] for _ in range(300)])
+    assert batch.shape == (300, g)
+    # one batch consumes the stream exactly as n draws of one vector do
+    assert batch_rng.bit_generator.state == single_rng.bit_generator.state
+    assert np.max(np.abs(batch - single)) < 1e-14 * np.max(np.abs(single))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_draws_lie_on_the_metric_sphere(g):
+    metric = metric_for(g)
+    v = random_unit_vector(metric, derive_rng(52, "sphere", g), 500)
+    norms = np.einsum("ni,ij,nj->n", v.conj(), metric, v)
+    assert np.max(np.abs(norms - 1)) < 1e-12
