@@ -7,8 +7,8 @@ components of its multiplicative inverse.  Because the entries of G are
 in the (commutative) even part of the exterior algebra, which gives two
 independent recomputations:
 
-* moments: s_k = sum over partitions lam of k of p_lam / z_lam with
-  p_m = tr(G^m), the complete homogeneous symmetric function in the roots;
+* moments: s_k is the complete homogeneous symmetric function h_k in the
+  roots, built from the power traces p_m = tr(G^m) by Newton's identities;
 * quadrature: s_k = binom(g+k-1, k) * E[<G v, v>^k] over v uniform on the
   unit sphere of the fiber metric, a Monte Carlo route that touches the
   pairing form machinery instead of matrix arithmetic.
@@ -85,46 +85,26 @@ def segre_by_inverse(x, k_max: int | None = None) -> ExtForm:
     return chern_total(x, "dual", k_max=k_max).inverse_even(max_degree=cap)
 
 
-def _partitions(k: int):
-    """Partitions of k as descending tuples."""
-    def gen(remaining, cap):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, cap), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-    return list(gen(k, k))
-
-
-def _symmetry_factor(lam) -> int:
-    z = 1
-    for part in set(lam):
-        m = lam.count(part)
-        z *= part ** m * math.factorial(m)
-    return z
-
-
 def segre_by_moments(x, k_max: int) -> ExtForm:
-    """Total Segre form through degree 2 k_max from curvature power traces."""
+    """Total Segre form through degree 2 k_max from curvature power traces.
+
+    With p_m = tr(G^m), Newton's identities give the complete homogeneous
+    parts h_k = s_k by k h_k = sum_(i=1..k) p_i ^ h_(k-i).
+    """
     gm = normalized_curvature(x, "dual")
     cap = 2 * k_max
-    traces = {}
+    traces = []
     power = gm
     for m in range(1, k_max + 1):
-        traces[m] = power.trace()
+        traces.append(power.trace())
         if m < k_max:
             power = power.matmul(gm, max_degree=cap)
-    total = ExtForm.one(gm.g)
+    h = [ExtForm.one(gm.g)]
     for k in range(1, k_max + 1):
-        s_k = ExtForm.zero(gm.g)
-        for lam in _partitions(k):
-            term = ExtForm.one(gm.g)
-            for part in lam:
-                term = term.wedge(traces[part], max_degree=cap)
-            s_k = s_k + term * (1.0 / _symmetry_factor(lam))
-        total = total + s_k
-    return total
+        acc = sum((traces[i - 1].wedge(h[k - i], max_degree=cap) for i in range(1, k + 1)),
+                  ExtForm.zero(gm.g))
+        h.append(acc * (1.0 / k))
+    return sum(h[1:], h[0])
 
 
 # ---------------------------------------------------------------------------

@@ -72,16 +72,11 @@ def curvature_array(tau: SiegelPoint, bundle: str = "dual") -> np.ndarray:
 def curvature_matrix(tau: SiegelPoint, bundle: str = "dual") -> FormMatrix:
     """omega as a matrix of (1, 1)-forms, read off curvature_array."""
     c = curvature_array(tau, bundle)
-    g, n = tau.g, c.shape[2]
-    # The order terms enter each entry fixes the summation order of every
-    # later wedge; it follows the factor order of the closed formulas, so
-    # dual entries are beta-major (for b: for a:) and hodge entries alpha-major.
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-    order = [(a, b) for b, a in pairs] if bundle == "dual" else pairs
-    return FormMatrix(g, [
-        [ExtForm(g, {(1 << a, 1 << b): c[i, j, a, b] for a, b in order}) for j in range(g)]
-        for i in range(g)
-    ])
+    g = tau.g
+    # the 1-subsets in combinations order are the generator indices, so
+    # c[i, j] is the (1, 1) block of entry (i, j) as it stands
+    return FormMatrix(g, [[ExtForm.from_blocks(g, {(1, 1): c[i, j]}) for j in range(g)]
+                          for i in range(g)])
 
 
 def dual_curvature_matrix(tau: SiegelPoint) -> FormMatrix:
@@ -267,8 +262,7 @@ def fundamental_form(l_matrix: np.ndarray, g: int) -> ExtForm:
     l_matrix = np.asarray(l_matrix, dtype=complex)
     if l_matrix.shape != (n, n):
         raise DimensionMismatch(f"form matrix shape {l_matrix.shape}, expected ({n}, {n})")
-    k = fundamental_matrix_batch(l_matrix[None], g)[0]
-    return ExtForm(g, {(1 << a, 1 << b): k[a, b] for a in range(n) for b in range(n)})
+    return ExtForm.from_blocks(g, {(1, 1): fundamental_matrix_batch(l_matrix[None], g)[0]})
 
 
 def matched_dual_vector(tau: SiegelPoint, w) -> np.ndarray:

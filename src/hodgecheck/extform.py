@@ -1,28 +1,40 @@
-"""Sparse exterior algebra on the coordinate 1-forms of a symmetric period matrix.
+"""Dense exterior algebra on the coordinate 1-forms of a symmetric period matrix.
 
 For genus g there are n = g(g+1)/2 generator pairs dt[a,b] / dtbar[a,b], one
 per unordered index pair a <= b; dt[a,b] and dt[b,a] are the same generator
-because the matrix is symmetric.  A form is a sparse sum of monomials
+because the matrix is symmetric.  A form is a sum of monomials
 
     coeff * dt[S] ^ dtbar[T]
 
-encoded by bitmask pairs (S, T) over the n generator indices.  The canonical
-word order puts holomorphic generators first, each block ascending by index;
-every sign in this module is relative to that order.  Zero coefficients are
-never stored.
+over index subsets S, T of the n generators.  It is stored as one complex
+array per bidegree (p, q), of shape C(n, p) x C(n, q), whose rows and columns
+run over the p- and q-subsets in itertools.combinations order.  A block that
+is entirely zero is never stored, so the stored bidegrees are exactly the
+nonzero ones.  Outside the store a subset is a bitmask over the n generator
+indices, and a coefficient is addressed by a bitmask pair (S, T).  The
+canonical word order puts holomorphic generators first, each block ascending
+by index; every sign in this module is relative to that order.
 
 Conventions that matter elsewhere:
 
+* wedge multiplies block by block.  For each (k1 + k2)-subset U a split
+  table lists every way to write U as a k1-subset and its complement, with
+  the sign that sorts their concatenation back to U; moving dtbar[T1] past
+  dt[S2] contributes the block-swap sign (-1)^{|T1||S2|}.
 * conjugate maps coeff * dt[S]^dtbar[T] to conj(coeff) * (-1)^{|S||T|}
   dt[T]^dtbar[S], the sign being the block swap back to canonical order.
 * contract pairs dt[a,b] with the (a,b) entry of a holomorphic vector and
   dtbar[a,b] with the conjugated entry of an antiholomorphic vector; a
-  decomposable (p,q) term against p + q vectors is the product of the two
-  pairing determinants times the coefficient.
+  (p,q) block against p + q vectors is the vector of p x p minors of the
+  holomorphic rows, times the block, times the q x q minors of the
+  antiholomorphic rows.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from itertools import combinations, permutations
 from typing import Iterable
 
 import numpy as np
@@ -45,26 +57,79 @@ def pair_index(g: int, a: int, b: int) -> int:
     return a * g - a * (a - 1) // 2 + (b - a)
 
 
-def _merge_parity(x: int, y: int) -> int:
-    """Parity of inversions when sorting the concatenation of sorted words x, y."""
-    p = 0
-    while y:
-        low = y & -y
-        p ^= (x >> low.bit_length()).bit_count() & 1
-        y ^= low
-    return p
+@functools.cache
+def _subsets(n: int, k: int):
+    """The k-subsets of range(n) in combinations order.
+
+    Returns (rows, masks, position): rows[i] lists the i-th subset, masks[i]
+    is its bitmask and position maps a bitmask back to i.
+    """
+    rows = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(math.comb(n, k), k)
+    masks = [sum(1 << int(i) for i in r) for r in rows]
+    return rows, masks, {m: i for i, m in enumerate(masks)}
+
+
+@functools.cache
+def _split_table(n: int, k1: int, k2: int):
+    """Every split of each (k1 + k2)-subset U of range(n) into a k1-subset and the rest.
+
+    Returns (first, rest, sign): first[u, j] and rest[u, j] are the positions
+    among the k1- and k2-subsets of the two parts of the j-th split of the
+    u-th U, and sign[j] is the sign of sorting their concatenation back to U.
+    That sign depends only on which places of U the k1-subset takes.
+    """
+    splits = list(combinations(range(k1 + k2), k1))
+    # the element in place s_i passes the s_i - i smaller elements of the rest
+    sign = np.array([-1.0 if (sum(s) - k1 * (k1 - 1) // 2) % 2 else 1.0 for s in splits])
+    position1, position2 = _subsets(n, k1)[2], _subsets(n, k2)[2]
+    first, rest = [], []
+    for u in combinations(range(n), k1 + k2):
+        bits = [1 << i for i in u]
+        parts = [sum(bits[i] for i in s) for s in splits]
+        first.append([position1[m] for m in parts])
+        rest.append([position2[m ^ sum(bits)] for m in parts])
+    shape = (math.comb(n, k1 + k2), len(splits))
+    return (np.array(first, dtype=np.intp).reshape(shape),
+            np.array(rest, dtype=np.intp).reshape(shape), sign)
+
+
+def _wedge_block(a: np.ndarray, b: np.ndarray, n: int, p1: int, q1: int,
+                 p2: int, q2: int) -> np.ndarray:
+    """The (p1 + p2, q1 + q2) block of a ^ b for a (p1, q1) block a and a (p2, q2) block b.
+
+    out[U, V] sums a[S1, T1] * b[S2, T2] over the splits U = S1 + S2 and
+    V = T1 + T2, signed by both merges and by the block swap of T1 past S2.
+    """
+    hol_first, hol_rest, hol_sign = _split_table(n, p1, p2)
+    anti_first, anti_rest, anti_sign = _split_table(n, q1, q2)
+    weights = -anti_sign if (q1 * p2) % 2 else anti_sign
+    out = np.zeros((hol_first.shape[0], anti_first.shape[0]), dtype=complex)
+    for j, sign in enumerate(hol_sign):
+        terms = a.take(hol_first[:, j], axis=0).take(anti_first, axis=1)
+        terms *= b.take(hol_rest[:, j], axis=0).take(anti_rest, axis=1)
+        out += sign * (terms @ weights)
+    return out
+
+
+def _minors(rows: np.ndarray) -> np.ndarray:
+    """The k x k minors of a k x n array, one per column k-subset in combinations order."""
+    k, n = rows.shape
+    if k == 0:
+        return np.ones(1, dtype=complex)
+    cols = _subsets(n, k)[0]
+    return np.linalg.det(rows[:, cols].transpose(1, 0, 2))
 
 
 class ExtForm:
-    """Sparse exterior form; immutable by convention after construction."""
+    """Exterior form stored as dense per-bidegree blocks; immutable by convention."""
 
-    __slots__ = ("g", "n", "_terms")
+    __slots__ = ("g", "n", "_blocks")
     __array_ufunc__ = None  # keep numpy from coercing us in mixed products
 
     def __init__(self, g: int, terms: dict[tuple[int, int], complex] | None = None):
         self.g = int(g)
         self.n = sym_dim(self.g)
-        clean: dict[tuple[int, int], complex] = {}
+        blocks: dict[tuple[int, int], np.ndarray] = {}
         if terms:
             limit = 1 << self.n
             for (s, t), c in terms.items():
@@ -72,11 +137,36 @@ class ExtForm:
                     raise DimensionMismatch(
                         f"mask ({s:#x}, {t:#x}) exceeds {self.n} generators"
                     )
-                if c != 0:
-                    clean[(s, t)] = complex(c)
-        self._terms = clean
+                if c == 0:
+                    continue
+                p, q = s.bit_count(), t.bit_count()
+                block = blocks.get((p, q))
+                if block is None:
+                    block = blocks[(p, q)] = np.zeros(
+                        (math.comb(self.n, p), math.comb(self.n, q)), dtype=complex)
+                block[_subsets(self.n, p)[2][s], _subsets(self.n, q)[2][t]] = c
+        self._blocks = blocks
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def from_blocks(cls, g: int, blocks: dict[tuple[int, int], np.ndarray]) -> "ExtForm":
+        """Form with the given (p, q) -> C(n, p) x C(n, q) coefficient arrays.
+
+        The arrays are kept, not copied; blocks that are entirely zero are
+        dropped.
+        """
+        form = cls(g)
+        n = form.n
+        for (p, q), block in blocks.items():
+            block = np.asarray(block, dtype=complex)
+            if block.shape != (math.comb(n, p), math.comb(n, q)):
+                raise DimensionMismatch(
+                    f"block {(p, q)} has shape {block.shape}, expected "
+                    f"{(math.comb(n, p), math.comb(n, q))} for {n} generators")
+            if block.any():
+                form._blocks[(p, q)] = block
+        return form
 
     @classmethod
     def zero(cls, g: int) -> "ExtForm":
@@ -99,46 +189,51 @@ class ExtForm:
     # -- bookkeeping --------------------------------------------------------
 
     def terms(self) -> dict[tuple[int, int], complex]:
-        return dict(self._terms)
+        out = {}
+        for (p, q), block in self._blocks.items():
+            s_masks, t_masks = _subsets(self.n, p)[1], _subsets(self.n, q)[1]
+            for i, j in zip(*np.nonzero(block)):
+                out[(s_masks[i], t_masks[j])] = complex(block[i, j])
+        return out
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return sum(int(np.count_nonzero(b)) for b in self._blocks.values())
 
     def coefficient(self, s: int, t: int) -> complex:
-        return self._terms.get((s, t), 0.0 + 0.0j)
+        p, q = s.bit_count(), t.bit_count()
+        block = self._blocks.get((p, q))
+        if block is None or s >> self.n or t >> self.n:
+            return 0.0 + 0.0j
+        return complex(block[_subsets(self.n, p)[2][s], _subsets(self.n, q)[2][t]])
 
     @property
     def scalar_part(self) -> complex:
-        return self._terms.get((0, 0), 0.0 + 0.0j)
+        return self.coefficient(0, 0)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._blocks
 
     def component(self, p: int, q: int) -> "ExtForm":
-        picked = {
-            k: c
-            for k, c in self._terms.items()
-            if k[0].bit_count() == p and k[1].bit_count() == q
-        }
-        return ExtForm(self.g, picked)
+        block = self._blocks.get((p, q))
+        return ExtForm.from_blocks(self.g, {} if block is None else {(p, q): block})
 
     def bidegrees(self) -> set[tuple[int, int]]:
-        return {(s.bit_count(), t.bit_count()) for s, t in self._terms}
+        return set(self._blocks)
 
     def is_even(self) -> bool:
         return all((p + q) % 2 == 0 for p, q in self.bidegrees())
 
     def norm_inf(self) -> float:
-        if not self._terms:
-            return 0.0
-        return max(abs(c) for c in self._terms.values())
+        return max((float(np.abs(b).max()) for b in self._blocks.values()), default=0.0)
 
     def max_coeff_diff(self, other: "ExtForm") -> float:
         self._check_genus(other)
-        keys = self._terms.keys() | other._terms.keys()
-        if not keys:
-            return 0.0
-        return max(abs(self.coefficient(*k) - other.coefficient(*k)) for k in keys)
+        worst = 0.0
+        for key in self._blocks.keys() | other._blocks.keys():
+            a, b = self._blocks.get(key), other._blocks.get(key)
+            diff = b if a is None else (a if b is None else a - b)
+            worst = max(worst, float(np.abs(diff).max()))
+        return worst
 
     def allclose(self, other: "ExtForm", tol: float = 1e-12) -> bool:
         return self.max_coeff_diff(other) <= tol
@@ -153,19 +248,15 @@ class ExtForm:
         if isinstance(other, (int, float, complex)):
             other = ExtForm.scalar(other, self.g)
         self._check_genus(other)
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            v = out.get(k, 0.0) + c
-            if v == 0:
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return ExtForm(self.g, out)
+        blocks = dict(self._blocks)
+        for key, b in other._blocks.items():
+            blocks[key] = blocks[key] + b if key in blocks else b
+        return ExtForm.from_blocks(self.g, blocks)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtForm(self.g, {k: -c for k, c in self._terms.items()})
+        return ExtForm.from_blocks(self.g, {k: -b for k, b in self._blocks.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -179,7 +270,7 @@ class ExtForm:
         if not isinstance(c, (int, float, complex, np.number)):
             return NotImplemented
         c = complex(c)
-        return ExtForm(self.g, {k: v * c for k, v in self._terms.items()})
+        return ExtForm.from_blocks(self.g, {k: b * c for k, b in self._blocks.items()})
 
     __rmul__ = __mul__
 
@@ -190,58 +281,26 @@ class ExtForm:
 
     def wedge(self, other: "ExtForm", max_degree: int | None = None) -> "ExtForm":
         self._check_genus(other)
-        out: dict[tuple[int, int], complex] = {}
-        mp = _merge_parity
-        items_a = [
-            (s, t, c, s.bit_count() + t.bit_count(), t.bit_count() & 1)
-            for (s, t), c in self._terms.items()
-        ]
-        items_b = [
-            (s, t, c, s.bit_count() + t.bit_count(), s.bit_count() & 1)
-            for (s, t), c in other._terms.items()
-        ]
-        if max_degree is None:
-            # one bucket in the original order; no term exceeds degree 2n
-            max_degree = 2 * self.n
-            buckets = [(0, items_b)]
-        else:
-            # bucket the right factor by degree so over-cap pairs are never
-            # visited; the pair loop is the hot path for large sparse forms
-            by_degree: dict[int, list] = {}
-            for item in items_b:
-                by_degree.setdefault(item[3], []).append(item)
-            buckets = list(by_degree.items())
-        for s1, t1, c1, d1, t1par in items_a:
-            for d2, bucket in buckets:
-                if d1 + d2 > max_degree:
+        n = self.n
+        cap = 2 * n if max_degree is None else max_degree
+        out: dict[tuple[int, int], np.ndarray] = {}
+        for (p1, q1), a in self._blocks.items():
+            for (p2, q2), b in other._blocks.items():
+                key = (p1 + p2, q1 + q2)
+                if key[0] > n or key[1] > n or sum(key) > cap:
                     continue
-                for s2, t2, c2, _, s2par in bucket:
-                    if s1 & s2 or t1 & t2:
-                        continue
-                    parity = (t1par & s2par) ^ mp(s1, s2) ^ mp(t1, t2)
-                    c = c1 * c2
-                    if parity:
-                        c = -c
-                    key = (s1 | s2, t1 | t2)
-                    v = out.get(key, 0.0) + c
-                    if v == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = v
-        return ExtForm(self.g, out)
+                block = _wedge_block(a, b, n, p1, q1, p2, q2)
+                out[key] = out[key] + block if key in out else block
+        return ExtForm.from_blocks(self.g, out)
 
     def __xor__(self, other):
         return self.wedge(other)
 
     def conjugate(self) -> "ExtForm":
-        out: dict[tuple[int, int], complex] = {}
-        for (s, t), c in self._terms.items():
-            sign = -1.0 if (s.bit_count() & t.bit_count() & 1) else 1.0
-            key = (t, s)
-            v = out.get(key, 0.0) + sign * c.conjugate()
-            if v != 0:
-                out[key] = v
-        return ExtForm(self.g, out)
+        return ExtForm.from_blocks(self.g, {
+            (q, p): (-1.0 if p * q % 2 else 1.0) * b.T.conj()
+            for (p, q), b in self._blocks.items()
+        })
 
     def contract(self, hol_vectors: Iterable, anti_vectors: Iterable) -> complex:
         """Evaluate against symmetric-matrix tangent vectors.
@@ -256,37 +315,22 @@ class ExtForm:
                 raise DimensionMismatch(
                     f"tangent vector shape {v.shape} does not match genus {self.g}"
                 )
-        pairs = sym_index_pairs(self.g)
-        p_rows = np.array([[v[a, b] for (a, b) in pairs] for v in hol], dtype=complex)
-        q_rows = np.array(
-            [[np.conj(v[a, b]) for (a, b) in pairs] for v in anti], dtype=complex
-        )
-        p, q = len(hol), len(anti)
-        det_cache_p: dict[int, complex] = {}
-        det_cache_q: dict[int, complex] = {}
-
-        def minor(rows, mask, cache, size):
-            got = cache.get(mask)
-            if got is None:
-                cols = _mask_indices(mask)
-                got = _small_det(rows[:, cols]) if size else 1.0 + 0.0j
-                cache[mask] = got
-            return got
-
-        total = 0.0 + 0.0j
-        for (s, t), c in self._terms.items():
-            if s.bit_count() != p or t.bit_count() != q:
-                continue
-            total += c * minor(p_rows, s, det_cache_p, p) * minor(q_rows, t, det_cache_q, q)
-        return total
+        block = self._blocks.get((len(hol), len(anti)))
+        if block is None:
+            return 0.0 + 0.0j
+        hol_minors = _minors(_coordinate_rows(hol, self.g))
+        anti_minors = _minors(_coordinate_rows(anti, self.g).conj())
+        return complex(hol_minors @ block @ anti_minors)
 
     # -- inversion of even forms -------------------------------------------
 
     def inverse_even(self, max_degree: int | None = None) -> "ExtForm":
         """Multiplicative inverse of 1 + nilpotent, for even forms only.
 
-        max_degree truncates the result (and all intermediate products) to
-        total degree at most that value.
+        max_degree truncates the result to total degree at most that value.
+        Writing u_d for the degree-d part of the nilpotent, the degree-d part
+        of the inverse is s_d = -sum_i u_i ^ s_(d-i), s_0 = 1; even forms
+        commute, so this right inverse is the inverse.
         """
         if not self.is_even():
             bad = sorted(pq for pq in self.bidegrees() if sum(pq) % 2)
@@ -294,58 +338,46 @@ class ExtForm:
         s0 = self.scalar_part
         if abs(s0 - 1.0) > 1e-12:
             raise NotUnitScalar(f"scalar component {s0} is not 1")
-        u = self - ExtForm.scalar(s0, self.g)
-        out = ExtForm.one(self.g)
-        power = ExtForm.one(self.g)
-        sign = 1.0
-        # each factor of u raises total degree by at least 2
-        for _ in range(self.n):
-            power = power.wedge(u, max_degree=max_degree)
-            if power.is_zero():
-                break
-            sign = -sign
-            out = out + power * sign
-        return out
+        u: dict[int, ExtForm] = {}
+        for p, q in self._blocks:
+            if p + q:
+                u[p + q] = self.component(p, q) + u.get(p + q, ExtForm.zero(self.g))
+        cap = 2 * self.n if max_degree is None else max_degree
+        s = [ExtForm.one(self.g)]  # s[d // 2] is the degree-d part
+        for d in range(2, cap + 1, 2):
+            acc = ExtForm.zero(self.g)
+            for i, u_i in u.items():
+                if i <= d:
+                    acc = acc + u_i.wedge(s[(d - i) // 2])
+            s.append(-acc)
+        return sum(s[1:], s[0])
 
     # -- display ------------------------------------------------------------
 
     def __repr__(self):
-        if not self._terms:
+        if not self._blocks:
             return f"ExtForm(g={self.g}, 0)"
         pairs = sym_index_pairs(self.g)
         bits = []
-        for (s, t), c in sorted(self._terms.items()):
-            gens = [f"dt{pairs[i]}" for i in _mask_indices(s)]
-            gens += [f"dtbar{pairs[i]}" for i in _mask_indices(t)]
+        for (s, t), c in sorted(self.terms().items()):
+            gens = [f"dt{pairs[i]}" for i in range(self.n) if s >> i & 1]
+            gens += [f"dtbar{pairs[i]}" for i in range(self.n) if t >> i & 1]
             word = "^".join(gens) if gens else "1"
             bits.append(f"({c:.6g})*{word}")
         return f"ExtForm(g={self.g}, " + " + ".join(bits) + ")"
 
 
-def _mask_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+@functools.cache
+def _pair_axes(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the generator pairs, in sym_index_pairs order."""
+    rows, cols = np.array(sym_index_pairs(g)).T
+    return rows, cols
 
 
-def _small_det(a: np.ndarray) -> complex:
-    k = a.shape[0]
-    if k == 0:
-        return 1.0 + 0.0j
-    if k == 1:
-        return complex(a[0, 0])
-    if k == 2:
-        return complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if k == 3:
-        return complex(
-            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-        )
-    return complex(np.linalg.det(a))
+def _coordinate_rows(vectors: list[np.ndarray], g: int) -> np.ndarray:
+    """Row i holds the generator coordinates (a, b), a <= b, of vectors[i]."""
+    rows, cols = _pair_axes(g)
+    return np.array([v[rows, cols] for v in vectors], dtype=complex).reshape(len(vectors), len(rows))
 
 
 def wedge(a: ExtForm, b: ExtForm, max_degree: int | None = None) -> ExtForm:
@@ -381,7 +413,6 @@ def restrict_to_plane(a: ExtForm, y: LinSubspace) -> float:
         raise DimensionMismatch(
             f"plane ambient dimension {n} does not match genus {g}"
         )
-    k = y.dim
     mats = [vec_to_sym(row, g) for row in y.basis]
     num = a.contract(mats, mats)
     den = _volume_contraction(g, mats)
@@ -394,18 +425,12 @@ def _volume_contraction(g: int, mats: list[np.ndarray]) -> complex:
     theta_j is the Frobenius dual of mats[j]: entries weighted 2 off the
     diagonal so theta_j(t) equals the Frobenius inner product <t, mats[j]>.
     """
-    pairs = sym_index_pairs(g)
     k = len(mats)
-    # theta matrix: Theta[j, l] = theta_l(mats[j]) = Frobenius <mats[j], mats[l]>
-    theta = np.empty((k, k), dtype=complex)
-    for j in range(k):
-        for l in range(k):
-            weights = [(1.0 if a == b else 2.0) for (a, b) in pairs]
-            theta[j, l] = sum(
-                w * mats[j][a, b] * np.conj(mats[l][a, b])
-                for w, (a, b) in zip(weights, pairs)
-            )
-    det = _small_det(theta)
+    coords = _coordinate_rows(mats, g)
+    rows, cols = _pair_axes(g)
+    weights = np.where(rows == cols, 1.0, 2.0)
+    # Theta[j, l] = theta_l(mats[j]) = Frobenius <mats[j], mats[l]>
+    det = np.linalg.det((coords * weights) @ coords.conj().T)
     sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
     return sign * (0.5j) ** k * det * np.conj(det)
 
@@ -491,12 +516,10 @@ class FormMatrix:
 
     def det(self, max_degree: int | None = None) -> ExtForm:
         """Leibniz determinant; assumes entries commute (even forms)."""
-        import itertools
-
         g = self.g
         acc = ExtForm.zero(g)
-        for perm in itertools.permutations(range(g)):
-            sign = _perm_sign(perm)
+        for perm in permutations(range(g)):
+            sign = (-1.0) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
             prod = ExtForm.one(g)
             for i in range(g):
                 prod = prod.wedge(self.entries[i][perm[i]], max_degree=max_degree)
@@ -511,20 +534,3 @@ class FormMatrix:
             for i in range(self.g)
             for j in range(self.g)
         )
-
-
-def _perm_sign(perm) -> float:
-    sign = 1.0
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

@@ -42,6 +42,103 @@ def random_form(g, rng, n_terms=8, max_deg=4):
     return ExtForm(g, terms)
 
 
+def reference_wedge(a, b):
+    """a ^ b term by term, without split tables.
+
+    Each monomial is written as its word of generators, holomorphic ones as
+    their index and antiholomorphic ones as n + index, so the canonical order
+    is ascending order; the product's sign is the parity of the inversions of
+    the concatenated word.
+    """
+    n = a.n
+
+    def word(s, t):
+        return [i for i in range(n) if s >> i & 1] + [n + i for i in range(n) if t >> i & 1]
+
+    out = {}
+    for (s1, t1), c1 in a.terms().items():
+        for (s2, t2), c2 in b.terms().items():
+            if s1 & s2 or t1 & t2:
+                continue
+            w = word(s1, t1) + word(s2, t2)
+            inversions = sum(x > y for i, x in enumerate(w) for y in w[i + 1:])
+            key = (s1 | s2, t1 | t2)
+            out[key] = out.get(key, 0.0) + (-1) ** inversions * c1 * c2
+    return ExtForm(a.g, out)
+
+
+def homogeneous_form(g, rng, degree, n_terms=6):
+    """Random form of one total degree, with mixed bidegrees."""
+    n = sym_dim(g)
+    terms = {}
+    for _ in range(n_terms if degree <= 2 * n else 0):
+        p = int(rng.integers(max(0, degree - n), min(degree, n) + 1))
+        s = sum(1 << int(i) for i in rng.choice(n, size=p, replace=False))
+        t = sum(1 << int(i) for i in rng.choice(n, size=degree - p, replace=False))
+        terms[(s, t)] = complex(rng.standard_normal(), rng.standard_normal())
+    return ExtForm(g, terms)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_wedge_matches_reference_on_mixed_and_odd_forms(g):
+    rng = derive_rng(17, "reference-wedge", g)
+    for _ in range(12):
+        a, b = random_form(g, rng), random_form(g, rng)
+        want = reference_wedge(a, b)
+        assert a.wedge(b).max_coeff_diff(want) <= 1e-12 * max(want.norm_inf(), 1.0)
+    for da in (1, 3):
+        for db in (1, 2):
+            a, b = homogeneous_form(g, rng, da), homogeneous_form(g, rng, db)
+            want = reference_wedge(a, b)
+            assert a.wedge(b).max_coeff_diff(want) <= 1e-12 * max(want.norm_inf(), 1.0)
+
+
+def test_algebra_laws_hold_on_random_forms():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(g=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+                      degrees=st.tuples(*[st.integers(0, 4)] * 3))
+    def laws(g, seed, degrees):
+        rng = np.random.default_rng(seed)
+        a, b, c = (homogeneous_form(g, rng, d) for d in degrees)
+        da, db = degrees[:2]
+        assert a.wedge(b).wedge(c).max_coeff_diff(a.wedge(b.wedge(c))) < 1e-11
+        assert a.wedge(b).max_coeff_diff(b.wedge(a) * (-1.0) ** (da * db)) < 1e-11
+        assert conjugate(a.wedge(b)).max_coeff_diff(conjugate(a).wedge(conjugate(b))) < 1e-11
+        assert ExtForm(g, a.terms()).max_coeff_diff(a) == 0.0
+        even = ExtForm.one(g) + homogeneous_form(g, rng, 2) + homogeneous_form(g, rng, 4)
+        assert even.wedge(inverse_even(even)).max_coeff_diff(ExtForm.one(g)) < 1e-10
+
+    laws()
+
+
+def test_exact_cancellation_leaves_no_block():
+    g = 2
+    om = e(g, 0, 0).wedge(ebar(g, 0, 1)) * (0.5 - 1.5j)
+    for zero in (om - om, e(g, 0, 1).wedge(e(g, 0, 1)), om * 0.0):
+        assert zero.is_zero()
+        assert zero.bidegrees() == set()
+        assert len(zero) == 0
+    mixed = om + e(g, 0, 0).wedge(e(g, 1, 1)) - om
+    assert mixed.bidegrees() == {(2, 0)}
+    assert len(mixed) == 1
+    # an odd part that cancels exactly does not block inversion
+    unit = ExtForm.one(g) + om.wedge(conjugate(om)) + e(g, 0, 0) - e(g, 0, 0)
+    assert unit.is_even()
+    assert unit.wedge(inverse_even(unit)).max_coeff_diff(ExtForm.one(g)) == 0.0
+
+
+def test_from_blocks_checks_shapes_and_drops_zero_blocks():
+    g = 2
+    form = ExtForm.from_blocks(g, {(1, 1): np.eye(3), (2, 0): np.zeros((3, 1))})
+    assert form.bidegrees() == {(1, 1)}
+    assert form.coefficient(0b10, 0b10) == 1.0
+    with pytest.raises(DimensionMismatch):
+        ExtForm.from_blocks(g, {(1, 1): np.eye(2)})
+
+
 def test_generator_squares_to_zero():
     a = e(2, 0, 0)
     assert a.wedge(a).is_zero()
