@@ -122,7 +122,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     raw_tol = file_cfg.get("tolerances", {})
     if not isinstance(raw_tol, dict):
         raise ConfigInvalid("config key 'tolerances' must be an object")
-    tolerances.update({k: float(v) for k, v in raw_tol.items()})
+    try:
+        tolerances.update({k: float(v) for k, v in raw_tol.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"config tolerances must be numbers: {exc}") from exc
     tolerances.update(_parse_tol_overrides(args.tol))
 
     cfg = RunConfig(

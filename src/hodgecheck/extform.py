@@ -45,7 +45,7 @@ from .errors import (
     NotUnitScalar,
     OddComponent,
 )
-from .linalg import LinSubspace, as_sym_array, sym_dim, sym_index_pairs, vec_to_sym
+from .linalg import LinSubspace, as_sym_stack, sym_dim, sym_index_pairs
 
 
 def pair_index(g: int, a: int, b: int) -> int:
@@ -308,13 +308,8 @@ class ExtForm:
         Components whose bidegree does not match (len(hol), len(anti))
         contribute zero.
         """
-        hol = [as_sym_array(v) for v in hol_vectors]
-        anti = [as_sym_array(v) for v in anti_vectors]
-        for v in hol + anti:
-            if v.shape != (self.g, self.g):
-                raise DimensionMismatch(
-                    f"tangent vector shape {v.shape} does not match genus {self.g}"
-                )
+        hol = as_sym_stack(hol_vectors, self.g)
+        anti = as_sym_stack(anti_vectors, self.g)
         block = self._blocks.get((len(hol), len(anti)))
         if block is None:
             return 0.0 + 0.0j
@@ -374,10 +369,10 @@ def _pair_axes(g: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _coordinate_rows(vectors: list[np.ndarray], g: int) -> np.ndarray:
-    """Row i holds the generator coordinates (a, b), a <= b, of vectors[i]."""
+def _coordinate_rows(stack: np.ndarray, g: int) -> np.ndarray:
+    """Row i holds the generator coordinates (a, b), a <= b, of stack[i]."""
     rows, cols = _pair_axes(g)
-    return np.array([v[rows, cols] for v in vectors], dtype=complex).reshape(len(vectors), len(rows))
+    return stack[:, rows, cols]
 
 
 def wedge(a: ExtForm, b: ExtForm, max_degree: int | None = None) -> ExtForm:
@@ -413,13 +408,19 @@ def restrict_to_plane(a: ExtForm, y: LinSubspace) -> float:
         raise DimensionMismatch(
             f"plane ambient dimension {n} does not match genus {g}"
         )
-    mats = [vec_to_sym(row, g) for row in y.basis]
+    # one scatter of the rows into a (k, g, g) stack; off-diagonal
+    # coordinates carry sqrt(2), as in linalg.vec_to_sym
+    rows, cols = _pair_axes(g)
+    coords = y.basis / np.where(rows == cols, 1.0, np.sqrt(2.0))
+    mats = np.zeros((len(coords), g, g), dtype=complex)
+    mats[:, rows, cols] = coords
+    mats[:, cols, rows] = coords
     num = a.contract(mats, mats)
     den = _volume_contraction(g, mats)
     return float((num / den).real)
 
 
-def _volume_contraction(g: int, mats: list[np.ndarray]) -> complex:
+def _volume_contraction(g: int, mats: np.ndarray) -> complex:
     """Contract wedge_j (i/2) theta_j ^ conj(theta_j) against the same vectors.
 
     theta_j is the Frobenius dual of mats[j]: entries weighted 2 off the

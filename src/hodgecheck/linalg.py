@@ -34,10 +34,12 @@ def _as_square(m, name="matrix") -> np.ndarray:
 
 
 def _symmetrized(a: np.ndarray, what: str) -> np.ndarray:
-    asym = np.max(np.abs(a - a.T)) if a.size else 0.0
+    """Symmetric part of a matrix, or of each matrix in a stack, after a check."""
+    t = np.swapaxes(a, -1, -2)
+    asym = np.max(np.abs(a - t)) if a.size else 0.0
     if asym > SYMMETRY_TOL:
         raise NotSymmetric(f"{what} deviates from symmetry by {asym:.3e}")
-    out = (a + a.T) / 2
+    out = (a + t) / 2
     out.setflags(write=False)
     return out
 
@@ -102,6 +104,19 @@ def as_sym_array(x) -> np.ndarray:
     if isinstance(x, SymMap):
         return x.m
     return SymMap(np.asarray(x)).m
+
+
+def as_sym_stack(xs, g: int) -> np.ndarray:
+    """Accept a (k, g, g) array or SymMaps and array-likes; return one validated stack.
+
+    Symmetry is checked once for the whole stack, not once per matrix.
+    """
+    mats = [x.m if isinstance(x, SymMap) else np.asarray(x) for x in xs]
+    for m in mats:
+        if m.shape != (g, g):
+            raise DimensionMismatch(f"tangent vector shape {m.shape} does not match genus {g}")
+    return _symmetrized(np.array(mats, dtype=complex).reshape(len(mats), g, g),
+                        "symmetric map stack")
 
 
 # ---------------------------------------------------------------------------

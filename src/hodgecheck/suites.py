@@ -8,6 +8,7 @@ a byte-identical report apart from wall-clock fields.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -62,6 +63,8 @@ class RunConfig:
     parallel: bool = False
 
     def validate(self) -> "RunConfig":
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.genus_list:
             raise ConfigInvalid("empty genus list")
         for g in self.genus_list:
@@ -77,8 +80,9 @@ class RunConfig:
                 f"unknown tolerance names {sorted(unknown)}; "
                 f"known: {sorted(DEFAULT_TOLERANCES)}")
         for name, value in self.tolerances.items():
-            if not value > 0:
-                raise ConfigInvalid(f"tolerance {name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ConfigInvalid(
+                    f"tolerance {name} must be positive and finite, got {value}")
         for name in self.suites:
             if name not in SUITES:
                 raise SuiteUnknown(

@@ -8,15 +8,17 @@ spaces can never contain an i-plane on which some e_v is injective once
 i > c.  The converse (only the W-perp spaces are degenerate in this way) is
 probed by randomized polynomial identity testing.
 
-Everything here offers an exact path over the rationals: ranks of matrices
-with Fraction entries are computed by exact elimination, so a reported
-witness is a proof and a reported absence is wrong with probability bounded
-by Schwartz-Zippel.
+Everything here offers an exact path over the rationals.  Ranks, kernels and
+determinants of matrices with Fraction entries come from one fraction-free
+(Bareiss) elimination over Python integers after each row's denominators are
+cleared, so they are still exact: a reported witness is a proof and a
+reported absence is wrong with probability bounded by Schwartz-Zippel.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,33 +56,66 @@ def frac_matrix(rows) -> list[list[Fraction]]:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def frac_rref(mat):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in mat]
+def _integer_rows(mat) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators (same row space), and the lcms."""
+    rows, scales = [], []
+    for row in mat:
+        d = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scales.append(d)
+    return rows, scales
+
+
+def _eliminate(rows: list[list[int]], ncols: int, reduce: bool = False):
+    """Fraction-free (Bareiss) elimination of integer rows, in place.
+
+    Each step replaces the rows below the pivot p by (p * row - f * pivot_row)
+    // prev, f being the row's entry under p and prev the pivot before (1 at
+    first).  Every entry stays an integer minor of the input (Sylvester's
+    identity), so the division is exact, also after columns without a pivot.
+    reduce=True clears above the pivots too; every pivot then equals the last.
+    Returns (pivot_columns, row-swap sign).
+    """
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    return rows, pivots
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        piv = top[c]
+        start = 0 if reduce else c
+        for i in range(0 if reduce else r + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if i == r or (not f and piv == prev):
+                continue
+            row[start:] = [(piv * a - f * b) // prev
+                           for a, b in zip(row[start:], top[start:])]
+        prev = piv
+        pivots.append(c)
+    return pivots, sign
+
+
+def frac_rref(mat):
+    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    rows, _ = _integer_rows(mat)
+    pivots, _ = _eliminate(rows, len(rows[0]) if rows else 0, reduce=True)
+    last = rows[len(pivots) - 1][pivots[-1]] if pivots else 1  # = every pivot
+    return [[Fraction(x, last) for x in row] for row in rows], pivots
 
 
 def frac_rank(mat) -> int:
-    return len(frac_rref(mat)[1])
+    rows, _ = _integer_rows(mat)
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 def frac_nullspace(mat, ncols: int) -> list[list[Fraction]]:
@@ -100,45 +135,23 @@ def frac_nullspace(mat, ncols: int) -> list[list[Fraction]]:
 
 
 def frac_det(mat) -> Fraction:
-    rows = [list(r) for r in mat]
+    """Forward elimination leaves sign * det(integer rows) as the last pivot."""
+    rows, scales = _integer_rows(mat)
     m = len(rows)
-    det = Fraction(1)
-    for c in range(m):
-        pivot = next((i for i in range(c, m) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, m):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
+    pivots, sign = _eliminate(rows, m)
+    if len(pivots) < m:
+        return Fraction(0)
+    return Fraction(sign * rows[-1][-1] if m else 1, math.prod(scales))
 
 
 def frac_independent_rows(mat) -> list[int]:
-    """Indices of a maximal linearly independent subset of rows, greedily."""
-    chosen = []
-    reduced: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for idx, row in enumerate(mat):
-        work = list(row)
-        for rrow, p in zip(reduced, pivots):
-            if work[p] != 0:
-                f = work[p]
-                work = [a - f * b for a, b in zip(work, rrow)]
-        p = next((c for c, x in enumerate(work) if x != 0), None)
-        if p is None:
-            continue
-        inv = 1 / work[p]
-        work = [x * inv for x in work]
-        reduced.append(work)
-        pivots.append(p)
-        chosen.append(idx)
-    return chosen
+    """Indices of a maximal linearly independent subset of rows, greedily.
+
+    A row outside the span of the rows before it is a pivot column of the transpose.
+    """
+    rows, _ = _integer_rows(mat)
+    columns = [list(col) for col in zip(*rows)]
+    return _eliminate(columns, len(rows))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +375,20 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100, seed: int = 0
 def _find_witness(basis: list[RationalSymMap], i: int, n_v: int, rng):
     """First of n_v random rational v with rank(e_v) >= i, as (v, rows, rank).
 
-    Returns None when no draw reaches rank i.
+    Each map is scaled to integers once, so the rows of e_v are integer
+    vectors, each a positive multiple of M v: the rank and the independent
+    rows are those of e_v.  Returns None when no draw reaches rank i.
     """
     g = basis[0].g
+    maps = []
+    for m in basis:
+        d = math.lcm(*(x.denominator for r in m.rows for x in r))
+        maps.append([[x.numerator * (d // x.denominator) for x in r] for r in m.rows])
     for _ in range(n_v):
         v = random_rational_vector(g, rng)
-        rows = eval_matrix_exact(basis, v)
-        rank = frac_rank(rows)
+        w = [int(x) for x in v]
+        rows = [[sum(a * b for a, b in zip(r, w)) for r in m] for m in maps]
+        rank = len(_eliminate([list(r) for r in rows], g)[0])
         if rank >= i:
             return v, rows, rank
     return None

@@ -153,3 +153,38 @@ def test_cli_env_seed(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["config"]["seed"] == 5
     monkeypatch.setenv("VERIFY_SEED", "not-a-number")
     assert main(["--suite", "slice-embed", "--genus", "2"]) == 2
+
+
+def test_negative_seed_exits_2_from_every_source(tmp_path, capsys, monkeypatch):
+    with pytest.raises(ConfigInvalid):
+        RunConfig(genus_list=(2,), seed=-1).validate()
+    args = ["--suite", "slice-embed", "--genus", "2"]
+    assert main(args + ["--seed", "-1"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -3}))
+    assert main(args + ["--config", str(cfg)]) == 2
+    monkeypatch.setenv("VERIFY_SEED", "-7")
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("non-negative") == 3
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0"])
+def test_non_finite_or_zero_tolerance_exits_2(value, tmp_path, capsys):
+    args = ["--suite", "forms-identity", "--genus", "1"]
+    assert main(args + ["--tol", f"identity={value}"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"identity": float(value)}}))
+    assert main(args + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("positive and finite") == 2
+
+
+def test_config_file_tolerance_that_is_not_a_number_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"identity": "abc"}}))
+    assert main(["--suite", "forms-identity", "--genus", "1",
+                 "--config", str(cfg)]) == 2
+    assert "numbers" in capsys.readouterr().err

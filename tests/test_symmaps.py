@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,9 @@ from hodgecheck.symmaps import (
     check_evaluation_degeneracy,
     eval_matrix_exact,
     find_rank_ones,
+    _find_witness,
     frac_det,
+    frac_independent_rows,
     frac_matrix,
     frac_nullspace,
     frac_rank,
@@ -105,6 +108,202 @@ def test_frac_rank_matches_float_rank():
         prod = a @ b
         want = np.linalg.matrix_rank(prod)
         assert frac_rank(frac_matrix(prod.tolist())) == want
+
+
+# ---------------------------------------------------------------------------
+# Oracle: plain Gauss-Jordan over Fraction, independent of the fraction-free
+# integer kernel in symmaps.
+# ---------------------------------------------------------------------------
+
+
+def gj_rref(mat):
+    rows = [[Fraction(x) for x in r] for r in mat]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def gj_det(mat):
+    rows = [[Fraction(x) for x in r] for r in mat]
+    m = len(rows)
+    det = Fraction(1)
+    for c in range(m):
+        pivot = next((i for i in range(c, m) if rows[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, m):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+def gj_independent_rows(mat):
+    chosen, reduced, pivots = [], [], []
+    for idx, row in enumerate(mat):
+        work = [Fraction(x) for x in row]
+        for rrow, p in zip(reduced, pivots):
+            f = work[p]
+            work = [a - f * b for a, b in zip(work, rrow)]
+        p = next((c for c, x in enumerate(work) if x != 0), None)
+        if p is None:
+            continue
+        reduced.append([x / work[p] for x in work])
+        pivots.append(p)
+        chosen.append(idx)
+    return chosen
+
+
+def random_rational_matrix(rng, nrows, ncols, rank=None, zero_cols=(),
+                           zero_rows=(), den=7):
+    """Random rational matrix with given rank (via a product), zeroed columns
+    (which then carry no pivot) and zeroed rows."""
+    def entry():
+        return Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, den + 1)))
+
+    if rank is None:
+        m = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    else:
+        a = [[entry() for _ in range(rank)] for _ in range(nrows)]
+        b = [[entry() for _ in range(ncols)] for _ in range(rank)]
+        m = [[sum((a[i][t] * b[t][j] for t in range(rank)), Fraction(0))
+              for j in range(ncols)] for i in range(nrows)]
+    for i in range(nrows):
+        for j in range(ncols):
+            if i in zero_rows or j in zero_cols:
+                m[i][j] = Fraction(0)
+    return m
+
+
+def oracle_cases():
+    rng = derive_rng(53, "oracle")
+    cases = [[], [[]], [[Fraction(0)]], [[Fraction(3, 4)]],
+             [[Fraction(0), Fraction(2, 3), Fraction(-1, 5)]],
+             [[Fraction(0)] * 4] * 3,
+             frac_matrix([[0, 1, 2], [0, 0, 3]])]
+    for nrows, ncols in ((1, 5), (3, 3), (4, 4), (5, 3), (3, 6), (6, 6)):
+        for rank in (None, 1, 2, min(nrows, ncols)):
+            if rank is not None and rank > min(nrows, ncols):
+                continue
+            cases.append(random_rational_matrix(rng, nrows, ncols, rank))
+            # columns without a pivot in the middle, and zero rows
+            cases.append(random_rational_matrix(
+                rng, nrows, ncols, rank, zero_cols={0, ncols // 2},
+                zero_rows={nrows - 1}))
+            cases.append(random_rational_matrix(
+                rng, nrows, ncols, rank, zero_cols={1}, den=1))
+    return cases
+
+
+def assert_matches_oracle(m):
+    ncols = len(m[0]) if m else 0
+    want_rows, want_pivots = gj_rref(m)
+    rows, pivots = frac_rref(m)
+    assert pivots == want_pivots
+    assert frac_rank(m) == len(want_pivots)
+    # the oracle stops once every row holds a pivot; both are then reduced
+    assert rows == want_rows
+    assert all(isinstance(x, Fraction) for r in rows for x in r)
+    null = frac_nullspace(m, ncols)
+    assert len(null) == ncols - len(want_pivots)
+    for v in null:
+        assert all(sum((a * b for a, b in zip(r, v)), Fraction(0)) == 0 for r in m)
+    assert frac_independent_rows(m) == gj_independent_rows(m)
+    if len(m) == ncols:
+        assert frac_det(m) == gj_det(m)
+        assert isinstance(frac_det(m), Fraction)
+
+
+def test_fraction_free_kernel_matches_gauss_jordan_oracle():
+    cases = oracle_cases()
+    assert len(cases) > 60
+    for m in cases:
+        assert_matches_oracle(m)
+
+
+def test_frac_det_sign_follows_row_swaps():
+    rng = derive_rng(54, "det-swaps")
+    for n in (2, 3, 4, 5):
+        for _ in range(5):
+            m = random_rational_matrix(rng, n, n)
+            d = frac_det(m)
+            assert d == gj_det(m)
+            for i, j in itertools.combinations(range(n), 2):
+                swapped = list(m)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                assert frac_det(swapped) == -d
+            # a zero leading entry forces a pivot swap inside the kernel
+            m[0][0] = Fraction(0)
+            assert frac_det(m) == gj_det(m)
+    assert frac_det([]) == 1
+    assert frac_det([[Fraction(0, 1), Fraction(1, 2)], [Fraction(1, 3), Fraction(0)]]) \
+        == Fraction(-1, 6)
+
+
+def test_frac_helpers_accept_integers():
+    m = [[0, 2, 4], [0, 1, 2], [3, 0, 1]]
+    assert frac_rank(m) == 2
+    assert frac_independent_rows(m) == [0, 2]
+    assert frac_det(m) == 0
+    assert frac_rref(m) == gj_rref(m)
+
+
+def test_find_witness_matches_rational_evaluation():
+    g = 4
+    for seed in range(4):
+        rng = derive_rng(55, "witness-basis", seed)
+        basis = [random_rational_symmap(g, rng).scale(Fraction(1, seed + 2 + j))
+                 for j in range(3)]
+        ours, ref = derive_rng(56, seed), derive_rng(56, seed)
+        v, rows, rank = _find_witness(basis, 3, 20, ours)
+        for _ in range(20):  # the same search in Fraction arithmetic
+            want_v = random_rational_vector(g, ref)
+            want_rows = eval_matrix_exact(basis, want_v)
+            want_rank = len(gj_rref(want_rows)[1])
+            if want_rank >= 3:
+                break
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert (v, rank) == (want_v, want_rank)
+        for r, want in zip(rows, want_rows):  # each row a positive multiple
+            assert all((a == 0) == (b == 0) for a, b in zip(r, want))
+            ratio = {Fraction(a) / b for a, b in zip(r, want) if b != 0}
+            assert len(ratio) == 1 and ratio.pop() > 0
+        assert frac_independent_rows(rows) == gj_independent_rows(want_rows)
+
+
+def test_kernel_property_against_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(st.integers(0, 5).flatmap(lambda ncols: st.lists(
+        st.lists(st.fractions(max_denominator=6, min_value=-4, max_value=4)
+                 | st.just(Fraction(0)), min_size=ncols, max_size=ncols),
+        max_size=5)))
+    def check(m):
+        assert_matches_oracle(m)
+
+    check()
 
 
 def test_eval_matrix_symmetry():
