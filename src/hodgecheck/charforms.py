@@ -93,18 +93,33 @@ def segre_by_moments(x, k_max: int) -> ExtForm:
     """
     gm = normalized_curvature(x, "dual")
     cap = 2 * k_max
-    traces = []
-    power = gm
-    for m in range(1, k_max + 1):
-        traces.append(power.trace())
-        if m < k_max:
-            power = power.matmul(gm, max_degree=cap)
+    traces = _power_traces(gm, k_max, cap)
     h = [ExtForm.one(gm.g)]
     for k in range(1, k_max + 1):
         acc = sum((traces[i - 1].wedge(h[k - i], max_degree=cap) for i in range(1, k + 1)),
                   ExtForm.zero(gm.g))
         h.append(acc * (1.0 / k))
     return sum(h[1:], h[0])
+
+
+def _power_traces(gm: FormMatrix, k_max: int, cap: int) -> list[ExtForm]:
+    """tr(G^m) for m = 1..k_max, the last one from the diagonal of G^(k_max-1) G only.
+
+    Each diagonal entry sums over k before the entries sum over i, the order
+    of matmul and then trace, so every trace is the same to the bit.
+    """
+    g = gm.g
+    traces = [gm.trace()]
+    power = gm
+    for m in range(2, k_max + 1):
+        if m < k_max:
+            power = power.matmul(gm, max_degree=cap)
+            traces.append(power.trace())
+        else:
+            diagonal = (sum((power[i, k].wedge(gm[k, i], max_degree=cap) for k in range(g)),
+                            ExtForm.zero(g)) for i in range(g))
+            traces.append(sum(diagonal, ExtForm.zero(g)))
+    return traces
 
 
 # ---------------------------------------------------------------------------

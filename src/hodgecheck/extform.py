@@ -306,15 +306,18 @@ class ExtForm:
         """Evaluate against symmetric-matrix tangent vectors.
 
         Components whose bidegree does not match (len(hol), len(anti))
-        contribute zero.
+        contribute zero.  One stack passed as both (restrict_to_plane) is
+        validated once, and its anti minors are the conjugated hol minors.
         """
+        same = anti_vectors is hol_vectors
         hol = as_sym_stack(hol_vectors, self.g)
-        anti = as_sym_stack(anti_vectors, self.g)
+        anti = hol if same else as_sym_stack(anti_vectors, self.g)
         block = self._blocks.get((len(hol), len(anti)))
         if block is None:
             return 0.0 + 0.0j
         hol_minors = _minors(_coordinate_rows(hol, self.g))
-        anti_minors = _minors(_coordinate_rows(anti, self.g).conj())
+        anti_minors = (hol_minors.conj() if same
+                       else _minors(_coordinate_rows(anti, self.g).conj()))
         return complex(hol_minors @ block @ anti_minors)
 
     # -- inversion of even forms -------------------------------------------

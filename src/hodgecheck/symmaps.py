@@ -8,11 +8,11 @@ spaces can never contain an i-plane on which some e_v is injective once
 i > c.  The converse (only the W-perp spaces are degenerate in this way) is
 probed by randomized polynomial identity testing.
 
-Everything here offers an exact path over the rationals.  Ranks, kernels and
-determinants of matrices with Fraction entries come from one fraction-free
-(Bareiss) elimination over Python integers after each row's denominators are
-cleared, so they are still exact: a reported witness is a proof and a
-reported absence is wrong with probability bounded by Schwartz-Zippel.
+Everything here offers an exact path over the rationals.  A RationalSymMap
+is Python-int rows over one denominator, and ranks, kernels, determinants and
+the witness search run on integers through one fraction-free (Bareiss)
+elimination, so they are exact: a reported witness is a proof and a reported
+absence is wrong with probability bounded by Schwartz-Zippel.
 """
 
 from __future__ import annotations
@@ -105,6 +105,19 @@ def _eliminate(rows: list[list[int]], ncols: int, reduce: bool = False):
     return pivots, sign
 
 
+def _rank(rows) -> int:
+    """Rank of integer rows; works on a copy."""
+    return len(_eliminate([list(r) for r in rows], len(rows[0]) if rows else 0)[0])
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix; eliminates rows in place."""
+    pivots, sign = _eliminate(rows, len(rows))
+    if len(pivots) < len(rows):
+        return 0
+    return sign * rows[-1][-1] if rows else 1
+
+
 def frac_rref(mat):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     rows, _ = _integer_rows(mat)
@@ -114,8 +127,7 @@ def frac_rref(mat):
 
 
 def frac_rank(mat) -> int:
-    rows, _ = _integer_rows(mat)
-    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
+    return _rank(_integer_rows(mat)[0])
 
 
 def frac_nullspace(mat, ncols: int) -> list[list[Fraction]]:
@@ -137,11 +149,7 @@ def frac_nullspace(mat, ncols: int) -> list[list[Fraction]]:
 def frac_det(mat) -> Fraction:
     """Forward elimination leaves sign * det(integer rows) as the last pivot."""
     rows, scales = _integer_rows(mat)
-    m = len(rows)
-    pivots, sign = _eliminate(rows, m)
-    if len(pivots) < m:
-        return Fraction(0)
-    return Fraction(sign * rows[-1][-1] if m else 1, math.prod(scales))
+    return Fraction(_det(rows), math.prod(scales))
 
 
 def frac_independent_rows(mat) -> list[int]:
@@ -160,9 +168,13 @@ def frac_independent_rows(mat) -> list[int]:
 
 
 class RationalSymMap:
-    """Symmetric matrix with Fraction entries; symmetry is exact by construction."""
+    """Symmetric rational matrix as Python-int rows num over one denominator den > 0.
 
-    __slots__ = ("rows", "g")
+    gcd(den, every entry) = 1, so num is the matrix times the lcm of its entry
+    denominators; rows gives the Fraction entries.  Symmetric by construction.
+    """
+
+    __slots__ = ("num", "den", "g")
 
     def __init__(self, rows):
         rows = [[Fraction(x) for x in r] for r in rows]
@@ -176,52 +188,77 @@ class RationalSymMap:
                         f"entries ({i},{j}) and ({j},{i}) differ: "
                         f"{rows[i][j]} vs {rows[j][i]}"
                     )
-        self.rows = tuple(tuple(r) for r in rows)
-        self.g = g
+        den = math.lcm(*(x.denominator for r in rows for x in r))
+        self.num = tuple(tuple(int(x * den) for x in r) for r in rows)
+        self.den, self.g = den, g
+
+    @classmethod
+    def _from_int(cls, num, den: int = 1) -> "RationalSymMap":
+        """Symmetric rows of Python ints over den > 0, reduced to lowest terms."""
+        c = math.gcd(den, *(x for r in num for x in r))
+        out = cls.__new__(cls)
+        out.num = tuple(tuple(x // c for x in r) for r in num)
+        out.den, out.g = den // c, len(num)
+        return out
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.num)
 
     def apply(self, v) -> list[Fraction]:
-        return [sum((self.rows[r][c] * v[c] for c in range(self.g)), Fraction(0))
-                for r in range(self.g)]
+        return [sum((a * x for a, x in zip(r, v)), Fraction(0)) / self.den
+                for r in self.num]
 
     def flatten(self) -> list[Fraction]:
         # plain upper-triangle entries; for the sqrt(2)-weighted coordinates
         # used by LinSubspace("Sg") go through sym_to_vec on as_float()
-        return [self.rows[a][b] for (a, b) in sym_index_pairs(self.g)]
+        return [Fraction(x, self.den) for x in self._flat()]
+
+    def _flat(self) -> list[int]:
+        """Upper triangle of num: den times flatten(), so of the same rank."""
+        return [self.num[a][b] for (a, b) in sym_index_pairs(self.g)]
 
     def scale(self, c) -> "RationalSymMap":
         c = Fraction(c)
-        return RationalSymMap([[x * c for x in r] for r in self.rows])
+        return RationalSymMap._from_int([[x * c.numerator for x in r] for r in self.num],
+                                        self.den * c.denominator)
 
     def add(self, other: "RationalSymMap") -> "RationalSymMap":
-        return RationalSymMap(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        if other.g != self.g:
+            raise DimensionMismatch(f"cannot add genus {self.g} and {other.g} maps")
+        return RationalSymMap._from_int(
+            [[a * other.den + b * self.den for a, b in zip(r1, r2)]
+             for r1, r2 in zip(self.num, other.num)], self.den * other.den)
 
     def as_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in r] for r in self.rows], dtype=complex)
+        return np.array([[x / self.den for x in r] for r in self.num], dtype=complex)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(any(r) for r in self.num)
 
 
 def rational_from_vec(vec, g: int) -> RationalSymMap:
-    out = [[Fraction(0)] * g for _ in range(g)]
-    for x, (a, b) in zip(vec, sym_index_pairs(g)):
-        out[a][b] = Fraction(x)
-        out[b][a] = Fraction(x)
-    return RationalSymMap(out)
+    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
+    den = math.lcm(*(int(x.denominator) for x in vals))
+    num = [[0] * g for _ in range(g)]
+    for x, (a, b) in zip(vals, sym_index_pairs(g)):
+        num[a][b] = num[b][a] = int(x.numerator) * (den // int(x.denominator))
+    return RationalSymMap._from_int(num, den)
 
 
-def random_rational_vector(g: int, rng, bound: int = V_SAMPLE_BOUND) -> list[Fraction]:
+def _random_int_vector(g: int, rng, bound: int = V_SAMPLE_BOUND) -> list[int]:
     while True:
-        v = [Fraction(int(x)) for x in rng.integers(-bound, bound + 1, size=g)]
-        if any(x != 0 for x in v):
+        v = rng.integers(-bound, bound + 1, size=g).tolist()
+        if any(v):
             return v
 
 
+def random_rational_vector(g: int, rng, bound: int = V_SAMPLE_BOUND) -> list[Fraction]:
+    return [Fraction(x) for x in _random_int_vector(g, rng, bound)]
+
+
 def random_rational_symmap(g: int, rng, bound: int = 9) -> RationalSymMap:
-    vals = rng.integers(-bound, bound + 1, size=sym_dim(g))
-    return rational_from_vec([Fraction(int(x)) for x in vals], g)
+    return rational_from_vec(rng.integers(-bound, bound + 1, size=sym_dim(g)).tolist(), g)
 
 
 # ---------------------------------------------------------------------------
@@ -375,22 +412,18 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100, seed: int = 0
 def _find_witness(basis: list[RationalSymMap], i: int, n_v: int, rng):
     """First of n_v random rational v with rank(e_v) >= i, as (v, rows, rank).
 
-    Each map is scaled to integers once, so the rows of e_v are integer
-    vectors, each a positive multiple of M v: the rank and the independent
-    rows are those of e_v.  Returns None when no draw reaches rank i.
+    The rows of e_v are taken on each map's integer rows num, so each is the
+    integer vector den * M v, a positive multiple of M v: the rank and the
+    independent rows are those of e_v.  Returns None when no draw reaches
+    rank i.
     """
     g = basis[0].g
-    maps = []
-    for m in basis:
-        d = math.lcm(*(x.denominator for r in m.rows for x in r))
-        maps.append([[x.numerator * (d // x.denominator) for x in r] for r in m.rows])
     for _ in range(n_v):
-        v = random_rational_vector(g, rng)
-        w = [int(x) for x in v]
-        rows = [[sum(a * b for a, b in zip(r, w)) for r in m] for m in maps]
-        rank = len(_eliminate([list(r) for r in rows], g)[0])
+        w = _random_int_vector(g, rng)
+        rows = [[sum(a * b for a, b in zip(r, w)) for r in m.num] for m in basis]
+        rank = _rank(rows)
         if rank >= i:
-            return v, rows, rank
+            return [Fraction(x) for x in w], rows, rank
     return None
 
 
@@ -422,7 +455,7 @@ def _random_rational_w(g: int, dim: int, rng) -> list[list[Fraction]]:
 def _random_rational_space(g: int, dim: int, rng) -> list[RationalSymMap]:
     while True:
         basis = [random_rational_symmap(g, rng) for _ in range(dim)]
-        if frac_rank([m.flatten() for m in basis]) == dim:
+        if _rank([m._flat() for m in basis]) == dim:
             return basis
 
 
@@ -478,11 +511,11 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
                 perp = perps[t % len(perps)]
                 while True:
                     noise = random_rational_symmap(g, rng)
-                    stacked = [m.flatten() for m in perp] + [noise.flatten()]
-                    if frac_rank(stacked) == d + 1:
+                    stacked = [m._flat() for m in perp] + [noise._flat()]
+                    if _rank(stacked) == d + 1:
                         break
                 perturbed = [perp[0].add(noise.scale(eps))] + list(perp[1:])
-                if frac_rank([m.flatten() for m in perturbed]) != d:
+                if _rank([m._flat() for m in perturbed]) != d:
                     missed += 1  # degenerate draw, count as failure
                     continue
                 if t == 0:
@@ -562,15 +595,10 @@ def _minor_derivative_float(m: np.ndarray, n: np.ndarray, rows, cols) -> complex
     return total
 
 
-def _minor_derivative_exact(m, n, rows, cols) -> Fraction:
-    total = Fraction(0)
-    for r_pos in range(len(rows)):
-        work = [
-            [ (n if ri == rows[r_pos] else m)[ri][ci] for ci in cols ]
-            for ri in rows
-        ]
-        total += frac_det(work)
-    return total
+def _minor_derivative_exact(m, n, rows, cols) -> int:
+    """Sum of integer minors of m with one row, in turn, taken from n."""
+    return sum(_det([[(n if ri == r_n else m)[ri][ci] for ci in cols] for ri in rows])
+               for r_n in rows)
 
 
 def rank_locus_tangent_check(m, n, tol: float = 1e-10,
@@ -588,20 +616,17 @@ def rank_locus_tangent_check(m, n, tol: float = 1e-10,
         raise BadDimension("exact path needs RationalSymMap inputs")
 
     if exact:
-        g = m.g
-        mm = [list(r) for r in m.rows]
-        nn = [list(r) for r in n.rows]
-        k = frac_rank(mm)
-        kernel = frac_nullspace(mm, g)
+        # integer rows: N ker(M) lies in im(M) for any positive scales of both
+        g, mm, nn = m.g, m.num, n.num
+        k = _rank(mm)
         predicate = True
-        for kv in kernel:
-            nk = [sum((nn[r][c] * kv[c] for c in range(g)), Fraction(0)) for r in range(g)]
-            augmented = [mm[r] + [nk[r]] for r in range(g)]
-            if frac_rank(augmented) != k:
+        for kv in _integer_rows(frac_nullspace(mm, g))[0]:
+            nk = [sum(a * b for a, b in zip(r, kv)) for r in nn]
+            if _rank([r + (x,) for r, x in zip(mm, nk)]) != k:
                 predicate = False
                 break
         minors_ok = True
-        worst = Fraction(0)
+        worst = 0
         if k < g:
             for rows in itertools.combinations(range(g), k + 1):
                 for cols in itertools.combinations(range(g), k + 1):
@@ -609,8 +634,10 @@ def rank_locus_tangent_check(m, n, tol: float = 1e-10,
                     worst = max(worst, abs(d))
                     if d != 0:
                         minors_ok = False
+        # each minor has k rows of mm = m.den * M and one of nn = n.den * N;
+        # int / int is correctly rounded, as float(Fraction) is
         return TangentCheck(k, predicate, minors_ok, predicate == minors_ok,
-                            float(worst), True)
+                            worst / (m.den ** k * n.den), True)
 
     ma = m.as_float() if isinstance(m, RationalSymMap) else as_sym_array(m)
     na = n.as_float() if isinstance(n, RationalSymMap) else as_sym_array(n)
@@ -642,16 +669,16 @@ def random_rank_k_symmap(g: int, k: int, rng, bound: int = 5):
     if not (0 < k <= g):
         raise BadDimension(f"rank {k} outside 1..{g}")
     while True:
-        factors = [random_rational_vector(g, rng, bound=bound) for _ in range(k)]
-        rows = [[Fraction(0)] * g for _ in range(g)]
+        factors = [_random_int_vector(g, rng, bound) for _ in range(k)]
+        rows = [[0] * g for _ in range(g)]
         for idx, u in enumerate(factors):
             sign = 1 if idx % 2 == 0 else -1  # mixed signature, same rank
             for a in range(g):
                 for b in range(g):
                     rows[a][b] += sign * u[a] * u[b]
-        m = RationalSymMap(rows)
-        if frac_rank([list(r) for r in m.rows]) == k:
-            return m, factors
+        if _rank(rows) == k:
+            return (RationalSymMap._from_int(rows),
+                    [[Fraction(x) for x in u] for u in factors])
 
 
 def tangent_direction(factors, g: int, rng, bound: int = 5) -> RationalSymMap:
@@ -660,13 +687,16 @@ def tangent_direction(factors, g: int, rng, bound: int = 5) -> RationalSymMap:
     Built as sum u_j w_j^T + w_j u_j^T, which maps the kernel of the base
     point into its image for any choice of the w_j.
     """
-    rows = [[Fraction(0)] * g for _ in range(g)]
-    for u in factors:
-        w = random_rational_vector(g, rng, bound=bound)
+    us, dens = _integer_rows(factors)  # u = us[j] / dens[j]
+    den = math.lcm(*dens)
+    rows = [[0] * g for _ in range(g)]
+    for u, d in zip(us, dens):
+        w = _random_int_vector(g, rng, bound)
+        u = [x * (den // d) for x in u]
         for a in range(g):
             for b in range(g):
                 rows[a][b] += u[a] * w[b] + w[a] * u[b]
-    return RationalSymMap(rows)
+    return RationalSymMap._from_int(rows, den)
 
 
 # ---------------------------------------------------------------------------

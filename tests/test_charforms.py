@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hodgecheck.charforms import (
+    _power_traces,
     chern_classes,
     chern_total,
     check_average_wedge_powers,
@@ -18,7 +19,7 @@ from hodgecheck.charforms import (
 )
 from hodgecheck.errors import BadParameters, BadSampleCount
 from hodgecheck.extform import ExtForm, restrict_to_plane
-from hodgecheck.linalg import make_siegel_point, sym_index_pairs
+from hodgecheck.linalg import make_siegel_point, sym_dim, sym_index_pairs
 from hodgecheck.sampling import derive_rng, random_plane_sg, random_siegel_point
 
 
@@ -55,6 +56,25 @@ def test_moment_formula_small_orders():
     tr2 = gm.matmul(gm).trace()
     want_s2 = (tr.wedge(tr) + tr2) * 0.5
     assert s.component(2, 2).max_coeff_diff(want_s2) < 1e-14
+
+
+def test_power_traces_equal_full_products_to_the_bit():
+    # the last trace skips the off-diagonal entries of G^k but keeps the
+    # summation order of matmul and trace, so segre_by_moments is unchanged
+    rng = derive_rng(33, "trace-order")
+    for g in (1, 2, 3):
+        gm = normalized_curvature(random_siegel_point(g, rng))
+        for k in range(1, sym_dim(g) + 1):
+            cap = 2 * k
+            power, want = gm, [gm.trace()]
+            for _ in range(2, k + 1):
+                power = power.matmul(gm, max_degree=cap)
+                want.append(power.trace())
+            got = _power_traces(gm, k, cap)
+            assert len(got) == k
+            for a, b in zip(got, want):
+                assert a.bidegrees() == b.bidegrees()
+                assert a.terms() == b.terms()  # float equality: same bits
 
 
 def test_routes_agree():

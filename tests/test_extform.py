@@ -4,6 +4,7 @@ import pytest
 from hodgecheck.errors import (
     DimensionMismatch,
     GenusMismatch,
+    NotSymmetric,
     NotUnitScalar,
     OddComponent,
 )
@@ -289,6 +290,24 @@ def test_contract_degree_mismatch_is_zero():
     form = e(2, 0, 0).wedge(ebar(2, 0, 0))
     assert contract(form, [], []) == 0
     assert contract(form, [np.eye(2)], [np.eye(2), np.eye(2)]) == 0
+
+
+def test_contract_one_stack_on_both_sides_matches_two_stacks():
+    # restrict_to_plane passes one stack as both; it is validated once and
+    # the anti minors are the conjugated hol minors
+    rng = derive_rng(17, "shared-stack")
+    nonzero = 0
+    for g in (2, 3):
+        for k in (1, 2, 3):
+            form = homogeneous_form(g, rng, 2 * k, n_terms=12)
+            stack = np.array([random_symmetric_complex(g, rng) for _ in range(k)])
+            shared = contract(form, stack, stack)
+            assert shared == contract(form, stack, stack.copy())
+            assert shared == contract(form, list(stack), list(stack))
+            nonzero += shared != 0
+    assert nonzero >= 4
+    with pytest.raises(NotSymmetric):
+        contract(form, [np.triu(np.ones((3, 3)))] * 2, [np.triu(np.ones((3, 3)))] * 2)
 
 
 def test_restrict_zero_form():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +32,7 @@ from hodgecheck.symmaps import (
     random_rational_symmap,
     random_rational_vector,
     rank_locus_tangent_check,
+    rational_from_vec,
     rational_span_to_subspace,
     tangent_direction,
     wperp,
@@ -79,10 +81,149 @@ def test_rational_symmap_validation():
         RationalSymMap([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
     with pytest.raises(DimensionMismatch):
         RationalSymMap([[Fraction(0), Fraction(1)]])
+    with pytest.raises(NotSymmetric):
+        RationalSymMap([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(0)]])
+    with pytest.raises(DimensionMismatch):
+        RationalSymMap([[1, 2], [2, 3]]).add(RationalSymMap([[1]]))
     m = RationalSymMap([[Fraction(1), Fraction(1, 2)],
                         [Fraction(1, 2), Fraction(3)]])
     assert m.as_float()[0, 1] == 0.5
     assert not m.is_zero()
+    # what the constructor accepted before the integer store
+    m = RationalSymMap([[0.5, "1/3"], [Fraction(1, 3), np.int64(2)]])
+    assert m.rows == ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 3), Fraction(2)))
+    assert (m.num, m.den) == (((3, 2), (2, 12)), 6)
+
+
+# ---------------------------------------------------------------------------
+# The integer store of RationalSymMap against plain Fraction matrices.
+# ---------------------------------------------------------------------------
+
+
+def random_fraction_sym(rng, g, den=7):
+    m = [[Fraction(0)] * g for _ in range(g)]
+    for a, b in itertools.combinations_with_replacement(range(g), 2):
+        m[a][b] = m[b][a] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, den + 1)))
+    return m
+
+
+def sym_cases():
+    rng = derive_rng(60, "int-store")
+    cases = [[], [[Fraction(0)]], [[Fraction(0)] * 3] * 3, [[Fraction(-5, 6)]],
+             [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(4)]]]
+    cases += [random_fraction_sym(rng, g, den) for g in (1, 2, 3, 4) for den in (1, 7)]
+    return cases
+
+
+def assert_normalized(m):
+    assert m.den > 0
+    assert math.gcd(m.den, *(x for r in m.num for x in r)) == 1
+    assert all(type(x) is int for r in m.num for x in r)
+    assert type(m.den) is int
+    dens = [x.denominator for r in m.rows for x in r]
+    assert m.den == math.lcm(*dens)
+
+
+def test_integer_store_is_normalized():
+    for rows in sym_cases():
+        m = RationalSymMap(rows)
+        assert_normalized(m)
+        assert m.rows == tuple(tuple(r) for r in rows)
+        assert all(x * m.den == a for r, nr in zip(m.rows, m.num) for x, a in zip(r, nr))
+    assert any(RationalSymMap(rows).den > 1 for rows in sym_cases())
+    assert RationalSymMap([[Fraction(0)] * 2] * 2).den == 1
+
+
+def test_integer_store_matches_fraction_results():
+    rng = derive_rng(61, "int-store-ops")
+    cases = sym_cases()
+    for rows in cases:
+        g = len(rows)
+        m = RationalSymMap(rows)
+        pairs = [(a, b) for a in range(g) for b in range(a, g)]
+        assert m.flatten() == [rows[a][b] for a, b in pairs]
+        assert m.g == g and m.is_zero() == all(x == 0 for r in rows for x in r)
+        want_float = np.array([[float(x) for x in r] for r in rows], dtype=complex)
+        assert np.array_equal(m.as_float(), want_float)
+        v = [Fraction(int(x), int(d)) for x, d in
+             zip(rng.integers(-9, 10, size=g), rng.integers(1, 5, size=g))]
+        assert m.apply(v) == [sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in rows]
+        for c in (Fraction(3), Fraction(-2, 9), Fraction(0), -1, Fraction(7, 4)):
+            scaled = m.scale(c)
+            assert_normalized(scaled)
+            assert scaled.rows == tuple(tuple(x * c for x in r) for r in rows)
+        for other_rows in cases:
+            if len(other_rows) != g:
+                continue
+            total = m.add(RationalSymMap(other_rows))
+            assert_normalized(total)
+            assert total.rows == tuple(tuple(a + b for a, b in zip(r1, r2))
+                                       for r1, r2 in zip(rows, other_rows))
+        # x - x is zero, with denominator 1
+        zero = m.add(m.scale(-1))
+        assert zero.is_zero() and zero.den == 1 and zero.rows == tuple(
+            (Fraction(0),) * g for _ in range(g))
+
+
+def test_integer_store_never_holds_fixed_width_integers():
+    big = 2 ** 62 + 3
+    entries = np.array([[big, -big], [-big, big - 7]], dtype=np.int64)
+    built = [RationalSymMap(entries),
+             RationalSymMap(entries.tolist()).scale(Fraction(1, 3)),
+             rational_from_vec(np.array([big, -big, big - 7], dtype=np.int64), 2)]
+    for m in built:
+        assert all(type(x) is int for r in m.num for x in r)
+    m = built[0]
+    want = [[Fraction(int(x)) for x in r] for r in entries.tolist()]
+    # int64 arithmetic would wrap here: 4 * big and big * big exceed 2**63
+    doubled = m.add(m).add(m.add(m))
+    assert doubled.rows == tuple(tuple(4 * x for x in r) for r in want)
+    squared = m.scale(big)
+    assert squared.rows == tuple(tuple(big * x for x in r) for r in want)
+    assert all(type(x) is int for mm in (doubled, squared) for r in mm.num for x in r)
+    assert m.apply([big, 1]) == [sum(a * b for a, b in zip(r, [big, 1])) for r in want]
+    rng = derive_rng(62, "int-types")
+    for g in (1, 3, 4):
+        maps = [random_rational_symmap(g, rng), random_rank_k_symmap(g, 1, rng)[0]]
+        maps.append(tangent_direction([random_rational_vector(g, rng)], g, rng))
+        maps += wperp_exact([random_rational_vector(g, rng, bound=9)], g)
+        for mm in maps:
+            assert_normalized(mm)
+
+
+def frac_minor_derivative_oracle(m, n):
+    """Max |d/dt det((M + t N)[rows, cols])| over (k+1)-minors, in Fractions."""
+    mm, nn = m.rows, n.rows
+    g = len(mm)
+    k = frac_rank(mm)
+    worst = Fraction(0)
+    for rows in itertools.combinations(range(g), k + 1):
+        for cols in itertools.combinations(range(g), k + 1):
+            d = sum(frac_det([[(nn if ri == r_n else mm)[ri][ci] for ci in cols]
+                              for ri in rows]) for r_n in rows)
+            worst = max(worst, abs(d))
+    return k, worst
+
+
+def test_rank_locus_minors_with_denominators_match_fraction_oracle():
+    rng = derive_rng(63, "tan-den")
+    seen_nonzero = 0
+    for g, k in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3)):
+        for m_scale, n_scale in ((Fraction(1, 101), Fraction(-2, 103)),
+                                 (Fraction(-5, 97), Fraction(1, 89))):
+            m, factors = random_rank_k_symmap(g, k, rng)
+            m = m.scale(m_scale)
+            for n in (random_rational_symmap(g, rng).scale(n_scale),
+                      tangent_direction(factors, g, rng).scale(n_scale)):
+                assert m.den > 1 and n.den > 1
+                res = rank_locus_tangent_check(m, n, exact=True)
+                want_k, want = frac_minor_derivative_oracle(m, n)
+                assert res.rank == want_k == k
+                assert res.max_minor_derivative == float(want)
+                assert res.minors_vanish == (want == 0)
+                assert res.agree
+                seen_nonzero += want != 0
+    assert seen_nonzero >= 5
 
 
 def test_frac_helpers():
