@@ -20,9 +20,8 @@ coefficient matrix K being k! times the sum of its k x k minors:
 
 with both index blocks ascending.  That identity is also what lets the
 sampling loops run on whole batches: each batch of unit vectors is one
-draw, and wedge_power_stats builds the minors of all its coefficient
-matrices at once by row expansion instead of one determinant per pair of
-index blocks.
+draw, whose minors come from the minors kernel of extform, the one behind
+contraction, and whose averages travel as (k, k) coefficient blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .curvature import (
     pairing_matrix_batch,
 )
 from .errors import BadParameters, BadSampleCount
-from .extform import ExtForm, FormMatrix, restrict_to_plane
+from .extform import ExtForm, FormMatrix, _minors, restrict_to_plane
 from .linalg import LinSubspace, SiegelPoint, sym_basis, sym_dim
 from .report import VerificationReport, floor_check, passing, reporting
 from .sampling import derive_rng, random_subspace, random_unit_vector
@@ -127,105 +126,70 @@ def _power_traces(gm: FormMatrix, k_max: int, cap: int) -> list[ExtForm]:
 # ---------------------------------------------------------------------------
 
 
-def _expansion_tables(n: int, k: int) -> list:
-    """Index tables for expanding the m x m minors along a row, m = 1..k.
-
-    Entry m - 1 holds (cols, drop), both of shape (C(n, m), m): for the t-th
-    m-subset T of columns in combinations order, cols[t, j] = T[j] and
-    drop[t, j] is the position of T without T[j] among the (m-1)-subsets.
-    """
-    tables = []
-    position = {(): 0}
-    for m in range(1, k + 1):
-        subsets = list(combinations(range(n), m))
-        cols = np.array(subsets, dtype=int).reshape(len(subsets), m)
-        drop = np.array([[position[t[:j] + t[j + 1:]] for j in range(m)]
-                         for t in subsets], dtype=int).reshape(len(subsets), m)
-        tables.append((cols, drop))
-        position = {t: i for i, t in enumerate(subsets)}
-    return tables
-
-
 def wedge_power_stats(k_batch: np.ndarray, k: int):
     """Mean and variance of the coefficients of omega^k over a batch.
 
     k_batch has shape (N, n, n); entry (a, b) multiplies dt[a] ^ dtbar[b].
-    Returns (means, variances) keyed by canonical bitmask pairs; variance is
-    var(Re) + var(Im) of the underlying per-sample coefficient.
-
-    For each k-subset S of rows, the minors of rows S[:m] over all column
-    m-subsets come from those of rows S[:m-1] by expansion along row S[m-1],
-    with samples on the last axis: one (C(n, m), N) array per step.
+    Returns (means, variances) as the C(n, k) x C(n, k) arrays of the (k, k)
+    block; variance is var(Re) + var(Im) of the per-sample coefficient.
+    Row i comes from one _minors call on the i-th k-subset of rows, with the
+    samples on its trailing batch axis.
     """
-    n_samples, n, _ = k_batch.shape
+    n = k_batch.shape[1]
     sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
     prefactor = sign * math.factorial(k)
     entries = k_batch.transpose(1, 2, 0)
-    tables = _expansion_tables(n, k)
-    masks = [sum(1 << b for b in cols) for cols in combinations(range(n), k)]
-    means: dict[tuple[int, int], complex] = {}
-    variances: dict[tuple[int, int], float] = {}
-    for s_rows in combinations(range(n), k):
-        minors = np.ones((1, n_samples), dtype=k_batch.dtype)
-        for m, (a, (cols, drop)) in enumerate(zip(s_rows, tables)):
-            # row a sits at position m, so column j carries (-1)^(m + j)
-            minors = sum((-1) ** (m + j) * entries[a][cols[:, j]] * minors[drop[:, j]]
-                         for j in range(m + 1))
-        dets = prefactor * minors
-        smask = sum(1 << a for a in s_rows)
-        mus = dets.mean(axis=-1)
-        vs = dets.real.var(axis=-1) + dets.imag.var(axis=-1)
-        for tmask, mu, var in zip(masks, mus, vs):
-            means[(smask, tmask)] = complex(mu)
-            variances[(smask, tmask)] = float(var)
+    size = math.comb(n, k)
+    means = np.empty((size, size), dtype=complex)
+    variances = np.empty((size, size))
+    for i, s_rows in enumerate(combinations(range(n), k)):
+        dets = prefactor * _minors(entries[list(s_rows)])
+        means[i] = dets.mean(axis=-1)
+        variances[i] = dets.real.var(axis=-1) + dets.imag.var(axis=-1)
     return means, variances
 
 
 def _sphere_average(metric: np.ndarray, rng, n_samples: int, batch_size: int,
-                    k: int, coeff_batch) -> dict:
+                    k: int, coeff_batch):
     """Monte Carlo mean and standard error of the omega^k coefficients.
 
     Each batch of vectors, uniform on the unit sphere of metric, is one call
     of random_unit_vector; coeff_batch maps it to the coefficient matrices
     of omega, and wedge_power_stats reduces their k x k minors to per-batch
     means and variances, which are pooled here.
-    Returns key -> (mean, standard error) in the key order of
-    wedge_power_stats.
+    Returns (mean, standard error) as (k, k) blocks.
     """
     count = 0
-    sums: dict[tuple[int, int], complex] = {}
-    sumsq: dict[tuple[int, int], float] = {}
+    sums = sumsq = 0.0
     while count < n_samples:
         take = min(batch_size, n_samples - count)
         v = random_unit_vector(metric, rng, take)
         means, variances = wedge_power_stats(coeff_batch(v), k)
-        for key, mu in means.items():
-            sums[key] = sums.get(key, 0.0) + mu * take
-            sumsq[key] = sumsq.get(key, 0.0) + (variances[key] + abs(mu) ** 2) * take
+        sums = sums + means * take
+        sumsq = sumsq + (variances + np.abs(means) ** 2) * take
         count += take
-    out = {}
-    for key, total in sums.items():
-        mu = total / count
-        var = sumsq[key] / count - abs(mu) ** 2
-        out[key] = (mu, math.sqrt(max(var, 0.0) / count))
-    return out
+    mean = sums / count
+    var = sumsq / count - np.abs(mean) ** 2
+    return mean, np.sqrt(np.maximum(var, 0.0) / count)
 
 
 @dataclass(frozen=True)
 class QuadratureEstimate:
     form: ExtForm
-    stderr: dict
+    stderr: np.ndarray  # standard errors of the (k, k) block
     n_samples: int
     k: int
 
     def compare(self, exact: ExtForm, floor: float = 1e-12):
-        """Max of |difference| / (3 stderr + floor) over all coefficients."""
+        """Max of |difference| / band over all coefficients.
+
+        The band is 3 stderr + floor on the (k, k) block and floor elsewhere.
+        """
+        diff = self.form - exact
         worst = 0.0
-        keys = set(self.form.terms()) | set(exact.terms()) | set(self.stderr)
-        for key in keys:
-            diff = abs(self.form.coefficient(*key) - exact.coefficient(*key))
-            band = 3.0 * self.stderr.get(key, 0.0) + floor
-            worst = max(worst, diff / band)
+        for p, q in diff.bidegrees():
+            band = 3.0 * self.stderr + floor if (p, q) == (self.k, self.k) else floor
+            worst = max(worst, float((np.abs(diff.block(p, q)) / band).max()))
         return worst
 
 
@@ -235,24 +199,21 @@ def segre_by_quadrature(x, k: int, n_samples: int = 100_000,
 
     Vectors are uniform on the unit sphere of the fiber metric; the estimate
     is binom(g+k-1, k) times the sample mean of the k-th wedge power of
-    <G v, v>.
+    <G v, v>.  At k = 0 the empty minor makes every sample 1, so the
+    estimate is exactly 1 with standard error 0.
     """
     pkg = x if isinstance(x, CurvaturePackage) else curvature_package(x)
     g = pkg.g
     if n_samples < 100:
         raise BadSampleCount(f"need at least 100 samples, got {n_samples}")
-    if k == 0:
-        # zeroth average is the total mass of the normalized measure
-        return QuadratureEstimate(ExtForm.one(g), {}, n_samples, 0)
     if k < 0 or k > 2 * g:
         raise BadParameters(f"degree {k} outside 0..{2 * g} for genus {g}")
     rng = derive_rng(seed, "quadrature", k)
     weight = math.comb(g + k - 1, k)
-    stats = _sphere_average(pkg.h, rng, n_samples, 4096, k,
-                            lambda v: pairing_matrix_batch(pkg, v))
-    coeffs = {key: weight * mu for key, (mu, _) in stats.items()}
-    stderr = {key: weight * se for key, (_, se) in stats.items()}
-    return QuadratureEstimate(ExtForm(g, coeffs), stderr, n_samples, k)
+    mean, stderr = _sphere_average(pkg.h, rng, n_samples, 4096, k,
+                                   lambda v: pairing_matrix_batch(pkg, v))
+    return QuadratureEstimate(ExtForm.from_blocks(g, {(k, k): weight * mean}),
+                              weight * stderr, n_samples, k)
 
 
 # ---------------------------------------------------------------------------
@@ -384,26 +345,19 @@ def check_average_wedge_powers(tau: SiegelPoint, k: int = 1,
         l_batch = np.einsum("ngb,gh,nha->nba", mw.conj(), pkg.h, mw)
         return fundamental_matrix_batch(l_batch, g)
 
-    stats = _sphere_average(y, rng, n_samples, 2048, k, coeff_batch)
+    mean, se = _sphere_average(y, rng, n_samples, 2048, k, coeff_batch)
 
     ratio = math.comb(g + k - 1, k) / (4 * np.pi) ** k
-    num = 0.0
-    den = 0.0
-    worst = 0.0
-    for key in set(stats) | set(s_k.terms()):
-        mu, se = stats.get(key, (0.0, 0.0))
-        target = s_k.coefficient(*key)
-        num += (np.conj(mu) * target).real
-        den += abs(mu) ** 2
-        band = 3.0 * ratio * se + 1e-12
-        worst = max(worst, abs(ratio * mu - target) / band)
-    fitted = num / den if den > 0 else 0.0
+    scaled = QuadratureEstimate(ExtForm.from_blocks(g, {(k, k): ratio * mean}),
+                                ratio * se, n_samples, k)
+    den = np.vdot(mean, mean).real
+    fitted = np.vdot(mean, s_k.block(k, k)).real / den if den > 0 else 0.0
 
     report.add(passing(
         "scaled-average-matches-segre",
         "binom(g+k-1,k)/(4 pi)^k times the average power matches s_k "
         "within 3 standard errors per coefficient",
-        worst, 1.0))
+        scaled.compare(s_k), 1.0))
     report.add(floor_check(
         "fitted-ratio-positive",
         "least-squares ratio between average and s_k is positive",

@@ -28,6 +28,9 @@ Conventions that matter elsewhere:
   (p,q) block against p + q vectors is the vector of p x p minors of the
   holomorphic rows, times the block, times the q x q minors of the
   antiholomorphic rows.
+* _minors, the package's one minors kernel, expands along rows; it serves
+  contract and the Monte Carlo wedge powers, whose averages travel as
+  blocks (from_blocks, block), so no other module lays out coefficients.
 """
 
 from __future__ import annotations
@@ -111,13 +114,37 @@ def _wedge_block(a: np.ndarray, b: np.ndarray, n: int, p1: int, q1: int,
     return out
 
 
+@functools.cache
+def _expansion_tables(n: int, k: int) -> tuple:
+    """Index tables for expanding the m x m minors along a row, m = 1..k.
+
+    Entry m - 1 holds (cols, drop), both of shape (C(n, m), m): for the t-th
+    m-subset T of columns in combinations order, cols[t, j] = T[j] and
+    drop[t, j] is the position of T without T[j] among the (m-1)-subsets.
+    """
+    tables = []
+    for m in range(1, k + 1):
+        cols, masks, _ = _subsets(n, m)
+        position = _subsets(n, m - 1)[2]
+        drop = [[position[mask ^ (1 << int(c))] for c in row] for row, mask in zip(cols, masks)]
+        tables.append((cols, np.array(drop, dtype=np.intp).reshape(cols.shape)))
+    return tuple(tables)
+
+
 def _minors(rows: np.ndarray) -> np.ndarray:
-    """The k x k minors of a k x n array, one per column k-subset in combinations order."""
-    k, n = rows.shape
-    if k == 0:
-        return np.ones(1, dtype=complex)
-    cols = _subsets(n, k)[0]
-    return np.linalg.det(rows[:, cols].transpose(1, 0, 2))
+    """The k x k minors of k rows of length n, one per column k-subset in combinations order.
+
+    rows has shape (k, n, *batch) and the result (C(n, k), *batch); the
+    empty minor (k = 0) is 1.  The minors of rows[:m] over all column
+    m-subsets come from those of rows[:m-1] by expansion along row m - 1.
+    """
+    k, n = rows.shape[:2]
+    minors = np.ones((1, *rows.shape[2:]), dtype=rows.dtype)
+    for m, (row, (cols, drop)) in enumerate(zip(rows, _expansion_tables(n, k))):
+        # row sits at position m, so column j carries (-1)^(m + j)
+        minors = sum((-1) ** (m + j) * row[cols[:, j]] * minors[drop[:, j]]
+                     for j in range(m + 1))
+    return minors
 
 
 class ExtForm:
@@ -210,6 +237,13 @@ class ExtForm:
     def scalar_part(self) -> complex:
         return self.coefficient(0, 0)
 
+    def block(self, p: int, q: int) -> np.ndarray:
+        """The stored (p, q) array (read counterpart of from_blocks), or zeros of its shape."""
+        block = self._blocks.get((p, q))
+        if block is None:
+            return np.zeros((math.comb(self.n, p), math.comb(self.n, q)), dtype=complex)
+        return block
+
     def is_zero(self) -> bool:
         return not self._blocks
 
@@ -227,13 +261,7 @@ class ExtForm:
         return max((float(np.abs(b).max()) for b in self._blocks.values()), default=0.0)
 
     def max_coeff_diff(self, other: "ExtForm") -> float:
-        self._check_genus(other)
-        worst = 0.0
-        for key in self._blocks.keys() | other._blocks.keys():
-            a, b = self._blocks.get(key), other._blocks.get(key)
-            diff = b if a is None else (a if b is None else a - b)
-            worst = max(worst, float(np.abs(diff).max()))
-        return worst
+        return (self - other).norm_inf()
 
     def allclose(self, other: "ExtForm", tol: float = 1e-12) -> bool:
         return self.max_coeff_diff(other) <= tol

@@ -355,7 +355,7 @@ def _float_basis(x) -> list[np.ndarray]:
             raise DimensionMismatch(f"expected Sg coordinates, got {x.ambient_tag!r}")
         g = int((np.sqrt(8 * x.ambient_dim + 1) - 1) / 2 + 0.5)
         return [vec_to_sym(row, g) for row in x.basis]
-    return [as_sym_array(m) for m in x]
+    return [m.as_float() if isinstance(m, RationalSymMap) else as_sym_array(m) for m in x]
 
 
 def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100, seed: int = 0,

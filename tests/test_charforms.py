@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hodgecheck.charforms import (
+    QuadratureEstimate,
     _power_traces,
     chern_classes,
     chern_total,
@@ -96,14 +97,16 @@ def test_wedge_identity_unit():
 
 def test_quadrature_degenerate_orders():
     x = make_siegel_point(np.zeros((2, 2)), np.eye(2))
+    # the empty minor is 1, so the general path gives exactly 1 at k = 0
     est0 = segre_by_quadrature(x, 0, n_samples=100, seed=0)
     assert est0.form.max_coeff_diff(ExtForm.one(2)) == 0.0
+    assert est0.stderr.shape == (1, 1) and est0.stderr.max() == 0.0
     # one-dim fiber: every line is the same line, zero variance
     x1 = make_siegel_point(np.array([[0.2]]), np.array([[1.3]]))
     est1 = segre_by_quadrature(x1, 1, n_samples=200, seed=0)
     exact = segre_by_moments(x1, 1).component(1, 1)
     assert est1.form.max_coeff_diff(exact) < 1e-12
-    assert max(est1.stderr.values()) < 1e-12
+    assert est1.stderr.max() < 1e-12
 
 
 def test_quadrature_matches_moments_within_band():
@@ -113,6 +116,26 @@ def test_quadrature_matches_moments_within_band():
         est = segre_by_quadrature(x, k, n_samples=20_000, seed=11)
         exact = segre_by_moments(x, k).component(k, k)
         assert est.compare(exact) <= 1.0
+
+
+def test_compare_bands_the_kk_block_by_stderr_and_the_rest_by_floor():
+    g, k, floor = 2, 1, 1e-12
+    exact = ExtForm.from_blocks(g, {(1, 1): np.full((3, 3), 2.0)})
+    stderr = np.full((3, 3), 0.1)
+    # (k, k) coefficients score |difference| / (3 stderr + floor)
+    kk = np.full((3, 3), 2.0)
+    kk[0, 2] += 0.15
+    est = QuadratureEstimate(ExtForm.from_blocks(g, {(1, 1): kk}), stderr, 100, k)
+    assert est.compare(exact, floor) == pytest.approx(0.15 / (0.3 + floor))
+    # a coefficient outside the (k, k) block scores |c| / floor
+    off = np.zeros((3, 1))
+    off[1, 0] = 3e-12
+    est = QuadratureEstimate(est.form + ExtForm.from_blocks(g, {(1, 0): off}), stderr, 100, k)
+    assert est.compare(exact, floor) == pytest.approx(3.0)
+    # with zero standard errors the (k, k) band is the floor as well
+    est = QuadratureEstimate(ExtForm.zero(g), np.zeros((3, 3)), 100, k)
+    assert est.compare(exact, floor) == pytest.approx(2.0 / floor)
+    assert est.compare(ExtForm.zero(g), floor) == 0.0
 
 
 def test_quadrature_input_guards():
@@ -187,16 +210,20 @@ def test_average_wedge_report():
 
 
 def det_loop_stats(k_batch, k):
-    """wedge_power_stats spelled out with one determinant call per (S, T)."""
+    """wedge_power_stats spelled out with one determinant call per (S, T).
+
+    Rows and columns of both arrays run over k-subsets in combinations order.
+    """
     n = k_batch.shape[1]
     prefactor = (-1.0) ** (k * (k - 1) // 2) * np.prod(np.arange(1, k + 1))
-    means, variances = {}, {}
-    for rows in combinations(range(n), k):
-        for cols in combinations(range(n), k):
+    subsets = list(combinations(range(n), k))
+    means = np.zeros((len(subsets), len(subsets)), dtype=complex)
+    variances = np.zeros((len(subsets), len(subsets)))
+    for i, rows in enumerate(subsets):
+        for j, cols in enumerate(subsets):
             dets = prefactor * np.linalg.det(k_batch[:, rows][:, :, cols])
-            key = (sum(1 << a for a in rows), sum(1 << b for b in cols))
-            means[key] = dets.mean()
-            variances[key] = dets.real.var() + dets.imag.var()
+            means[i, j] = dets.mean()
+            variances[i, j] = dets.real.var() + dets.imag.var()
     return means, variances
 
 
@@ -207,16 +234,11 @@ def test_wedge_power_stats_matches_determinant_loop(n, k):
     k_batch = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
     means, variances = wedge_power_stats(k_batch, k)
     want_means, want_variances = det_loop_stats(k_batch, k)
-    assert list(means) == list(want_means)
-    assert list(variances) == list(want_variances)
-    if not means:
+    assert means.shape == variances.shape == want_means.shape
+    if not means.size:
         return  # k > n: no minors
-    got = np.array(list(means.values()))
-    want = np.array(list(want_means.values()))
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    got = np.array(list(variances.values()))
-    want = np.array(list(want_variances.values()))
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    assert np.max(np.abs(means - want_means)) <= 1e-12 * np.max(np.abs(want_means))
+    assert np.max(np.abs(variances - want_variances)) <= 1e-12 * np.max(want_variances)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -235,7 +257,7 @@ def test_wedge_power_stats_matches_exterior_power(k):
     for _ in range(k):
         power = power.wedge(omega)
     means, variances = wedge_power_stats(coeffs[None], k)
-    assert set(means) == set(power.terms())
-    assert all(var == 0.0 for var in variances.values())
-    form = ExtForm(g, means)
+    form = ExtForm.from_blocks(g, {(k, k): means})
+    assert form.bidegrees() == power.bidegrees()
+    assert not variances.any()
     assert form.max_coeff_diff(power) < 1e-13 * power.norm_inf()

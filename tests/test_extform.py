@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hodgecheck.errors import (
 from hodgecheck.extform import (
     ExtForm,
     FormMatrix,
+    _minors,
     conjugate,
     contract,
     inverse_even,
@@ -136,6 +139,9 @@ def test_from_blocks_checks_shapes_and_drops_zero_blocks():
     form = ExtForm.from_blocks(g, {(1, 1): np.eye(3), (2, 0): np.zeros((3, 1))})
     assert form.bidegrees() == {(1, 1)}
     assert form.coefficient(0b10, 0b10) == 1.0
+    # block reads back the stored array, and zeros for an absent bidegree
+    assert np.array_equal(form.block(1, 1), np.eye(3))
+    assert form.block(2, 0).shape == (3, 1) and not form.block(2, 0).any()
     with pytest.raises(DimensionMismatch):
         ExtForm.from_blocks(g, {(1, 1): np.eye(2)})
 
@@ -254,6 +260,24 @@ def test_conjugate_involution():
     for _ in range(10):
         a = random_form(2, rng)
         assert conjugate(conjugate(a)).max_coeff_diff(a) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 10])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [(), (5,)])
+def test_minors_match_a_determinant_per_column_subset(n, k, batch):
+    rng = derive_rng(18, "minors", n, k, len(batch))
+    rows = rng.standard_normal((k, n, *batch)) + 1j * rng.standard_normal((k, n, *batch))
+    got = _minors(rows)
+    subsets = list(combinations(range(n), k))
+    assert got.shape == (len(subsets), *batch)
+    if k > n:
+        return  # no column k-subsets: the result is empty
+    # batch axes moved to the front for np.linalg.det
+    stack = np.moveaxis(rows, (0, 1), (-2, -1))
+    for t, cols in enumerate(subsets):
+        want = np.linalg.det(stack[..., list(cols)]) if k else np.ones(batch)
+        assert np.allclose(got[t], want, rtol=1e-12, atol=1e-12)
 
 
 def test_contract_single_generator():

@@ -487,6 +487,20 @@ def test_degeneracy_generic_space_witnessed():
     assert rep.witness.rank >= 3
 
 
+def test_degeneracy_float_path_reads_rational_maps():
+    # the float branch takes the same list of exact maps and agrees with the
+    # exact verdict, on an annihilator basis and on a generic space
+    rng = derive_rng(57, "deg-float")
+    g = 4
+    annihilator = wperp_exact([random_rational_vector(g, rng, bound=9) for _ in range(2)], g)
+    generic = [random_rational_symmap(g, rng) for _ in range(3)]
+    for maps, satisfied in ((annihilator, True), (generic, False)):
+        reps = [check_evaluation_degeneracy(maps, 3, n_v_samples=30, seed=3, exact=exact)
+                for exact in (True, False)]
+        assert [rep.satisfied for rep in reps] == [satisfied, satisfied]
+        assert [rep.exact for rep in reps] == [True, False]
+
+
 def test_degeneracy_rank_one_case():
     # any nonzero map has vectors outside its kernel
     rng = derive_rng(55, "deg-r1")
