@@ -101,8 +101,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         seed = _env_seed()
     if seed is None:
         seed = defaults.seed
-    if not isinstance(seed, int):
-        raise ConfigInvalid(f"seed must be an integer, got {seed!r}")
 
     suites = []
     if args.suite:
@@ -132,11 +130,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         genus_list=tuple(genus),
         suites=tuple(suites),
         seed=seed,
-        n_samples=int(pick(args.samples, "n_samples", defaults.n_samples)),
-        n_tau=int(file_cfg.get("n_tau", defaults.n_tau)),
-        plane_trials=int(file_cfg.get("plane_trials", defaults.plane_trials)),
-        eval_trials=int(file_cfg.get("eval_trials", defaults.eval_trials)),
-        rank_pairs=int(file_cfg.get("rank_pairs", defaults.rank_pairs)),
+        n_samples=pick(args.samples, "n_samples", defaults.n_samples),
+        n_tau=file_cfg.get("n_tau", defaults.n_tau),
+        plane_trials=file_cfg.get("plane_trials", defaults.plane_trials),
+        eval_trials=file_cfg.get("eval_trials", defaults.eval_trials),
+        rank_pairs=file_cfg.get("rank_pairs", defaults.rank_pairs),
         tolerances=tolerances,
         output_path=pick(args.out, "out", defaults.output_path),
         parallel=bool(args.parallel or file_cfg.get("parallel", defaults.parallel)),

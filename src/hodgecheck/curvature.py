@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameters, DimensionMismatch, ZeroVector
-from .extform import ExtForm, FormMatrix, pair_index
-from .linalg import SiegelPoint, sym_basis, sym_dim, sym_index_pairs
+from .extform import ExtForm, FormMatrix
+from .linalg import SiegelPoint, sym_basis, sym_dim, sym_pair_table
 
 
 def dual_metric(tau: SiegelPoint) -> np.ndarray:
@@ -45,12 +45,7 @@ def hodge_metric(tau: SiegelPoint) -> np.ndarray:
 
 def _fold_projector(g: int) -> np.ndarray:
     """P[alpha, i, j] = 1 when the ordered entry (i, j) folds to generator alpha."""
-    n = sym_dim(g)
-    p = np.zeros((n, g, g))
-    for i in range(g):
-        for j in range(g):
-            p[pair_index(g, i, j), i, j] = 1.0
-    return p
+    return (sym_pair_table(g).index == np.arange(sym_dim(g))[:, None, None]).astype(float)
 
 
 def curvature_array(tau: SiegelPoint, bundle: str = "dual") -> np.ndarray:
@@ -123,14 +118,6 @@ METRICS = {
 }
 
 
-def _perturbation(g: int, alpha: tuple[int, int]) -> np.ndarray:
-    a, b = alpha
-    e = np.zeros((g, g))
-    e[a, b] = 1.0
-    e[b, a] = 1.0  # off-diagonal coordinates move both entries
-    return e
-
-
 def curvature_fd(tau: SiegelPoint, metric: str = "dual", step: float = 1e-5):
     """Finite-difference curvature coefficients, keyed by generator index pair.
 
@@ -138,11 +125,10 @@ def curvature_fd(tau: SiegelPoint, metric: str = "dual", step: float = 1e-5):
     dz_alpha ^ dzbar_beta in dbar(h^{-1} dh), with alpha and beta running over
     the generator indices of the symmetric coordinates.  Central differences
     throughout; the outer dbar differentiates the connection matrix function
-    h^{-1} d_alpha h.
+    h^{-1} d_alpha h, moving every entry of tau that folds to alpha.
     """
     metric_fn = METRICS[metric]
-    g = tau.g
-    pairs = sym_index_pairs(g)
+    perturbations = _fold_projector(tau.g)
     base = tau.tau
 
     def connection(alpha_pert: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -156,10 +142,8 @@ def curvature_fd(tau: SiegelPoint, metric: str = "dual", step: float = 1e-5):
         return np.linalg.solve(metric_fn(at), dh)
 
     out = {}
-    for ia, alpha in enumerate(pairs):
-        pa = _perturbation(g, alpha)
-        for ib, beta in enumerate(pairs):
-            pb = _perturbation(g, beta)
+    for ia, pa in enumerate(perturbations):
+        for ib, pb in enumerate(perturbations):
             ax_p = connection(pa, base + step * pb)
             ax_m = connection(pa, base - step * pb)
             dx = (ax_p - ax_m) / (2 * step)
@@ -246,8 +230,8 @@ def fundamental_matrix_batch(l_batch: np.ndarray, g: int) -> np.ndarray:
     n = l_batch.shape[1]
     if n != sym_dim(g):
         raise DimensionMismatch(f"forms have size {n}, genus {g} needs {sym_dim(g)}")
-    mults = np.array([1.0 if a == b else 2.0 for (a, b) in sym_index_pairs(g)])
-    scale = 0.5j * np.sqrt(np.outer(mults, mults))
+    frob = sym_pair_table(g).frob
+    scale = 0.5j * np.sqrt(np.outer(frob, frob))
     return scale[None, :, :] * np.swapaxes(l_batch, 1, 2)
 
 

@@ -48,16 +48,20 @@ from .errors import (
     NotUnitScalar,
     OddComponent,
 )
-from .linalg import LinSubspace, as_sym_stack, sym_dim, sym_index_pairs
+from .linalg import (
+    LinSubspace,
+    as_sym_stack,
+    sym_dim,
+    sym_index_pairs,
+    sym_pair_table,
+    vec_to_sym,
+)
 
 
 def pair_index(g: int, a: int, b: int) -> int:
     if not (0 <= a < g and 0 <= b < g):
         raise DimensionMismatch(f"index pair ({a}, {b}) out of range for genus {g}")
-    if a > b:
-        a, b = b, a
-    # pairs (a, a), (a, a+1), ..., (a, g-1) start at offset a*g - a(a-1)/2
-    return a * g - a * (a - 1) // 2 + (b - a)
+    return int(sym_pair_table(g).index[a, b])
 
 
 @functools.cache
@@ -393,17 +397,10 @@ class ExtForm:
         return f"ExtForm(g={self.g}, " + " + ".join(bits) + ")"
 
 
-@functools.cache
-def _pair_axes(g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the generator pairs, in sym_index_pairs order."""
-    rows, cols = np.array(sym_index_pairs(g)).T
-    return rows, cols
-
-
 def _coordinate_rows(stack: np.ndarray, g: int) -> np.ndarray:
     """Row i holds the generator coordinates (a, b), a <= b, of stack[i]."""
-    rows, cols = _pair_axes(g)
-    return stack[:, rows, cols]
+    t = sym_pair_table(g)
+    return stack[:, t.rows, t.cols]
 
 
 def wedge(a: ExtForm, b: ExtForm, max_degree: int | None = None) -> ExtForm:
@@ -439,13 +436,7 @@ def restrict_to_plane(a: ExtForm, y: LinSubspace) -> float:
         raise DimensionMismatch(
             f"plane ambient dimension {n} does not match genus {g}"
         )
-    # one scatter of the rows into a (k, g, g) stack; off-diagonal
-    # coordinates carry sqrt(2), as in linalg.vec_to_sym
-    rows, cols = _pair_axes(g)
-    coords = y.basis / np.where(rows == cols, 1.0, np.sqrt(2.0))
-    mats = np.zeros((len(coords), g, g), dtype=complex)
-    mats[:, rows, cols] = coords
-    mats[:, cols, rows] = coords
+    mats = vec_to_sym(y.basis, g)
     num = a.contract(mats, mats)
     den = _volume_contraction(g, mats)
     return float((num / den).real)
@@ -459,10 +450,8 @@ def _volume_contraction(g: int, mats: np.ndarray) -> complex:
     """
     k = len(mats)
     coords = _coordinate_rows(mats, g)
-    rows, cols = _pair_axes(g)
-    weights = np.where(rows == cols, 1.0, 2.0)
     # Theta[j, l] = theta_l(mats[j]) = Frobenius <mats[j], mats[l]>
-    det = np.linalg.det((coords * weights) @ coords.conj().T)
+    det = np.linalg.det((coords * sym_pair_table(g).frob) @ coords.conj().T)
     sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
     return sign * (0.5j) ** k * det * np.conj(det)
 

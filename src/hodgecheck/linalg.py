@@ -9,7 +9,9 @@ rank invariant under overall scaling.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,14 +124,38 @@ def as_sym_stack(xs, g: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Flattening of symmetric matrices to coordinates.
 #
-# Coordinates run over index pairs (a, b) with a <= b.  Off-diagonal entries
-# are weighted by sqrt(2) so the standard Hermitian inner product of two
-# coordinate vectors equals the Frobenius inner product of the matrices.
+# Coordinates run over index pairs (a, b) with a <= b in np.triu_indices
+# order; other modules read the layout from sym_pair_table.  Off-diagonal
+# entries are weighted by sqrt(2) so the standard Hermitian inner product of
+# two coordinate vectors equals the Frobenius inner product of the matrices.
 # ---------------------------------------------------------------------------
 
 
+class SymPairTable(NamedTuple):
+    """Read-only index arrays of the coordinate pairs of one genus."""
+
+    rows: np.ndarray   # (n,) row a of pair i
+    cols: np.ndarray   # (n,) column b >= a of pair i
+    frob: np.ndarray   # (n,) Frobenius weight: 1 on the diagonal, 2 off it
+    root: np.ndarray   # (n,) isometric weight sqrt(frob)
+    index: np.ndarray  # (g, g) index of the unordered pair {a, b}
+
+
+@functools.cache
+def sym_pair_table(g: int) -> SymPairTable:
+    rows, cols = np.triu_indices(g)
+    frob = np.where(rows == cols, 1.0, 2.0)
+    index = np.empty((g, g), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    table = SymPairTable(rows, cols, frob, np.sqrt(frob), index)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
 def sym_index_pairs(g: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(g) for b in range(a, g)]
+    t = sym_pair_table(g)
+    return list(zip(t.rows.tolist(), t.cols.tolist()))
 
 
 def sym_dim(g: int) -> int:
@@ -137,39 +163,33 @@ def sym_dim(g: int) -> int:
 
 
 def sym_to_vec(m) -> np.ndarray:
-    a = as_sym_array(m)
-    g = a.shape[0]
-    out = np.empty(sym_dim(g), dtype=complex)
-    for i, (p, q) in enumerate(sym_index_pairs(g)):
-        out[i] = a[p, q] * (1.0 if p == q else np.sqrt(2.0))
-    return out
+    """Isometric coordinates of a symmetric matrix, or of each in a stack.
+
+    m is a SymMap, a g x g array or a (..., g, g) stack; the result has
+    shape (n,) or (..., n) with n = sym_dim(g).
+    """
+    a = m.m if isinstance(m, SymMap) else np.atleast_2d(np.asarray(m))
+    if a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatch(f"symmetric map must be square, got shape {a.shape}")
+    t = sym_pair_table(a.shape[-1])
+    return _symmetrized(a.astype(complex), "symmetric map")[..., t.rows, t.cols] * t.root
 
 
 def vec_to_sym(v, g: int) -> np.ndarray:
+    """Symmetric g x g matrix of coordinates v, shape (n,) or a (..., n) stack."""
     v = np.asarray(v, dtype=complex)
-    if v.shape != (sym_dim(g),):
-        raise DimensionMismatch(
-            f"coordinate vector has shape {v.shape}, expected ({sym_dim(g)},)"
-        )
-    out = np.zeros((g, g), dtype=complex)
-    for i, (p, q) in enumerate(sym_index_pairs(g)):
-        if p == q:
-            out[p, q] = v[i]
-        else:
-            out[p, q] = out[q, p] = v[i] / np.sqrt(2.0)
+    n = sym_dim(g)
+    if v.shape[-1:] != (n,):
+        raise DimensionMismatch(f"coordinate vector has shape {v.shape}, expected (..., {n})")
+    t = sym_pair_table(g)
+    out = np.zeros(v.shape[:-1] + (g, g), dtype=complex)
+    out[..., t.rows, t.cols] = out[..., t.cols, t.rows] = v / t.root
     return out
 
 
 def sym_basis(g: int) -> np.ndarray:
     """Stack of Frobenius-orthonormal symmetric basis matrices, shape (n, g, g)."""
-    n = sym_dim(g)
-    out = np.zeros((n, g, g), dtype=complex)
-    for i, (p, q) in enumerate(sym_index_pairs(g)):
-        if p == q:
-            out[i, p, q] = 1.0
-        else:
-            out[i, p, q] = out[i, q, p] = 1.0 / np.sqrt(2.0)
-    return out
+    return vec_to_sym(np.eye(sym_dim(g)), g)
 
 
 # ---------------------------------------------------------------------------

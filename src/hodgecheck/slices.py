@@ -31,6 +31,7 @@ from .linalg import (
     SiegelPoint,
     make_siegel_point,
     subspace_distance,
+    vec_to_sym,
 )
 from .report import VerificationReport, floor_check, passing
 from .sampling import derive_rng, random_subspace
@@ -82,8 +83,6 @@ class AffineSlice:
         return self.directions.dim
 
     def direction_matrix(self, coeffs) -> np.ndarray:
-        from .linalg import vec_to_sym
-
         coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
         if coeffs.shape[0] != self.dim:
             raise DimensionMismatch(

@@ -23,7 +23,7 @@ from .charforms import (
 )
 from .curvature import fd_relative_error
 from .errors import ConfigInvalid, SuiteUnknown
-from .linalg import LinSubspace
+from .linalg import LinSubspace, sym_to_vec
 from .report import SCHEMA_VERSION, VerificationReport, passing
 from .sampling import derive_rng, random_siegel_point, random_subspace
 from .slices import check_embedded_subspace_invariance
@@ -63,17 +63,20 @@ class RunConfig:
     parallel: bool = False
 
     def validate(self) -> "RunConfig":
-        if not isinstance(self.seed, int) or self.seed < 0:
+        # type, not isinstance: a JSON true is a bool, and bool subclasses int
+        if type(self.seed) is not int or self.seed < 0:
             raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.genus_list:
             raise ConfigInvalid("empty genus list")
         for g in self.genus_list:
-            if not isinstance(g, int) or g < 1:
+            if type(g) is not int or g < 1:
                 raise ConfigInvalid(f"genus entries must be positive integers, got {g!r}")
+        for name in ("n_samples", "n_tau", "plane_trials", "eval_trials", "rank_pairs"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ConfigInvalid(f"{name} must be a positive integer, got {value!r}")
         if self.n_samples < 100:
             raise ConfigInvalid(f"n_samples must be at least 100, got {self.n_samples}")
-        if self.n_tau < 1 or self.plane_trials < 1 or self.eval_trials < 1:
-            raise ConfigInvalid("counts must be positive")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigInvalid(
@@ -267,13 +270,10 @@ def _independent_rank_ones(g: int, rng):
 
 
 def _pencil_rank_one_recovery(g: int, rng) -> int:
-    from .linalg import sym_to_vec
-
     # two rank ones annihilating a common vector v (g >= 3), then search for them
     m1, m2, factors = _independent_rank_ones(g, rng)
     v = np.array([float(x) for x in frac_nullspace(factors, g)[0]])
-    basis_rows = np.array([sym_to_vec(m1.as_float()), sym_to_vec(m2.as_float())])
-    span = LinSubspace.from_spanning(basis_rows, "Sg")
+    span = LinSubspace.from_spanning(sym_to_vec([m1.as_float(), m2.as_float()]), "Sg")
     return len(find_rank_ones(span, v))
 
 

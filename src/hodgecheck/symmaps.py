@@ -40,6 +40,9 @@ from .linalg import (
     sym_basis,
     sym_dim,
     sym_index_pairs,
+    sym_pair_table,
+    sym_to_vec,
+    vec_to_sym,
 )
 from .report import VerificationReport, passing
 from .sampling import derive_rng
@@ -210,7 +213,7 @@ class RationalSymMap:
                 for r in self.num]
 
     def flatten(self) -> list[Fraction]:
-        # plain upper-triangle entries; for the sqrt(2)-weighted coordinates
+        # plain upper-triangle entries; for the isometric coordinates
         # used by LinSubspace("Sg") go through sym_to_vec on as_float()
         return [Fraction(x, self.den) for x in self._flat()]
 
@@ -240,9 +243,8 @@ class RationalSymMap:
 def rational_from_vec(vec, g: int) -> RationalSymMap:
     vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
     den = math.lcm(*(int(x.denominator) for x in vals))
-    num = [[0] * g for _ in range(g)]
-    for x, (a, b) in zip(vals, sym_index_pairs(g)):
-        num[a][b] = num[b][a] = int(x.numerator) * (den // int(x.denominator))
+    flat = [int(x.numerator) * (den // int(x.denominator)) for x in vals]
+    num = [[flat[i] for i in r] for r in sym_pair_table(g).index.tolist()]
     return RationalSymMap._from_int(num, den)
 
 
@@ -258,7 +260,8 @@ def random_rational_vector(g: int, rng, bound: int = V_SAMPLE_BOUND) -> list[Fra
 
 
 def random_rational_symmap(g: int, rng, bound: int = 9) -> RationalSymMap:
-    return rational_from_vec(rng.integers(-bound, bound + 1, size=sym_dim(g)).tolist(), g)
+    vals = rng.integers(-bound, bound + 1, size=sym_dim(g))
+    return RationalSymMap._from_int(vals[sym_pair_table(g).index].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +293,13 @@ def wperp(w: LinSubspace) -> LinSubspace:
 def wperp_exact(w_rows: list[list[Fraction]], g: int) -> list[RationalSymMap]:
     """Exact rational basis of {M : M w = 0 for the given spanning rows}."""
     n = sym_dim(g)
-    pairs = sym_index_pairs(g)
-    col_of = {}
-    for i, (a, b) in enumerate(pairs):
-        col_of[(a, b)] = i
-        col_of[(b, a)] = i
+    index = sym_pair_table(g).index.tolist()
     eqs = []
     for w in w_rows:
         for r in range(g):
             row = [Fraction(0)] * n
             for c in range(g):
-                row[col_of[(r, c)]] += w[c]
+                row[index[r][c]] += w[c]
             eqs.append(row)
     null = frac_nullspace(eqs, n)
     c = g - frac_rank(w_rows)
@@ -316,10 +315,7 @@ def eval_matrix_exact(basis: list[RationalSymMap], v: list[Fraction]):
 
 def rational_span_to_subspace(basis: list[RationalSymMap]) -> LinSubspace:
     """Float subspace (isometric flattened coordinates) spanned by exact maps."""
-    from .linalg import sym_to_vec
-
-    rows = np.array([sym_to_vec(m.as_float()) for m in basis], dtype=complex)
-    return LinSubspace.from_spanning(rows, "Sg")
+    return LinSubspace.from_spanning(sym_to_vec([m.as_float() for m in basis]), "Sg")
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +344,11 @@ class DegeneracyReport:
 
 
 def _float_basis(x) -> list[np.ndarray]:
-    from .linalg import vec_to_sym
-
     if isinstance(x, LinSubspace):
         if x.ambient_tag != "Sg":
             raise DimensionMismatch(f"expected Sg coordinates, got {x.ambient_tag!r}")
         g = int((np.sqrt(8 * x.ambient_dim + 1) - 1) / 2 + 0.5)
-        return [vec_to_sym(row, g) for row in x.basis]
+        return list(vec_to_sym(x.basis, g))
     return [m.as_float() if isinstance(m, RationalSymMap) else as_sym_array(m) for m in x]
 
 

@@ -188,3 +188,21 @@ def test_config_file_tolerance_that_is_not_a_number_exits_2(tmp_path, capsys):
     assert main(["--suite", "forms-identity", "--genus", "1",
                  "--config", str(cfg)]) == 2
     assert "numbers" in capsys.readouterr().err
+
+
+def test_zero_rank_pairs_is_rejected():
+    # with no pair drawn, every route-agreement check would pass on nothing
+    with pytest.raises(ConfigInvalid, match="rank_pairs"):
+        run_suites(RunConfig(suites=("rank-locus",), genus_list=(3,), rank_pairs=0))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_tau", "three"), ("plane_trials", [1]), ("seed", True), ("genus", [True]),
+    ("eval_trials", True), ("n_samples", 20000.5), ("rank_pairs", 0), ("rank_pairs", "25")])
+def test_config_file_count_that_is_not_a_positive_integer_exits_2(key, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["forms-identity"], "genus": [1], key: value}))
+    assert main(["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert key in captured.err

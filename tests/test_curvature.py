@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hodgecheck.curvature import (
+    _fold_projector,
     curvature_array,
     curvature_fd,
     curvature_package,
@@ -19,7 +20,7 @@ from hodgecheck.curvature import (
 )
 from hodgecheck.errors import BadParameters, ZeroVector
 from hodgecheck.extform import ExtForm, FormMatrix, conjugate, restrict_to_plane
-from hodgecheck.linalg import make_siegel_point
+from hodgecheck.linalg import make_siegel_point, sym_dim
 from hodgecheck.sampling import (
     derive_rng,
     random_plane_sg,
@@ -259,3 +260,14 @@ def test_curvature_matches_wedge_algebra(g):
     hodge = generator_product([b, "dtbar", b, "dt"], g).scale(-0.25)
     assert dual_curvature_matrix(x).max_coeff_diff(dual) < 1e-14 * np.max(np.abs(b)) ** 2
     assert hodge_curvature_matrix(x).max_coeff_diff(hodge) < 1e-14 * np.max(np.abs(b)) ** 2
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_fold_projector_matches_the_pair_offset_loop(g):
+    p = np.zeros((sym_dim(g), g, g))
+    for i in range(g):
+        for j in range(g):
+            a, b = min(i, j), max(i, j)
+            p[a * g - a * (a - 1) // 2 + (b - a), i, j] = 1.0
+    got = _fold_projector(g)
+    assert got.dtype == p.dtype and np.array_equal(got, p)

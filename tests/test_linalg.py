@@ -16,6 +16,8 @@ from hodgecheck.linalg import (
     subspace_distance,
     sym_basis,
     sym_dim,
+    sym_index_pairs,
+    sym_pair_table,
     sym_to_vec,
     vec_to_sym,
 )
@@ -187,3 +189,91 @@ def test_sym_basis_orthonormal():
         assert basis.shape == (n, g, g)
         gram = np.einsum("aij,bij->ab", np.conj(basis), basis)
         assert np.allclose(gram, np.eye(n))
+
+
+# Per-matrix loops that defined the coordinates before they were batched:
+# the batched gathers and scatters must reproduce them bit for bit.
+def _pairs_loop(g):
+    return [(a, b) for a in range(g) for b in range(a, g)]
+
+
+def _sym_to_vec_loop(a):
+    g = a.shape[0]
+    out = np.empty(sym_dim(g), dtype=complex)
+    for i, (p, q) in enumerate(_pairs_loop(g)):
+        out[i] = a[p, q] * (1.0 if p == q else np.sqrt(2.0))
+    return out
+
+
+def _vec_to_sym_loop(v, g):
+    out = np.zeros((g, g), dtype=complex)
+    for i, (p, q) in enumerate(_pairs_loop(g)):
+        if p == q:
+            out[p, q] = v[i]
+        else:
+            out[p, q] = out[q, p] = v[i] / np.sqrt(2.0)
+    return out
+
+
+def _random_sym_stack(rng, shape, g):
+    a = rng.standard_normal(shape + (g, g)) + 1j * rng.standard_normal(shape + (g, g))
+    return a + np.swapaxes(a, -1, -2)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_batched_flattening_matches_the_per_matrix_loop_bitwise(g):
+    rng = derive_rng(10, "flatten-batch", g)
+    n = sym_dim(g)
+    single = _random_sym_stack(rng, (), g)
+    assert sym_to_vec(single).tobytes() == _sym_to_vec_loop(single).tobytes()
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    assert vec_to_sym(v, g).tobytes() == _vec_to_sym_loop(v, g).tobytes()
+    for shape in [(4,), (2, 3)]:
+        stack = _random_sym_stack(rng, shape, g)
+        flat = stack.reshape((-1, g, g))
+        want = np.array([_sym_to_vec_loop(m) for m in flat]).reshape(shape + (n,))
+        got = sym_to_vec(stack)
+        assert got.shape == shape + (n,) and got.tobytes() == want.tobytes()
+        vs = rng.standard_normal(shape + (n,)) + 1j * rng.standard_normal(shape + (n,))
+        want = np.array([_vec_to_sym_loop(x, g) for x in vs.reshape((-1, n))])
+        got = vec_to_sym(vs, g)
+        assert got.shape == shape + (g, g)
+        assert got.tobytes() == want.reshape(shape + (g, g)).tobytes()
+        # the round trip returns the input, up to the sqrt(2) rounding
+        assert np.allclose(vec_to_sym(sym_to_vec(stack), g), stack, rtol=0, atol=1e-14)
+        assert np.allclose(sym_to_vec(vec_to_sym(vs, g)), vs, rtol=0, atol=1e-14)
+    assert sym_to_vec([single, single]).tobytes() == np.array([sym_to_vec(single)] * 2).tobytes()
+
+
+def test_stacks_get_the_errors_of_single_inputs():
+    asym = np.array([[1.0, 2.0], [0.0, 1.0]])
+    for bad, error in [(np.zeros((2, 3)), DimensionMismatch), (asym, NotSymmetric)]:
+        with pytest.raises(error):
+            sym_to_vec(bad)
+        with pytest.raises(error):
+            sym_to_vec(np.array([np.zeros_like(bad), bad]))
+        with pytest.raises(error):
+            sym_to_vec(np.broadcast_to(bad, (2, 3) + bad.shape))
+    for shape in [(4,), (2, 4), (2, 3, 7), ()]:
+        with pytest.raises(DimensionMismatch):
+            vec_to_sym(np.zeros(shape), 3)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_pair_table_agrees_with_the_pair_order(g):
+    t = sym_pair_table(g)
+    pairs = _pairs_loop(g)
+    assert sym_index_pairs(g) == pairs
+    assert list(zip(t.rows.tolist(), t.cols.tolist())) == pairs
+    for i, (a, b) in enumerate(pairs):
+        # pairs (a, a), ..., (a, g-1) start at offset a*g - a(a-1)/2
+        assert t.index[a, b] == t.index[b, a] == i == a * g - a * (a - 1) // 2 + (b - a)
+        assert t.frob[i] == (1.0 if a == b else 2.0)
+        assert t.root[i] == (1.0 if a == b else np.sqrt(2.0))
+    assert sym_pair_table(g) is t
+    for a in t:
+        assert not a.flags.writeable
+    basis = np.zeros((len(pairs), g, g), dtype=complex)
+    for i, (a, b) in enumerate(pairs):
+        basis[i, a, b] = basis[i, b, a] = 1.0 if a == b else 1.0 / np.sqrt(2.0)
+    assert sym_basis(g).tobytes() == basis.tobytes()

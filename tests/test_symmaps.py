@@ -602,3 +602,16 @@ def test_rigidity_suite_small():
     assert checks["generic-same-dim-witness"]["passed"]
     assert checks["rank-1-always-witnessed"]["passed"]
     assert checks["rank-2-always-witnessed"]["passed"]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_random_rational_symmap_is_the_map_of_its_draw(g):
+    # the draw fills integer rows directly; it must equal the general
+    # coordinate path on the same integers and leave the stream where it was
+    rng, ref = derive_rng(21, "symmap", g), derive_rng(21, "symmap", g)
+    for _ in range(5):
+        m = random_rational_symmap(g, rng)
+        want = rational_from_vec(ref.integers(-9, 10, size=sym_dim(g)).tolist(), g)
+        assert (m.num, m.den, m.g) == (want.num, want.den, want.g)
+        assert all(type(x) is int for r in m.num for x in r)
+    assert rng.integers(1 << 30) == ref.integers(1 << 30)
