@@ -41,10 +41,10 @@ from .curvature import (
     pairing_matrix_batch,
 )
 from .errors import BadParameters, BadSampleCount
-from .extform import ExtForm, FormMatrix, _minors, restrict_to_plane
+from .extform import ExtForm, FormMatrix, _minors, _restrict_to_planes, restrict_to_plane
 from .linalg import LinSubspace, SiegelPoint, sym_basis, sym_dim
 from .report import VerificationReport, floor_check, passing, reporting
-from .sampling import derive_rng, random_subspace, random_unit_vector
+from .sampling import _random_planes, derive_rng, random_subspace, random_unit_vector
 from .symmaps import (
     _random_rational_w,
     check_evaluation_degeneracy,
@@ -253,16 +253,11 @@ def check_pointwise_identity(tau: SiegelPoint, tol: float = 1e-9,
 
     # orientation guard: s_1 restricted to coordinate lines must be >= 0,
     # which pins the sign convention of G against its negative
-    s1 = s_inv.component(1, 1)
-    rng = derive_rng(seed, "identity-lines", g)
-    worst = np.inf
-    for _ in range(8):
-        line = random_subspace(n, 1, rng, "Sg")
-        worst = min(worst, restrict_to_plane(s1, line))
+    lines = _random_planes(n, 1, 8, derive_rng(seed, "identity-lines", g))
     report.add(floor_check(
         "first-segre-lines",
         "restriction of s_1 to random lines stays nonnegative",
-        worst, -1e-10))
+        _restrict_to_planes(s_inv.component(1, 1), lines).min(), -1e-10))
 
     if n_samples is not None:
         for k in range(1, min(g, 3) + 1):
@@ -324,7 +319,8 @@ def check_average_wedge_powers(tau: SiegelPoint, k: int = 1,
     L_w of the line through w has fundamental form equal to 4 pi times the
     pairing form of the matched dual vector.  Averaging its k-th wedge power
     over w must therefore reproduce s_k up to the positive constant
-    binom(g+k-1, k) / (4 pi)^k.
+    binom(g+k-1, k) / (4 pi)^k.  L_w[b, a] = sum_pq conj(w_p) w_q (E_b h E_a)[p, q]
+    with E = sym_basis(g), so each batch is one outer product and one GEMM.
     """
     g = tau.g
     if n_samples < 100:
@@ -339,11 +335,11 @@ def check_average_wedge_powers(tau: SiegelPoint, k: int = 1,
     y = hodge_metric(tau)
     rng = derive_rng(seed, "avg-wedge", k)
     basis = sym_basis(g)
+    per_point = np.einsum("bpr,rs,asq->pqba", basis, pkg.h, basis).reshape(g * g, -1)
 
     def coeff_batch(w):
-        mw = np.einsum("agh,nh->nga", basis, w)
-        l_batch = np.einsum("ngb,gh,nha->nba", mw.conj(), pkg.h, mw)
-        return fundamental_matrix_batch(l_batch, g)
+        outer = (w.conj()[:, :, None] * w[:, None, :]).reshape(len(w), g * g)
+        return fundamental_matrix_batch((outer @ per_point).reshape(len(w), len(basis), -1), g)
 
     mean, se = _sphere_average(y, rng, n_samples, 2048, k, coeff_batch)
 
@@ -392,10 +388,7 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
     n = sym_dim(g)
     rng = derive_rng(seed, "posvan", g, i)
 
-    worst = np.inf
-    for _ in range(trials):
-        plane = random_subspace(n, i, rng, "Sg")
-        worst = min(worst, restrict_to_plane(s_i, plane))
+    worst = min(_restrict_to_planes(s_i, _random_planes(n, i, trials, rng)), default=np.inf)
     report.add(floor_check(
         "random-plane-floor",
         f"minimum restriction of s_{i} over {trials} random {i}-planes",

@@ -340,17 +340,22 @@ class ExtForm:
         Components whose bidegree does not match (len(hol), len(anti))
         contribute zero.  One stack passed as both (restrict_to_plane) is
         validated once, and its anti minors are the conjugated hol minors.
+        (T, k, g, g) arrays give T values, each its set's alone to the bit.
         """
         same = anti_vectors is hol_vectors
         hol = as_sym_stack(hol_vectors, self.g)
         anti = hol if same else as_sym_stack(anti_vectors, self.g)
-        block = self._blocks.get((len(hol), len(anti)))
-        if block is None:
-            return 0.0 + 0.0j
-        hol_minors = _minors(_coordinate_rows(hol, self.g))
-        anti_minors = (hol_minors.conj() if same
-                       else _minors(_coordinate_rows(anti, self.g).conj()))
-        return complex(hol_minors @ block @ anti_minors)
+        if hol.shape[:-3] != anti.shape[:-3]:
+            raise DimensionMismatch(f"stacks of {hol.shape[:-3]} and {anti.shape[:-3]} sets")
+        values = np.zeros(hol.shape[:-3], dtype=complex)
+        block = self._blocks.get((hol.shape[-3], anti.shape[-3]))
+        if block is not None:
+            hol_minors = _stack_minors(_coordinate_rows(hol, self.g))
+            anti_minors = (hol_minors.conj() if same
+                           else _stack_minors(_coordinate_rows(anti, self.g).conj()))
+            values.flat = [h @ block @ a for h, a in zip(hol_minors.reshape(-1, len(block)),
+                                                         anti_minors.reshape(-1, block.shape[1]))]
+        return values if values.ndim else complex(values)
 
     # -- inversion of even forms -------------------------------------------
 
@@ -398,9 +403,16 @@ class ExtForm:
 
 
 def _coordinate_rows(stack: np.ndarray, g: int) -> np.ndarray:
-    """Row i holds the generator coordinates (a, b), a <= b, of stack[i]."""
+    """Row i holds the generator coordinates (a, b), a <= b, of stack[..., i, :, :]."""
     t = sym_pair_table(g)
-    return stack[:, t.rows, t.cols]
+    # column-major in each set, as one set's gather is, so stacks get its BLAS calls, to the bit
+    return np.ascontiguousarray(np.swapaxes(stack[..., t.rows, t.cols], -1, -2)).swapaxes(-1, -2)
+
+
+def _stack_minors(rows: np.ndarray) -> np.ndarray:
+    """_minors of each set in a (..., k, n) stack of rows, as contiguous (..., C(n, k)) rows."""
+    minors = _minors(np.moveaxis(rows, (-2, -1), (0, 1)))
+    return np.ascontiguousarray(np.moveaxis(minors, 0, -1))
 
 
 def wedge(a: ExtForm, b: ExtForm, max_degree: int | None = None) -> ExtForm:
@@ -426,7 +438,7 @@ def restrict_to_plane(a: ExtForm, y: LinSubspace) -> float:
     The value is normalized against the plane's own unit volume form
     wedge_j (i/2) theta_j ^ conj(theta_j), built from the Frobenius-dual
     coframe of the basis, so the result does not depend on the basis choice
-    and is real for real forms.
+    and is real for real forms.  The one-plane case of _restrict_to_planes.
     """
     if y.ambient_tag != "Sg":
         raise DimensionMismatch(f"plane must live in Sg coordinates, got {y.ambient_tag!r}")
@@ -436,24 +448,20 @@ def restrict_to_plane(a: ExtForm, y: LinSubspace) -> float:
         raise DimensionMismatch(
             f"plane ambient dimension {n} does not match genus {g}"
         )
-    mats = vec_to_sym(y.basis, g)
-    num = a.contract(mats, mats)
-    den = _volume_contraction(g, mats)
-    return float((num / den).real)
+    return float(_restrict_to_planes(a, y.basis[None])[0])
 
 
-def _volume_contraction(g: int, mats: np.ndarray) -> complex:
-    """Contract wedge_j (i/2) theta_j ^ conj(theta_j) against the same vectors.
-
-    theta_j is the Frobenius dual of mats[j]: entries weighted 2 off the
-    diagonal so theta_j(t) equals the Frobenius inner product <t, mats[j]>.
-    """
-    k = len(mats)
+def _restrict_to_planes(a: ExtForm, bases: np.ndarray) -> np.ndarray:
+    """restrict_to_plane on T planes of orthonormal (T, k, n) Sg rows, each value to the bit."""
+    k, g = bases.shape[-2], a.g
+    mats = vec_to_sym(bases, g)
     coords = _coordinate_rows(mats, g)
-    # Theta[j, l] = theta_l(mats[j]) = Frobenius <mats[j], mats[l]>
-    det = np.linalg.det((coords * sym_pair_table(g).frob) @ coords.conj().T)
+    # theta_j(t) = Frobenius <t, mats[j]> (entries weighted 2 off the diagonal), so
+    # Theta[j, l] = theta_l(mats[j]) = <mats[j], mats[l]>, and the unit volume form
+    # wedge_j (i/2) theta_j ^ conj(theta_j) is sign (i/2)^k |det Theta|^2 on the plane
+    det = np.linalg.det((coords * sym_pair_table(g).frob) @ np.swapaxes(coords.conj(), -1, -2))
     sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
-    return sign * (0.5j) ** k * det * np.conj(det)
+    return (a.contract(mats, mats) / (sign * (0.5j) ** k * det * np.conj(det))).real
 
 
 # ---------------------------------------------------------------------------

@@ -109,10 +109,12 @@ def as_sym_array(x) -> np.ndarray:
 
 
 def as_sym_stack(xs, g: int) -> np.ndarray:
-    """Accept a (k, g, g) array or SymMaps and array-likes; return one validated stack.
+    """Accept a (..., k, g, g) array or SymMaps and array-likes; return one validated stack.
 
     Symmetry is checked once for the whole stack, not once per matrix.
     """
+    if isinstance(xs, np.ndarray) and xs.ndim > 3:
+        return as_sym_stack(xs.reshape(-1, *xs.shape[-2:]), g).reshape(xs.shape)
     mats = [x.m if isinstance(x, SymMap) else np.asarray(x) for x in xs]
     for m in mats:
         if m.shape != (g, g):
@@ -215,10 +217,7 @@ class LinSubspace:
             raise BadDimension(
                 f"{b.shape[0]} rows cannot be independent in dimension {b.shape[1]}"
             )
-        gram = b @ b.conj().T
-        dev = np.max(np.abs(gram - np.eye(b.shape[0]))) if b.size else 0.0
-        if dev > ORTHONORMALITY_TOL * 10:
-            raise BadDimension(f"basis rows not orthonormal (deviation {dev:.3e})")
+        _check_orthonormal(b)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
@@ -234,14 +233,8 @@ class LinSubspace:
     def from_spanning(cls, rows, ambient_tag: str, tol: float = 1e-12) -> "LinSubspace":
         """Orthonormalize spanning rows, dropping dependent ones."""
         a = np.atleast_2d(np.asarray(rows, dtype=complex))
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-        if s.size and s[0] > 0:
-            rank = int(np.sum(s > tol * s[0]))
-        else:
-            rank = 0
-        if rank == 0:
-            return cls(np.zeros((0, a.shape[1]), dtype=complex), ambient_tag)
-        return cls(vh[:rank], ambient_tag)
+        _, s, vh = np.linalg.svd(a, full_matrices=False)
+        return cls(vh[:int(np.sum(s > tol * s[:1]))], ambient_tag)
 
     def projector(self) -> np.ndarray:
         return self.basis.T @ self.basis.conj()
@@ -251,6 +244,26 @@ class LinSubspace:
         scale = max(1.0, float(np.linalg.norm(v)))
         resid = np.linalg.norm(v - self.projector() @ v)
         return resid <= tol * scale
+
+
+def _orthonormal_stack(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """LinSubspace.from_spanning's bases, to the bit, for a (..., k, n) stack of spanning sets.
+
+    A set with dependent rows raises BadDimension, as the stack cannot hold
+    the smaller subspace that from_spanning returns for it.
+    """
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    if np.any(np.sum(s > tol * s[..., :1], axis=-1) < rows.shape[-2]):
+        raise BadDimension("a spanning set of the stack has dependent rows")
+    _check_orthonormal(vh)
+    return vh
+
+
+def _check_orthonormal(b: np.ndarray) -> None:
+    """Raise BadDimension unless the rows of b, or of each matrix of a stack, are orthonormal."""
+    dev = np.max(np.abs(b @ np.swapaxes(b.conj(), -1, -2) - np.eye(b.shape[-2])), initial=0.0)
+    if dev > ORTHONORMALITY_TOL * 10:
+        raise BadDimension(f"basis rows not orthonormal (deviation {dev:.3e})")
 
 
 def subspace_distance(a: LinSubspace, b: LinSubspace) -> float:
@@ -277,10 +290,7 @@ def rank_with_kernel(m, tol: float = DEFAULT_RANK_TOL):
         raise BadParameters(f"rank tolerance must be positive, got {tol}")
     a = np.atleast_2d(np.asarray(m, dtype=complex))
     u, s, vh = np.linalg.svd(a)
-    if s.size and s[0] > 0:
-        rank = int(np.sum(s > tol * s[0]))
-    else:
-        rank = 0
+    rank = int(np.sum(s > tol * s[:1]))
     kernel = LinSubspace(np.conj(vh[rank:]), "V")
     image = LinSubspace(u[:, :rank].T, "V")
     return rank, kernel, image

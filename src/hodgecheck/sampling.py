@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-from .linalg import LinSubspace, SiegelPoint, sym_dim
+from .linalg import LinSubspace, SiegelPoint, _orthonormal_stack, sym_dim
 
 
 def _key_part(part) -> int:
@@ -75,6 +75,12 @@ def random_subspace(ambient_dim: int, dim: int, rng: np.random.Generator,
     else:
         rows = rng.standard_normal((dim, ambient_dim)) + 1j * rng.standard_normal((dim, ambient_dim))
     return LinSubspace.from_spanning(rows, ambient_tag)
+
+
+def _random_planes(ambient_dim: int, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """count random_subspace planes, to the bit, as one (count, dim, ambient_dim) basis array."""
+    parts = rng.standard_normal((count, 2, dim, ambient_dim))
+    return _orthonormal_stack(parts[:, 0] + 1j * parts[:, 1])
 
 
 def random_plane_sg(g: int, k: int, rng: np.random.Generator) -> LinSubspace:

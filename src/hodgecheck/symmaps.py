@@ -121,12 +121,16 @@ def _det(rows: list[list[int]]) -> int:
     return sign * rows[-1][-1] if rows else 1
 
 
-def frac_rref(mat):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
+def frac_rref(mat, scaled: bool = False):
+    """Reduced row echelon form; returns (rows, pivot_columns).
+
+    scaled=True returns (rows, pivot_columns, last): integer rows, last times the form.
+    """
     rows, _ = _integer_rows(mat)
     pivots, _ = _eliminate(rows, len(rows[0]) if rows else 0, reduce=True)
     last = rows[len(pivots) - 1][pivots[-1]] if pivots else 1  # = every pivot
-    return [[Fraction(x, last) for x in row] for row in rows], pivots
+    return (rows, pivots, last) if scaled else ([[Fraction(x, last) for x in row] for row in rows],
+                                                pivots)
 
 
 def frac_rank(mat) -> int:
@@ -135,18 +139,23 @@ def frac_rank(mat) -> int:
 
 def frac_nullspace(mat, ncols: int) -> list[list[Fraction]]:
     """Exact basis of the kernel, one vector per free column."""
+    basis, last = _int_nullspace(mat, ncols)
+    return [[Fraction(x, last) for x in v] for v in basis]
+
+
+def _int_nullspace(mat, ncols: int) -> tuple[list[list[int]], int]:
+    """frac_nullspace's basis times the common pivot last, so every entry is an integer."""
     if not mat:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    rows, pivots = frac_rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)], 1
+    rows, pivots, last = frac_rref(mat, scaled=True)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = last
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][fc]
         basis.append(v)
-    return basis
+    return basis, last
 
 
 def frac_det(mat) -> Fraction:
@@ -197,8 +206,8 @@ class RationalSymMap:
 
     @classmethod
     def _from_int(cls, num, den: int = 1) -> "RationalSymMap":
-        """Symmetric rows of Python ints over den > 0, reduced to lowest terms."""
-        c = math.gcd(den, *(x for r in num for x in r))
+        """Symmetric rows of Python ints over den != 0, reduced to lowest terms."""
+        c = math.gcd(den, *(x for r in num for x in r)) * (1 if den > 0 else -1)
         out = cls.__new__(cls)
         out.num = tuple(tuple(x // c for x in r) for r in num)
         out.den, out.g = den // c, len(num)
@@ -301,12 +310,12 @@ def wperp_exact(w_rows: list[list[Fraction]], g: int) -> list[RationalSymMap]:
             for c in range(g):
                 row[index[r][c]] += w[c]
             eqs.append(row)
-    null = frac_nullspace(eqs, n)
+    null, last = _int_nullspace(eqs, n)
     c = g - frac_rank(w_rows)
     expected = c * (c + 1) // 2
     if len(null) != expected:
         raise RankMismatch(f"annihilator dimension {len(null)}, expected {expected}")
-    return [rational_from_vec(v, g) for v in null]
+    return [RationalSymMap._from_int([[v[i] for i in r] for r in index], last) for v in null]
 
 
 def eval_matrix_exact(basis: list[RationalSymMap], v: list[Fraction]):
@@ -614,7 +623,8 @@ def rank_locus_tangent_check(m, n, tol: float = 1e-10,
         g, mm, nn = m.g, m.num, n.num
         k = _rank(mm)
         predicate = True
-        for kv in _integer_rows(frac_nullspace(mm, g))[0]:
+        null, last = _int_nullspace(mm, g)
+        for kv in ([x // math.gcd(*v) for x in v] for v in null):
             nk = [sum(a * b for a, b in zip(r, kv)) for r in nn]
             if _rank([r + (x,) for r, x in zip(mm, nk)]) != k:
                 predicate = False

@@ -3,6 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import hodgecheck.charforms as charforms
 from hodgecheck.charforms import (
     QuadratureEstimate,
     _power_traces,
@@ -18,10 +19,23 @@ from hodgecheck.charforms import (
     segre_by_quadrature,
     wedge_power_stats,
 )
+from hodgecheck.curvature import (
+    curvature_package,
+    fundamental_form,
+    hodge_metric,
+    line_hermitian_form,
+)
 from hodgecheck.errors import BadParameters, BadSampleCount
-from hodgecheck.extform import ExtForm, restrict_to_plane
-from hodgecheck.linalg import make_siegel_point, sym_dim, sym_index_pairs
-from hodgecheck.sampling import derive_rng, random_plane_sg, random_siegel_point
+from hodgecheck.extform import ExtForm, _minors, _restrict_to_planes, restrict_to_plane
+from hodgecheck.linalg import make_siegel_point, sym_dim, sym_index_pairs, sym_pair_table, vec_to_sym
+from hodgecheck.sampling import (
+    _random_planes,
+    derive_rng,
+    random_plane_sg,
+    random_siegel_point,
+    random_subspace,
+    random_unit_vector,
+)
 
 
 def test_chern_constant_term_and_degree_bound():
@@ -261,3 +275,56 @@ def test_wedge_power_stats_matches_exterior_power(k):
     assert form.bidegrees() == power.bidegrees()
     assert not variances.any()
     assert form.max_coeff_diff(power) < 1e-13 * power.norm_inf()
+
+
+def _restriction_oracle(form, basis, g):
+    """One plane's restriction as restrict_to_plane computed it before planes were batched."""
+    mats = vec_to_sym(basis, g)
+    t = sym_pair_table(g)
+    coords = mats[:, t.rows, t.cols]
+    k = len(mats)
+    minors = _minors(coords)
+    num = complex(minors @ form.block(k, k) @ minors.conj())
+    det = np.linalg.det((coords * t.frob) @ coords.conj().T)
+    sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
+    return float((num / (sign * (0.5j) ** k * det * np.conj(det))).real)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_batched_planes_match_the_per_plane_loop_bitwise(g):
+    n = sym_dim(g)
+    pkg = curvature_package(random_siegel_point(g, derive_rng(60, "batch-planes", g)))
+    segre = segre_by_moments(pkg, min(g, 3))
+    for k in range(1, min(g, 3) + 1):
+        s_k = segre.component(k, k)
+        batch_rng, loop_rng = derive_rng(61, "planes", g, k), derive_rng(61, "planes", g, k)
+        bases = _random_planes(n, k, 50, batch_rng)
+        planes = [random_subspace(n, k, loop_rng, "Sg") for _ in range(50)]
+        # one draw consumes the stream as the 50 single draws do, into the same bases
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert bases.tobytes() == np.array([y.basis for y in planes]).tobytes()
+        got = _restrict_to_planes(s_k, bases)
+        assert got.shape == (50,) and np.all(got > 0)
+        assert got.tolist() == [restrict_to_plane(s_k, y) for y in planes]
+        assert got.tolist() == [_restriction_oracle(s_k, y.basis, g) for y in planes]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_average_wedge_coefficients_match_the_per_vector_forms(g, monkeypatch):
+    """The per-point tensor gives, for each unit w, the fundamental form of L_w."""
+    coefficient_maps = []
+
+    def keep_coefficient_map(metric, rng, n_samples, batch_size, k, coeff_batch):
+        coefficient_maps.append(coeff_batch)
+        return np.zeros((sym_dim(g), sym_dim(g)), dtype=complex), np.zeros((sym_dim(g),) * 2)
+
+    monkeypatch.setattr(charforms, "_sphere_average", keep_coefficient_map)
+    tau = random_siegel_point(g, derive_rng(62, "line-forms", g))
+    check_average_wedge_powers(tau, k=1, n_samples=100)
+    # unit w for the Hodge metric, as the check samples them, so <w, w>_hodge = 1
+    w = random_unit_vector(hodge_metric(tau), derive_rng(63, "line-forms", g), 40)
+    got = coefficient_maps[0](w)
+    assert got.shape == (40, sym_dim(g), sym_dim(g))
+    for row, wi in zip(got, w):
+        want = fundamental_form(line_hermitian_form(tau, wi), g).block(1, 1)
+        assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hodgecheck.curvature import (
+    METRICS,
     _fold_projector,
     curvature_array,
     curvature_fd,
@@ -271,3 +272,42 @@ def test_fold_projector_matches_the_pair_offset_loop(g):
             p[a * g - a * (a - 1) // 2 + (b - a), i, j] = 1.0
     got = _fold_projector(g)
     assert got.dtype == p.dtype and np.array_equal(got, p)
+
+
+def _curvature_fd_loop(tau, metric, step=1e-5):
+    """The loop over stencil points that curvature_fd replaced, kept as its oracle."""
+    metric_fn = METRICS[metric]
+    base = tau.tau
+
+    def connection(alpha_pert, at):
+        hp = metric_fn(at + step * alpha_pert)
+        hm = metric_fn(at - step * alpha_pert)
+        dx = (hp - hm) / (2 * step)
+        hp = metric_fn(at + 1j * step * alpha_pert)
+        hm = metric_fn(at - 1j * step * alpha_pert)
+        dy = (hp - hm) / (2 * step)
+        dh = (dx - 1j * dy) / 2
+        return np.linalg.solve(metric_fn(at), dh)
+
+    out = {}
+    for ia, pa in enumerate(_fold_projector(tau.g)):
+        for ib, pb in enumerate(_fold_projector(tau.g)):
+            dx = (connection(pa, base + step * pb) - connection(pa, base - step * pb)) / (2 * step)
+            dy = ((connection(pa, base + 1j * step * pb) - connection(pa, base - 1j * step * pb))
+                  / (2 * step))
+            out[(ia, ib)] = -((dx + 1j * dy) / 2)
+    return out
+
+
+@pytest.mark.parametrize("metric", ["dual", "hodge"])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_batched_stencil_matches_the_point_loop_bitwise(g, metric):
+    for t in range(3):
+        # the window of the curvature-fd suite, and an unconditioned point
+        wide = t == 2
+        tau = random_siegel_point(g, derive_rng(41, "fd-batch", g, t),
+                                  **({} if wide else dict(spread=0.3, y_lo=0.2, y_hi=0.6)))
+        want = _curvature_fd_loop(tau, metric)
+        got = curvature_fd(tau, metric=metric)
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[key], want[key]) for key in want)

@@ -334,6 +334,23 @@ def test_contract_one_stack_on_both_sides_matches_two_stacks():
         contract(form, [np.triu(np.ones((3, 3)))] * 2, [np.triu(np.ones((3, 3)))] * 2)
 
 
+def test_stacked_sets_contract_as_each_set_alone():
+    rng = derive_rng(18, "stacked-contract")
+    for g in (2, 3):
+        for p, q in ((1, 1), (2, 1), (2, 2), (3, 3)):
+            form = homogeneous_form(g, rng, p + q, n_terms=12)
+            hol = np.array([[random_symmetric_complex(g, rng) for _ in range(p)] for _ in range(7)])
+            anti = np.array([[random_symmetric_complex(g, rng) for _ in range(q)] for _ in range(7)])
+            got = contract(form, hol, anti)
+            assert got.shape == (7,)
+            assert got.tolist() == [contract(form, h, a) for h, a in zip(hol, anti)]
+            shared = contract(form, hol, hol)
+            assert shared.tolist() == [contract(form, h, h) for h in hol]
+    assert contract(ExtForm.zero(g), hol[:, :1], hol[:, :1]).tolist() == [0j] * 7
+    with pytest.raises(DimensionMismatch):
+        contract(form, hol, anti[:3])
+
+
 def test_restrict_zero_form():
     y = random_plane_sg(2, 2, derive_rng(14, "r0"))
     assert restrict_to_plane(ExtForm.zero(2), y) == 0.0

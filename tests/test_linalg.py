@@ -10,6 +10,7 @@ from hodgecheck.errors import (
 )
 from hodgecheck.linalg import (
     LinSubspace,
+    _orthonormal_stack,
     SymMap,
     make_siegel_point,
     rank_with_kernel,
@@ -160,6 +161,24 @@ def test_from_spanning_drops_dependent_rows():
     assert np.allclose(p @ p, p)
     assert s.contains([3.0, -4.0, 0.0])
     assert not s.contains([0.0, 0.0, 1.0])
+
+
+def test_stacked_spanning_sets_keep_from_spanning_bases_and_refuse_dependent_rows():
+    rng = derive_rng(64, "spanning-stack")
+    rows = rng.standard_normal((4, 3, 6)) + 1j * rng.standard_normal((4, 3, 6))
+    bases = _orthonormal_stack(rows)
+    assert bases.tobytes() == np.array([LinSubspace.from_spanning(r, "Sg").basis
+                                        for r in rows]).tobytes()
+    rows[2, 1] = 2 * rows[2, 0]
+    # one plane at a time, the dependent row is dropped: the 2-plane that is left
+    # gives a (3, 3)-form the value 0, which a floor check would pass vacuously
+    assert LinSubspace.from_spanning(rows[2], "Sg").dim == 2
+    with pytest.raises(BadDimension, match="dependent rows"):
+        _orthonormal_stack(rows)
+    with pytest.raises(BadDimension, match="dependent rows"):
+        _orthonormal_stack(np.zeros((2, 1, 3)))
+    with pytest.raises(BadDimension):
+        _orthonormal_stack(rng.standard_normal((2, 4, 3)))  # more rows than the ambient
 
 
 def test_sym_flattening_roundtrip_and_isometry():

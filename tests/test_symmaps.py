@@ -21,6 +21,9 @@ from hodgecheck.symmaps import (
     eval_matrix_exact,
     find_rank_ones,
     _find_witness,
+    _int_nullspace,
+    _integer_rows,
+    _random_rational_w,
     frac_det,
     frac_independent_rows,
     frac_matrix,
@@ -399,6 +402,60 @@ def test_frac_det_sign_follows_row_swaps():
     assert frac_det([]) == 1
     assert frac_det([[Fraction(0, 1), Fraction(1, 2)], [Fraction(1, 3), Fraction(0)]]) \
         == Fraction(-1, 6)
+
+
+def _fraction_nullspace(mat, ncols):
+    """frac_nullspace as it was before it wrapped the integer routine."""
+    if not mat:
+        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+    rows, pivots = frac_rref(mat)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+def test_integer_kernel_is_the_fraction_kernel_times_the_common_pivot():
+    negative = 0
+    for m in oracle_cases():
+        ncols = len(m[0]) if m else 0
+        basis, last = _int_nullspace(m, ncols)
+        assert type(last) is int and all(type(x) is int for v in basis for x in v)
+        negative += last < 0
+        want = _fraction_nullspace(m, ncols)
+        assert frac_nullspace(m, ncols) == want
+        assert [[Fraction(x, last) for x in v] for v in basis] == want
+        # rank_locus_tangent_check's rows: the lcm-scaled vectors, up to sign
+        for v, w in zip(basis, _integer_rows(want)[0]):
+            assert [x // math.gcd(*v) for x in v] in (w, [-x for x in w])
+    assert negative
+
+
+def test_wperp_exact_maps_are_the_fraction_route_maps():
+    rng = derive_rng(57, "wperp-integer")
+    for g in (2, 3, 4):
+        n = sym_dim(g)
+        index = [[min(r, c) * g - min(r, c) * (min(r, c) - 1) // 2 + abs(r - c)
+                  for c in range(g)] for r in range(g)]
+        for wdim in range(1, g):
+            w_rows = _random_rational_w(g, wdim, rng)
+            eqs = []
+            for w in w_rows:
+                for r in range(g):
+                    row = [Fraction(0)] * n
+                    for c in range(g):
+                        row[index[r][c]] += w[c]
+                    eqs.append(row)
+            want = [rational_from_vec(v, g) for v in _fraction_nullspace(eqs, n)]
+            assert [(m.num, m.den) for m in wperp_exact(w_rows, g)] == \
+                [(m.num, m.den) for m in want]
+    # a negative common pivot moves its sign to the numerator
+    neg = RationalSymMap._from_int([[2, -4], [-4, 6]], -6)
+    assert (neg.num, neg.den) == (((-1, 2), (2, -3)), 3)
 
 
 def test_frac_helpers_accept_integers():
