@@ -52,6 +52,8 @@ from .symmaps import (
     wperp_exact,
 )
 
+_PLANE_CHUNK = 256  # random planes per chunk of positivity-vanishing's one draw
+
 
 def _point(x) -> SiegelPoint:
     return x.tau if isinstance(x, CurvaturePackage) else x
@@ -388,7 +390,10 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
     n = sym_dim(g)
     rng = derive_rng(seed, "posvan", g, i)
 
-    worst = min(_restrict_to_planes(s_i, _random_planes(n, i, trials, rng)), default=np.inf)
+    # memory stays flat in trials, and the chunks consume the stream as one draw does
+    chunks = (_random_planes(n, i, min(_PLANE_CHUNK, trials - start), rng)
+              for start in range(0, trials, _PLANE_CHUNK))
+    worst = min((v for bases in chunks for v in _restrict_to_planes(s_i, bases)), default=np.inf)
     report.add(floor_check(
         "random-plane-floor",
         f"minimum restriction of s_{i} over {trials} random {i}-planes",

@@ -334,7 +334,7 @@ class ExtForm:
             for (p, q), b in self._blocks.items()
         })
 
-    def contract(self, hol_vectors: Iterable, anti_vectors: Iterable) -> complex:
+    def contract(self, hol_vectors: Iterable, anti_vectors: Iterable) -> complex | np.ndarray:
         """Evaluate against symmetric-matrix tangent vectors.
 
         Components whose bidegree does not match (len(hol), len(anti))
@@ -423,7 +423,7 @@ def conjugate(a: ExtForm) -> ExtForm:
     return a.conjugate()
 
 
-def contract(a: ExtForm, hol_vectors: Iterable, anti_vectors: Iterable) -> complex:
+def contract(a: ExtForm, hol_vectors: Iterable, anti_vectors: Iterable) -> complex | np.ndarray:
     return a.contract(hol_vectors, anti_vectors)
 
 

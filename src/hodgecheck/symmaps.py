@@ -121,16 +121,12 @@ def _det(rows: list[list[int]]) -> int:
     return sign * rows[-1][-1] if rows else 1
 
 
-def frac_rref(mat, scaled: bool = False):
-    """Reduced row echelon form; returns (rows, pivot_columns).
-
-    scaled=True returns (rows, pivot_columns, last): integer rows, last times the form.
-    """
+def frac_rref(mat) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form as integer rows (last times the form), pivot columns, last."""
     rows, _ = _integer_rows(mat)
     pivots, _ = _eliminate(rows, len(rows[0]) if rows else 0, reduce=True)
-    last = rows[len(pivots) - 1][pivots[-1]] if pivots else 1  # = every pivot
-    return (rows, pivots, last) if scaled else ([[Fraction(x, last) for x in row] for row in rows],
-                                                pivots)
+    last = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return rows, pivots, last
 
 
 def frac_rank(mat) -> int:
@@ -147,7 +143,7 @@ def _int_nullspace(mat, ncols: int) -> tuple[list[list[int]], int]:
     """frac_nullspace's basis times the common pivot last, so every entry is an integer."""
     if not mat:
         return [[int(i == j) for j in range(ncols)] for i in range(ncols)], 1
-    rows, pivots, last = frac_rref(mat, scaled=True)
+    rows, pivots, last = frac_rref(mat)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
@@ -623,8 +619,7 @@ def rank_locus_tangent_check(m, n, tol: float = 1e-10,
         g, mm, nn = m.g, m.num, n.num
         k = _rank(mm)
         predicate = True
-        null, last = _int_nullspace(mm, g)
-        for kv in ([x // math.gcd(*v) for x in v] for v in null):
+        for kv in ([x // math.gcd(*v) for x in v] for v in _int_nullspace(mm, g)[0]):
             nk = [sum(a * b for a, b in zip(r, kv)) for r in nn]
             if _rank([r + (x,) for r, x in zip(mm, nk)]) != k:
                 predicate = False

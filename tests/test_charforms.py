@@ -210,6 +210,15 @@ def test_positivity_and_vanishing_report():
     assert "witness-plane-positivity" in names
 
 
+def test_random_plane_chunks_keep_the_report(monkeypatch):
+    """Chunks of the plane draw give the report of one draw, later phases included."""
+    x = random_siegel_point(3, derive_rng(39, "pv"))
+    whole = check_positivity_and_vanishing(x, i=3, trials=50, seed=2, n_v_samples=20)
+    monkeypatch.setattr(charforms, "_PLANE_CHUNK", 7)
+    chunked = check_positivity_and_vanishing(x, i=3, trials=50, seed=2, n_v_samples=20)
+    assert chunked.to_dict()["checks"] == whole.to_dict()["checks"]
+
+
 def test_average_wedge_report():
     rng = derive_rng(40, "avg")
     x = random_siegel_point(2, rng)

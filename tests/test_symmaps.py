@@ -229,6 +229,13 @@ def test_rank_locus_minors_with_denominators_match_fraction_oracle():
     assert seen_nonzero >= 5
 
 
+def fraction_rref(mat):
+    """frac_rref's integer rows over their common pivot: the reduced form in Fractions."""
+    rows, pivots, last = frac_rref(mat)
+    assert all(type(x) is int for r in rows for x in r)
+    return [[Fraction(x, last) for x in r] for r in rows], pivots
+
+
 def test_frac_helpers():
     ident = frac_matrix([[1, 0], [0, 1]])
     assert frac_rank(ident) == 2
@@ -240,7 +247,7 @@ def test_frac_helpers():
     assert len(null) == 1
     v = null[0]
     assert m[0][0] * v[0] + m[0][1] * v[1] == 0
-    rows, pivots = frac_rref(frac_matrix([[0, 1, 2], [0, 0, 3]]))
+    rows, pivots = fraction_rref(frac_matrix([[0, 1, 2], [0, 0, 3]]))
     assert pivots == [1, 2]
 
 
@@ -362,12 +369,11 @@ def oracle_cases():
 def assert_matches_oracle(m):
     ncols = len(m[0]) if m else 0
     want_rows, want_pivots = gj_rref(m)
-    rows, pivots = frac_rref(m)
+    rows, pivots = fraction_rref(m)
     assert pivots == want_pivots
     assert frac_rank(m) == len(want_pivots)
     # the oracle stops once every row holds a pivot; both are then reduced
     assert rows == want_rows
-    assert all(isinstance(x, Fraction) for r in rows for x in r)
     null = frac_nullspace(m, ncols)
     assert len(null) == ncols - len(want_pivots)
     for v in null:
@@ -408,7 +414,7 @@ def _fraction_nullspace(mat, ncols):
     """frac_nullspace as it was before it wrapped the integer routine."""
     if not mat:
         return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    rows, pivots = frac_rref(mat)
+    rows, pivots = fraction_rref(mat)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
@@ -463,7 +469,7 @@ def test_frac_helpers_accept_integers():
     assert frac_rank(m) == 2
     assert frac_independent_rows(m) == [0, 2]
     assert frac_det(m) == 0
-    assert frac_rref(m) == gj_rref(m)
+    assert fraction_rref(m) == gj_rref(m)
 
 
 def test_find_witness_matches_rational_evaluation():
