@@ -34,7 +34,8 @@ import numpy as np
 
 from .curvature import (
     CurvaturePackage,
-    curvature_matrix,
+    _one_one_matrix,
+    curvature_array,
     curvature_package,
     fundamental_matrix_batch,
     hodge_metric,
@@ -62,7 +63,7 @@ def _point(x) -> SiegelPoint:
 def normalized_curvature(x, bundle: str = "dual") -> FormMatrix:
     if isinstance(x, CurvaturePackage) and bundle == "dual":
         return x.g_normalized
-    return curvature_matrix(_point(x), bundle).scale(1.0 / (2j * np.pi))
+    return _one_one_matrix(curvature_array(_point(x), bundle) * (1.0 / (2j * np.pi)))
 
 
 def chern_total(x, bundle: str = "dual", k_max: int | None = None) -> ExtForm:
@@ -73,9 +74,9 @@ def chern_total(x, bundle: str = "dual", k_max: int | None = None) -> ExtForm:
     return (FormMatrix.identity(gm.g) - gm).det(max_degree=cap)
 
 
-def chern_classes(x, bundle: str = "dual") -> list[ExtForm]:
-    """[c_0, c_1, ..., c_g] as the (k, k) components of the total form."""
-    total = chern_total(x, bundle)
+def chern_classes(x) -> list[ExtForm]:
+    """[c_0, c_1, ..., c_g] of the dual bundle, the (k, k) components of its total form."""
+    total = chern_total(x, "dual")
     g = _point(x).g
     return [total.component(k, k) for k in range(g + 1)]
 
@@ -287,9 +288,9 @@ def check_chern_segre_equality(tau: SiegelPoint, k_list=(1, 2, 3),
     report = VerificationReport(
         "dual-identity", {"genus": g, "k_list": list(k_list), "tol": tol})
     pkg = curvature_package(tau)
-    k_max = max(k_list)
-    c_hodge = chern_total(pkg, "hodge", k_max=k_max)
-    s_dual = segre_by_moments(pkg, k_max)
+    # the capped determinant's blocks equal the uncapped ones, so one build serves both
+    c_hodge = chern_total(pkg, "hodge")
+    s_dual = segre_by_moments(pkg, max(k_list))
     for k in sorted(k_list):
         diff = c_hodge.component(k, k).max_coeff_diff(s_dual.component(k, k))
         if k <= 2:
@@ -303,8 +304,7 @@ def check_chern_segre_equality(tau: SiegelPoint, k_list=(1, 2, 3),
                 f"pointwise gap between c_{k} and dual s_{k} "
                 "(recorded, not asserted)",
                 diff))
-    c_dual = chern_total(pkg, "dual")
-    c_both = chern_total(pkg, "hodge").wedge(c_dual)
+    c_both = c_hodge.wedge(chern_total(pkg, "dual"))
     report.add(reporting(
         "chern-product-both-bundles",
         "pointwise gap of c(bundle) ^ c(dual) from 1",
@@ -412,13 +412,14 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
             deg = check_evaluation_degeneracy(perp, i, n_v_samples, seed + trial)
             degeneracy_ok = degeneracy_ok and deg.satisfied
             perp_sub = rational_span_to_subspace(perp)
-            for _ in range(5):
-                if perp_sub.dim == i:
-                    plane = perp_sub
-                else:
-                    mix = (rng.standard_normal((i, perp_sub.dim))
-                           + 1j * rng.standard_normal((i, perp_sub.dim)))
-                    plane = LinSubspace.from_spanning(mix @ perp_sub.basis, "Sg")
+            if perp_sub.dim == i:  # the space is itself an i-plane
+                planes = [perp_sub]
+            else:
+                shape = (i, perp_sub.dim)
+                mixes = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                         for _ in range(5))
+                planes = [LinSubspace.from_spanning(mix @ perp_sub.basis, "Sg") for mix in mixes]
+            for plane in planes:
                 overall_zero = max(overall_zero, abs(restrict_to_plane(s_i, plane)))
         report.add(passing(
             "annihilator-plane-vanishing",

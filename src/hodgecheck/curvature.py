@@ -34,13 +34,21 @@ from .extform import ExtForm, FormMatrix
 from .linalg import SiegelPoint, sym_basis, sym_dim, sym_pair_table
 
 
+# each bundle's metric as a function of Im(tau), one matrix or a stack
+METRICS = {
+    "dual": lambda y: np.linalg.inv(y).astype(complex),
+    "hodge": lambda y: y.astype(complex),
+}
+
+
 def dual_metric(tau: SiegelPoint) -> np.ndarray:
     """Metric on the dual Hodge bundle: inverse of Im(tau)."""
-    return np.linalg.inv(tau.y).astype(complex)
+    return METRICS["dual"](tau.y)
+
 
 def hodge_metric(tau: SiegelPoint) -> np.ndarray:
     """Metric on the Hodge bundle: Im(tau)."""
-    return tau.y.astype(complex)
+    return METRICS["hodge"](tau.y)
 
 
 def _fold_projector(g: int) -> np.ndarray:
@@ -64,14 +72,20 @@ def curvature_array(tau: SiegelPoint, bundle: str = "dual") -> np.ndarray:
     return 0.25 * np.einsum("ik,bkl,lm,amj->ijab", b, p, b, p)
 
 
-def curvature_matrix(tau: SiegelPoint, bundle: str = "dual") -> FormMatrix:
-    """omega as a matrix of (1, 1)-forms, read off curvature_array."""
-    c = curvature_array(tau, bundle)
-    g = tau.g
-    # the 1-subsets in combinations order are the generator indices, so
-    # c[i, j] is the (1, 1) block of entry (i, j) as it stands
+def _one_one_matrix(c: np.ndarray) -> FormMatrix:
+    """The matrix of (1, 1)-forms whose entry (i, j) has coefficients c[i, j].
+
+    The 1-subsets in combinations order are the generator indices, so c[i, j]
+    is the (1, 1) block of entry (i, j) as it stands.
+    """
+    g = c.shape[0]
     return FormMatrix(g, [[ExtForm.from_blocks(g, {(1, 1): c[i, j]}) for j in range(g)]
                           for i in range(g)])
+
+
+def curvature_matrix(tau: SiegelPoint, bundle: str = "dual") -> FormMatrix:
+    """omega as a matrix of (1, 1)-forms, read off curvature_array."""
+    return _one_one_matrix(curvature_array(tau, bundle))
 
 
 def dual_curvature_matrix(tau: SiegelPoint) -> FormMatrix:
@@ -84,20 +98,25 @@ def hodge_curvature_matrix(tau: SiegelPoint) -> FormMatrix:
 
 @dataclass(frozen=True)
 class CurvaturePackage:
-    """Point data for the dual Hodge bundle: metric, curvature, normalization."""
+    """Point data for the dual Hodge bundle: metric and normalized curvature.
+
+    gm is G = omega / (2 pi i) in curvature_array's layout, and g_normalized
+    the same coefficients as a matrix of (1, 1)-forms.
+    """
 
     tau: SiegelPoint
     h: np.ndarray = field(init=False)
-    omega: FormMatrix = field(init=False)
+    gm: np.ndarray = field(init=False)
     g_normalized: FormMatrix = field(init=False)
 
     def __post_init__(self):
         h = dual_metric(self.tau)
-        h.setflags(write=False)
-        omega = dual_curvature_matrix(self.tau)
+        gm = curvature_array(self.tau, "dual") * (1.0 / (2j * np.pi))
+        for a in (h, gm):
+            a.setflags(write=False)
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "g_normalized", omega.scale(1.0 / (2j * np.pi)))
+        object.__setattr__(self, "gm", gm)
+        object.__setattr__(self, "g_normalized", _one_one_matrix(gm))
 
     @property
     def g(self) -> int:
@@ -112,18 +131,12 @@ def curvature_package(tau: SiegelPoint) -> CurvaturePackage:
 # Finite-difference oracle for dbar(h^{-1} dh).
 # ---------------------------------------------------------------------------
 
-METRICS = {
-    "dual": lambda t: np.linalg.inv(t.imag).astype(complex),
-    "hodge": lambda t: t.imag.astype(complex),
-}
+def curvature_fd(tau: SiegelPoint, metric: str = "dual", step: float = 1e-5) -> np.ndarray:
+    """Finite-difference curvature coefficients in curvature_array's layout.
 
-
-def curvature_fd(tau: SiegelPoint, metric: str = "dual", step: float = 1e-5):
-    """Finite-difference curvature coefficients, keyed by generator index pair.
-
-    Returns a dict mapping (alpha, beta) to the g x g coefficient matrix of
-    dz_alpha ^ dzbar_beta in dbar(h^{-1} dh), with alpha and beta running over
-    the generator indices of the symmetric coordinates.  Central differences
+    Entry [i, j, alpha, beta] is the coefficient of dz_alpha ^ dzbar_beta in
+    entry (i, j) of dbar(h^{-1} dh), with alpha and beta running over the
+    generator indices of the symmetric coordinates.  Central differences
     throughout; the outer dbar differentiates the connection matrix function
     h^{-1} d_alpha h, moving every entry of tau that folds to alpha.  The 16 n^2
     stencil points are one array for one metric call and one stacked solve;
@@ -138,21 +151,18 @@ def curvature_fd(tau: SiegelPoint, metric: str = "dual", step: float = 1e-5):
         return np.stack([at + m, at - m])
 
     outer = stencil(tau.tau)  # axes (sign, part, beta)
-    h = metric_fn(stencil(outer))  # axes (sign, part, alpha, sign, part, beta)
+    h = metric_fn(stencil(outer).imag)  # axes (sign, part, alpha, sign, part, beta)
     d = (h[0] - h[1]) / (2 * step)
     dh = (d[0] - 1j * d[1]) / 2
-    conn = np.linalg.solve(metric_fn(outer)[None], dh)  # h^{-1} d_alpha h at each outer point
+    conn = np.linalg.solve(metric_fn(outer.imag)[None], dh)  # h^{-1} d_alpha h at each outer point
     d = (conn[:, 0] - conn[:, 1]) / (2 * step)
-    dbar = (d[:, 0] + 1j * d[:, 1]) / 2
-    return {(ia, ib): -dbar[ia, ib] for ia in range(len(p)) for ib in range(len(p))}
+    dbar = (d[:, 0] + 1j * d[:, 1]) / 2  # axes (alpha, beta, i, j)
+    return -dbar.transpose(2, 3, 0, 1)
 
 
 def fd_relative_error(tau: SiegelPoint, metric: str = "dual", step: float = 1e-5) -> float:
-    analytic = curvature_array(tau, metric)
     fd = curvature_fd(tau, metric=metric, step=step)
-    scale = max(np.max(np.abs(m)) for m in fd.values())
-    worst = max(np.max(np.abs(analytic[:, :, ia, ib] - m)) for (ia, ib), m in fd.items())
-    return float(worst / scale)
+    return float(np.max(np.abs(curvature_array(tau, metric) - fd)) / np.max(np.abs(fd)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +173,8 @@ def fd_relative_error(tau: SiegelPoint, metric: str = "dual", step: float = 1e-5
 def curvature_pairing_form(pkg: CurvaturePackage, v) -> ExtForm:
     """The (1, 1)-form <G v, v> for a fiber vector v of the dual bundle.
 
-    Scales like |c|^2 in v and equals its own conjugate.
+    Scales like |c|^2 in v and equals its own conjugate.  The one-vector case
+    of pairing_matrix_batch.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
     g = pkg.g
@@ -171,16 +182,7 @@ def curvature_pairing_form(pkg: CurvaturePackage, v) -> ExtForm:
         raise DimensionMismatch(f"vector shape {v.shape} does not match genus {g}")
     if np.allclose(v, 0):
         raise ZeroVector("pairing form needs a nonzero fiber vector")
-    row = np.conj(v) @ pkg.h
-    acc = ExtForm.zero(g)
-    for i in range(g):
-        if row[i] == 0:
-            continue
-        for j in range(g):
-            entry = pkg.g_normalized.entries[i][j]
-            if not entry.is_zero() and v[j] != 0:
-                acc = acc + entry * (row[i] * v[j])
-    return acc
+    return ExtForm.from_blocks(g, {(1, 1): pairing_matrix_batch(pkg, v[None])[0]})
 
 
 def pairing_matrix_batch(pkg: CurvaturePackage, v_batch: np.ndarray) -> np.ndarray:
@@ -189,8 +191,7 @@ def pairing_matrix_batch(pkg: CurvaturePackage, v_batch: np.ndarray) -> np.ndarr
     Row n of the result satisfies
     <G v_n, v_n> = sum K[n, a, b] dt[a] ^ dtbar[b].
     """
-    gm = curvature_array(pkg.tau, "dual") / (2j * np.pi)
-    return np.einsum("ni,ijab,nj->nab", np.conj(v_batch) @ pkg.h, gm, v_batch)
+    return np.einsum("ni,ijab,nj->nab", np.conj(v_batch) @ pkg.h, pkg.gm, v_batch)
 
 
 def line_hermitian_form(tau: SiegelPoint, w) -> np.ndarray:

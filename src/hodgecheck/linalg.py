@@ -25,6 +25,7 @@ from .errors import (
 
 SYMMETRY_TOL = 1e-12
 ORTHONORMALITY_TOL = 1e-12
+SPAN_TOL = 1e-12  # relative singular-value cutoff below which a spanning row is dependent
 DEFAULT_RANK_TOL = 1e-10
 
 
@@ -230,11 +231,11 @@ class LinSubspace:
         return self.basis.shape[1]
 
     @classmethod
-    def from_spanning(cls, rows, ambient_tag: str, tol: float = 1e-12) -> "LinSubspace":
+    def from_spanning(cls, rows, ambient_tag: str) -> "LinSubspace":
         """Orthonormalize spanning rows, dropping dependent ones."""
         a = np.atleast_2d(np.asarray(rows, dtype=complex))
         _, s, vh = np.linalg.svd(a, full_matrices=False)
-        return cls(vh[:int(np.sum(s > tol * s[:1]))], ambient_tag)
+        return cls(vh[:int(np.sum(s > SPAN_TOL * s[:1]))], ambient_tag)
 
     def projector(self) -> np.ndarray:
         return self.basis.T @ self.basis.conj()
@@ -246,14 +247,14 @@ class LinSubspace:
         return resid <= tol * scale
 
 
-def _orthonormal_stack(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _orthonormal_stack(rows: np.ndarray) -> np.ndarray:
     """LinSubspace.from_spanning's bases, to the bit, for a (..., k, n) stack of spanning sets.
 
     A set with dependent rows raises BadDimension, as the stack cannot hold
     the smaller subspace that from_spanning returns for it.
     """
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if np.any(np.sum(s > tol * s[..., :1], axis=-1) < rows.shape[-2]):
+    if np.any(np.sum(s > SPAN_TOL * s[..., :1], axis=-1) < rows.shape[-2]):
         raise BadDimension("a spanning set of the stack has dependent rows")
     _check_orthonormal(vh)
     return vh

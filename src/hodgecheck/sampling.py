@@ -32,9 +32,8 @@ def random_symmetric_real(g: int, rng: np.random.Generator, scale: float = 1.0) 
     return (a + a.T) / 2
 
 
-def random_symmetric_complex(g: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_symmetric_complex(g: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
-    a *= scale
     return (a + a.T) / 2
 
 
@@ -69,11 +68,8 @@ def random_unit_vector(metric: np.ndarray, rng: np.random.Generator, n: int) -> 
 
 
 def random_subspace(ambient_dim: int, dim: int, rng: np.random.Generator,
-                    ambient_tag: str, real: bool = False) -> LinSubspace:
-    if real:
-        rows = rng.standard_normal((dim, ambient_dim))
-    else:
-        rows = rng.standard_normal((dim, ambient_dim)) + 1j * rng.standard_normal((dim, ambient_dim))
+                    ambient_tag: str) -> LinSubspace:
+    rows = rng.standard_normal((dim, ambient_dim)) + 1j * rng.standard_normal((dim, ambient_dim))
     return LinSubspace.from_spanning(rows, ambient_tag)
 
 

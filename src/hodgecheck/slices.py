@@ -124,10 +124,10 @@ def _finish_member(sl: AffineSlice, n: np.ndarray):
     return make_siegel_point(tau.real, tau.imag)
 
 
-def random_slice_member(sl: AffineSlice, rng, scale: float = 1.0) -> SiegelPoint:
-    """Random member, shrinking the step until it stays inside the domain."""
+def random_slice_member(sl: AffineSlice, rng) -> SiegelPoint:
+    """Random member, halving a unit step until it stays inside the domain."""
     coeffs = (rng.standard_normal(sl.dim) + 1j * rng.standard_normal(sl.dim))
-    step = scale
+    step = 1.0
     while step > 1e-6:
         member = slice_member(sl, coeffs * step)
         if member is not OutOfDomain:

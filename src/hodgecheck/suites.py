@@ -90,6 +90,11 @@ class RunConfig:
             if name not in SUITES:
                 raise SuiteUnknown(
                     f"unknown suite {name!r}; available: {sorted(SUITES)}")
+        # a repeated entry would run its cells twice and keep one report
+        for what, values in (("genus", self.genus_list), ("suite", self.suites)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigInvalid(f"repeated {what} entries {repeated}")
         return self
 
     def tol(self, name: str) -> float:

@@ -33,6 +33,7 @@ from .errors import (
     RankMismatch,
 )
 from .linalg import (
+    DEFAULT_RANK_TOL,
     LinSubspace,
     SymMap,
     as_sym_array,
@@ -214,6 +215,8 @@ class RationalSymMap:
         return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.num)
 
     def apply(self, v) -> list[Fraction]:
+        if len(v) != self.g:
+            raise DimensionMismatch(f"vector of length {len(v)} for a genus-{self.g} map")
         return [sum((a * x for a, x in zip(r, v)), Fraction(0)) / self.den
                 for r in self.num]
 
@@ -245,14 +248,6 @@ class RationalSymMap:
         return not any(any(r) for r in self.num)
 
 
-def rational_from_vec(vec, g: int) -> RationalSymMap:
-    vals = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
-    den = math.lcm(*(int(x.denominator) for x in vals))
-    flat = [int(x.numerator) * (den // int(x.denominator)) for x in vals]
-    num = [[flat[i] for i in r] for r in sym_pair_table(g).index.tolist()]
-    return RationalSymMap._from_int(num, den)
-
-
 def _random_int_vector(g: int, rng, bound: int = V_SAMPLE_BOUND) -> list[int]:
     while True:
         v = rng.integers(-bound, bound + 1, size=g).tolist()
@@ -264,8 +259,8 @@ def random_rational_vector(g: int, rng, bound: int = V_SAMPLE_BOUND) -> list[Fra
     return [Fraction(x) for x in _random_int_vector(g, rng, bound)]
 
 
-def random_rational_symmap(g: int, rng, bound: int = 9) -> RationalSymMap:
-    vals = rng.integers(-bound, bound + 1, size=sym_dim(g))
+def random_rational_symmap(g: int, rng) -> RationalSymMap:
+    vals = rng.integers(-9, 10, size=sym_dim(g))
     return RationalSymMap._from_int(vals[sym_pair_table(g).index].tolist())
 
 
@@ -295,14 +290,16 @@ def wperp(w: LinSubspace) -> LinSubspace:
     return LinSubspace(kernel.basis, "Sg")
 
 
-def wperp_exact(w_rows: list[list[Fraction]], g: int) -> list[RationalSymMap]:
-    """Exact rational basis of {M : M w = 0 for the given spanning rows}."""
+def wperp_exact(w_rows, g: int) -> list[RationalSymMap]:
+    """Exact rational basis of {M : M w = 0 for the given spanning rows of ints or Fractions}."""
+    if any(len(w) != g for w in w_rows):
+        raise DimensionMismatch(f"w rows of lengths {[len(w) for w in w_rows]} for genus {g}")
     n = sym_dim(g)
     index = sym_pair_table(g).index.tolist()
     eqs = []
     for w in w_rows:
         for r in range(g):
-            row = [Fraction(0)] * n
+            row = [0] * n
             for c in range(g):
                 row[index[r][c]] += w[c]
             eqs.append(row)
@@ -330,7 +327,7 @@ def rational_span_to_subspace(basis: list[RationalSymMap]) -> LinSubspace:
 
 @dataclass
 class DegeneracyWitness:
-    v: object                 # fiber vector (ndarray or list of Fraction)
+    v: object                 # fiber vector (ndarray, or list of int when exact)
     basis_indices: list[int]  # rows of e_v that are independent
     rank: int
 
@@ -409,7 +406,7 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100, seed: int = 0
 
 
 def _find_witness(basis: list[RationalSymMap], i: int, n_v: int, rng):
-    """First of n_v random rational v with rank(e_v) >= i, as (v, rows, rank).
+    """First of n_v random integer v with rank(e_v) >= i, as (v, rows, rank).
 
     The rows of e_v are taken on each map's integer rows num, so each is the
     integer vector den * M v, a positive multiple of M v: the rank and the
@@ -422,7 +419,7 @@ def _find_witness(basis: list[RationalSymMap], i: int, n_v: int, rng):
         rows = [[sum(a * b for a, b in zip(r, w)) for r in m.num] for m in basis]
         rank = _rank(rows)
         if rank >= i:
-            return [Fraction(x) for x in w], rows, rank
+            return w, rows, rank
     return None
 
 
@@ -443,11 +440,10 @@ def _independent_rows_float(matrix: np.ndarray, count: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _random_rational_w(g: int, dim: int, rng) -> list[list[Fraction]]:
+def _random_rational_w(g: int, dim: int, rng) -> list[list[int]]:
     while True:
-        rows = [[Fraction(int(x)) for x in rng.integers(-9, 10, size=g)]
-                for _ in range(dim)]
-        if frac_rank(rows) == dim:
+        rows = [rng.integers(-9, 10, size=g).tolist() for _ in range(dim)]
+        if _rank(rows) == dim:
             return rows
 
 
@@ -600,8 +596,7 @@ def _minor_derivative_exact(m, n, rows, cols) -> int:
                for r_n in rows)
 
 
-def rank_locus_tangent_check(m, n, tol: float = 1e-10,
-                             exact: bool | None = None) -> TangentCheck:
+def rank_locus_tangent_check(m, n, exact: bool | None = None) -> TangentCheck:
     """Compare two criteria for N being tangent to the rank locus at M.
 
     Route one: N maps ker(M) into im(M).  Route two: the directional
@@ -617,6 +612,8 @@ def rank_locus_tangent_check(m, n, tol: float = 1e-10,
     if exact:
         # integer rows: N ker(M) lies in im(M) for any positive scales of both
         g, mm, nn = m.g, m.num, n.num
+        if n.g != g:
+            raise DimensionMismatch(f"genus-{g} base point with a genus-{n.g} direction")
         k = _rank(mm)
         predicate = True
         for kv in ([x // math.gcd(*v) for x in v] for v in _int_nullspace(mm, g)[0]):
@@ -640,14 +637,16 @@ def rank_locus_tangent_check(m, n, tol: float = 1e-10,
 
     ma = m.as_float() if isinstance(m, RationalSymMap) else as_sym_array(m)
     na = n.as_float() if isinstance(n, RationalSymMap) else as_sym_array(n)
+    if na.shape != ma.shape:
+        raise DimensionMismatch(f"base point of shape {ma.shape} with a direction of {na.shape}")
     g = ma.shape[0]
-    k, kernel, image = rank_with_kernel(ma, tol=tol)
+    k, kernel, image = rank_with_kernel(ma)
     predicate = True
     proj = image.projector()
     scale = max(1.0, float(np.linalg.norm(na)))
     for kv in kernel.basis:
         nk = na @ kv
-        if np.linalg.norm(nk - proj @ nk) > tol * scale:
+        if np.linalg.norm(nk - proj @ nk) > DEFAULT_RANK_TOL * scale:
             predicate = False
             break
     minors_ok = True
@@ -658,17 +657,17 @@ def rank_locus_tangent_check(m, n, tol: float = 1e-10,
             for cols in itertools.combinations(range(g), k + 1):
                 d = abs(_minor_derivative_float(ma, na, rows, cols))
                 worst = max(worst, d / mscale)
-                if d > tol * mscale:
+                if d > DEFAULT_RANK_TOL * mscale:
                     minors_ok = False
     return TangentCheck(k, predicate, minors_ok, predicate == minors_ok, worst, False)
 
 
-def random_rank_k_symmap(g: int, k: int, rng, bound: int = 5):
-    """Exact rank-k symmetric map sum of k rational outer squares, with factors."""
+def random_rank_k_symmap(g: int, k: int, rng):
+    """Exact rank-k symmetric map sum of k integer outer squares, with the integer factors."""
     if not (0 < k <= g):
         raise BadDimension(f"rank {k} outside 1..{g}")
     while True:
-        factors = [_random_int_vector(g, rng, bound) for _ in range(k)]
+        factors = [_random_int_vector(g, rng, 5) for _ in range(k)]
         rows = [[0] * g for _ in range(g)]
         for idx, u in enumerate(factors):
             sign = 1 if idx % 2 == 0 else -1  # mixed signature, same rank
@@ -676,11 +675,10 @@ def random_rank_k_symmap(g: int, k: int, rng, bound: int = 5):
                 for b in range(g):
                     rows[a][b] += sign * u[a] * u[b]
         if _rank(rows) == k:
-            return (RationalSymMap._from_int(rows),
-                    [[Fraction(x) for x in u] for u in factors])
+            return RationalSymMap._from_int(rows), factors
 
 
-def tangent_direction(factors, g: int, rng, bound: int = 5) -> RationalSymMap:
+def tangent_direction(factors, g: int, rng) -> RationalSymMap:
     """Symmetric map guaranteed tangent to the rank locus at sum of outer squares.
 
     Built as sum u_j w_j^T + w_j u_j^T, which maps the kernel of the base
@@ -690,7 +688,7 @@ def tangent_direction(factors, g: int, rng, bound: int = 5) -> RationalSymMap:
     den = math.lcm(*dens)
     rows = [[0] * g for _ in range(g)]
     for u, d in zip(us, dens):
-        w = _random_int_vector(g, rng, bound)
+        w = _random_int_vector(g, rng, 5)
         u = [x * (den // d) for x in u]
         for a in range(g):
             for b in range(g):
@@ -710,34 +708,33 @@ class PencilProfile:
     n_samples: int
 
 
-def pencil_rank_profile(m, n, n_grid: int = 24, seed: int = 0,
-                        tol: float = 1e-10) -> PencilProfile:
-    """Rank profile of the pencil a M + b N for rank-one M, N."""
+def pencil_rank_profile(m, n) -> PencilProfile:
+    """Rank profile of the pencil a M + b N for rank-one M, N, at 24 grid and 24 random points."""
     ma = as_sym_array(m)
     na = as_sym_array(n)
     for name, a in (("first", ma), ("second", na)):
-        r, _, _ = rank_with_kernel(a, tol=tol)
+        r, _, _ = rank_with_kernel(a)
         if r != 1:
             raise InputNotRankOne(f"{name} pencil endpoint has rank {r}")
     stack = np.array([ma.reshape(-1), na.reshape(-1)])
-    r, _, _ = rank_with_kernel(stack, tol=tol)
+    r, _, _ = rank_with_kernel(stack)
     if r != 2:
         raise NotIndependent("pencil endpoints are linearly dependent")
-    rng = derive_rng(seed, "pencil")
+    rng = derive_rng(0, "pencil")
     best = 0
     count = 0
-    coeffs = [(np.cos(t), np.sin(t)) for t in np.linspace(0, np.pi, n_grid, endpoint=False)]
-    coeffs += [tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2)) for _ in range(n_grid)]
+    coeffs = [(np.cos(t), np.sin(t)) for t in np.linspace(0, np.pi, 24, endpoint=False)]
+    coeffs += [tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2)) for _ in range(24)]
     for a, b in coeffs:
         if abs(a) + abs(b) < 1e-12:
             continue
-        rank, _, _ = rank_with_kernel(a * ma + b * na, tol=tol)
+        rank, _, _ = rank_with_kernel(a * ma + b * na)
         best = max(best, rank)
         count += 1
     return PencilProfile(best, best >= 2, count)
 
 
-def find_rank_ones(x: LinSubspace, v, tol: float = 1e-8) -> list[SymMap]:
+def find_rank_ones(x: LinSubspace, v) -> list[SymMap]:
     """Rank-one elements of {M in span(x) : M v = 0}, up to scale.
 
     The intersection is expected to have dimension at most two (a pencil);
@@ -768,7 +765,7 @@ def find_rank_ones(x: LinSubspace, v, tol: float = 1e-8) -> list[SymMap]:
 
     def is_rank_one(a):
         s = np.linalg.svd(a, compute_uv=False)
-        return s[0] > tol and s[1] <= tol * s[0]
+        return s[0] > 1e-8 and s[1] <= 1e-8 * s[0]
 
     found = []
     if dim == 1:
@@ -796,7 +793,7 @@ def find_rank_ones(x: LinSubspace, v, tol: float = 1e-8) -> list[SymMap]:
         for s, t in candidates:
             cand = s * a + t * b
             norm = np.linalg.norm(cand)
-            if norm < tol:
+            if norm < 1e-8:
                 continue
             cand = cand / norm
             if is_rank_one(cand):

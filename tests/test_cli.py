@@ -196,6 +196,26 @@ def test_zero_rank_pairs_is_rejected():
         run_suites(RunConfig(suites=("rank-locus",), genus_list=(3,), rank_pairs=0))
 
 
+def test_repeated_genus_or_suite_exits_2_from_every_source(tmp_path, capsys):
+    # a repeated entry used to run its cells twice, with one report kept
+    with pytest.raises(ConfigInvalid, match=r"repeated genus entries \[2\]"):
+        RunConfig(genus_list=(2, 3, 2), suites=("slice-embed",)).validate()
+    with pytest.raises(ConfigInvalid, match=r"repeated suite entries \['slice-embed'\]"):
+        RunConfig(genus_list=(2,), suites=("slice-embed", "slice-embed")).validate()
+    assert main(["--genus", "2", "--genus", "2", "--suite", "slice-embed"]) == 2
+    assert main(["--genus", "2", "--suite", "slice-embed,slice-embed"]) == 2
+    assert main(["--genus", "2", "--suite", "slice-embed", "--suite", "slice-embed"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["slice-embed", "slice-embed"], "genus": [2]}))
+    assert main(["--config", str(cfg)]) == 2
+    cfg.write_text(json.dumps({"suites": ["slice-embed"], "genus": [2, 2]}))
+    assert main(["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("repeated suite entries ['slice-embed']") == 3
+    assert captured.err.count("repeated genus entries [2]") == 2
+
+
 @pytest.mark.parametrize("key,value", [
     ("n_tau", "three"), ("plane_trials", [1]), ("seed", True), ("genus", [True]),
     ("eval_trials", True), ("n_samples", 20000.5), ("rank_pairs", 0), ("rank_pairs", "25")])

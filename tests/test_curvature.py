@@ -74,8 +74,10 @@ def test_package_consistency():
     x = random_siegel_point(2, rng)
     pkg = curvature_package(x)
     assert np.allclose(pkg.h, np.linalg.inv(x.y))
-    scaled = pkg.omega.scale(1.0 / (2j * np.pi))
-    assert pkg.g_normalized.max_coeff_diff(scaled) < 1e-15
+    scaled = dual_curvature_matrix(x).scale(1.0 / (2j * np.pi))
+    assert pkg.g_normalized.max_coeff_diff(scaled) == 0
+    assert np.array_equal(pkg.gm, curvature_array(x, "dual") * (1.0 / (2j * np.pi)))
+    assert not pkg.h.flags.writeable and not pkg.gm.flags.writeable
 
 
 def test_pairing_form_is_real():
@@ -175,6 +177,14 @@ def one_one_form(k, g):
     return ExtForm(g, {(1 << a, 1 << b): k[a, b] for a in range(n) for b in range(n)})
 
 
+def pairing_form_oracle(pkg, v):
+    """<G v, v> as the sum of conj(v) h e_i times G[i, j] times v[j] over the entries of G."""
+    row = np.conj(v) @ pkg.h
+    g = pkg.g
+    return sum((pkg.g_normalized.entries[i][j] * (row[i] * v[j])
+                for i in range(g) for j in range(g)), ExtForm.zero(g))
+
+
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_pairing_matrix_batch_rows_match_pairing_form(g):
     rng = derive_rng(27, "pairing-batch", g)
@@ -184,8 +194,10 @@ def test_pairing_matrix_batch_rows_match_pairing_form(g):
     kb = pairing_matrix_batch(pkg, v)
     assert kb.shape == (4, g * (g + 1) // 2, g * (g + 1) // 2)
     for row, vn in zip(kb, v):
+        want = pairing_form_oracle(pkg, vn)
+        assert one_one_form(row, g).max_coeff_diff(want) < 1e-12 * want.norm_inf()
         form = curvature_pairing_form(pkg, vn)
-        assert one_one_form(row, g).max_coeff_diff(form) < 1e-12 * form.norm_inf()
+        assert form.max_coeff_diff(want) < 1e-12 * want.norm_inf()
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -218,11 +230,8 @@ def test_finite_difference_identity_point(metric):
     x = make_siegel_point(np.zeros((2, 2)), np.eye(2))
     analytic = curvature_array(x, metric)
     fd = curvature_fd(x, metric=metric, step=1e-5)
-    n = analytic.shape[2]
-    assert set(fd) == {(a, b) for a in range(n) for b in range(n)}
-    scale = max(np.max(np.abs(m)) for m in fd.values())
-    for (a, b), m in fd.items():
-        assert np.max(np.abs(analytic[:, :, a, b] - m)) < 1e-6 * scale
+    assert fd.shape == analytic.shape == (2, 2, 3, 3)
+    assert np.max(np.abs(analytic - fd)) < 1e-6 * np.max(np.abs(fd))
 
 
 def test_curvature_array_rejects_unknown_bundle():
@@ -276,7 +285,9 @@ def test_fold_projector_matches_the_pair_offset_loop(g):
 
 def _curvature_fd_loop(tau, metric, step=1e-5):
     """The loop over stencil points that curvature_fd replaced, kept as its oracle."""
-    metric_fn = METRICS[metric]
+    def metric_fn(t):
+        return METRICS[metric](t.imag)
+
     base = tau.tau
 
     def connection(alpha_pert, at):
@@ -309,5 +320,6 @@ def test_batched_stencil_matches_the_point_loop_bitwise(g, metric):
                                   **({} if wide else dict(spread=0.3, y_lo=0.2, y_hi=0.6)))
         want = _curvature_fd_loop(tau, metric)
         got = curvature_fd(tau, metric=metric)
-        assert list(got) == list(want)
-        assert all(np.array_equal(got[key], want[key]) for key in want)
+        n = sym_dim(g)
+        assert got.shape == (g, g, n, n) and len(want) == n * n
+        assert all(np.array_equal(got[:, :, a, b], m) for (a, b), m in want.items())

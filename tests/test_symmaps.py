@@ -12,7 +12,7 @@ from hodgecheck.errors import (
     NotIndependent,
     NotSymmetric,
 )
-from hodgecheck.linalg import LinSubspace, sym_dim, sym_to_vec
+from hodgecheck.linalg import LinSubspace, sym_dim, sym_pair_table, sym_to_vec
 from hodgecheck.sampling import derive_rng, random_subspace
 from hodgecheck.symmaps import (
     RationalSymMap,
@@ -35,7 +35,6 @@ from hodgecheck.symmaps import (
     random_rational_symmap,
     random_rational_vector,
     rank_locus_tangent_check,
-    rational_from_vec,
     rational_span_to_subspace,
     tangent_direction,
     wperp,
@@ -77,6 +76,38 @@ def test_wperp_exact_kernel():
     for m in basis:
         out = m.apply([Fraction(1), Fraction(2), Fraction(0), Fraction(-1)])
         assert all(v == 0 for v in out)
+    # integer rows give the same maps
+    assert [(m.num, m.den) for m in wperp_exact([[1, 2, 0, -1]], 4)] == \
+        [(m.num, m.den) for m in basis]
+
+
+def test_wperp_exact_rejects_rows_of_the_wrong_length():
+    # the third entry used to be ignored
+    with pytest.raises(DimensionMismatch):
+        wperp_exact([[1, 2, 3]], 2)
+    with pytest.raises(DimensionMismatch):
+        wperp_exact([[1, 2, 0], [1]], 3)
+
+
+def test_rational_apply_rejects_a_vector_of_the_wrong_length():
+    # a short vector used to be zipped away: [1, 0] for the map below
+    m = RationalSymMap([[1, 0], [0, 0]])
+    with pytest.raises(DimensionMismatch):
+        m.apply([1])
+    with pytest.raises(DimensionMismatch):
+        m.apply([1, 0, 0])
+    assert m.apply([3, 5]) == [3, 0]
+
+
+def test_rank_locus_tangent_check_rejects_mixed_genus():
+    # the exact path used to return agree=True, the float path a bare ValueError
+    m = RationalSymMap([[1, 0], [0, 0]])
+    n = RationalSymMap([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+    for exact in (True, False):
+        with pytest.raises(DimensionMismatch):
+            rank_locus_tangent_check(m, n, exact=exact)
+        with pytest.raises(DimensionMismatch):
+            rank_locus_tangent_check(n, m, exact=exact)
 
 
 def test_rational_symmap_validation():
@@ -171,9 +202,10 @@ def test_integer_store_matches_fraction_results():
 def test_integer_store_never_holds_fixed_width_integers():
     big = 2 ** 62 + 3
     entries = np.array([[big, -big], [-big, big - 7]], dtype=np.int64)
+    coords = np.array([big, -big, big - 7], dtype=np.int64)  # laid out by the pair table
     built = [RationalSymMap(entries),
              RationalSymMap(entries.tolist()).scale(Fraction(1, 3)),
-             rational_from_vec(np.array([big, -big, big - 7], dtype=np.int64), 2)]
+             RationalSymMap(coords[sym_pair_table(2).index])]
     for m in built:
         assert all(type(x) is int for r in m.num for x in r)
     m = built[0]
@@ -456,7 +488,8 @@ def test_wperp_exact_maps_are_the_fraction_route_maps():
                     for c in range(g):
                         row[index[r][c]] += w[c]
                     eqs.append(row)
-            want = [rational_from_vec(v, g) for v in _fraction_nullspace(eqs, n)]
+            want = [RationalSymMap([[v[i] for i in r] for r in index])
+                    for v in _fraction_nullspace(eqs, n)]
             assert [(m.num, m.den) for m in wperp_exact(w_rows, g)] == \
                 [(m.num, m.den) for m in want]
     # a negative common pivot moves its sign to the numerator
@@ -674,7 +707,7 @@ def test_random_rational_symmap_is_the_map_of_its_draw(g):
     rng, ref = derive_rng(21, "symmap", g), derive_rng(21, "symmap", g)
     for _ in range(5):
         m = random_rational_symmap(g, rng)
-        want = rational_from_vec(ref.integers(-9, 10, size=sym_dim(g)).tolist(), g)
+        want = RationalSymMap(ref.integers(-9, 10, size=sym_dim(g))[sym_pair_table(g).index])
         assert (m.num, m.den, m.g) == (want.num, want.den, want.g)
         assert all(type(x) is int for r in m.num for x in r)
     assert rng.integers(1 << 30) == ref.integers(1 << 30)
