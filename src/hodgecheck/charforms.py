@@ -225,14 +225,9 @@ def segre_by_quadrature(x, k: int, n_samples: int = 100_000,
 
 
 def check_pointwise_identity(tau: SiegelPoint, tol: float = 1e-9,
-                             n_samples: int | None = None,
                              seed: int = 0) -> VerificationReport:
-    """c ^ s = 1 for the dual bundle, across all Segre routes at one point."""
-    report = VerificationReport(
-        "forms-identity",
-        {"genus": tau.g, "tol": tol, "seed": seed,
-         "n_samples": n_samples},
-    )
+    """c ^ s = 1 for the dual bundle, across both exact Segre routes at one point."""
+    report = VerificationReport("forms-identity", {"genus": tau.g, "tol": tol, "seed": seed})
     g = tau.g
     n = sym_dim(g)
     pkg = curvature_package(tau)
@@ -261,15 +256,6 @@ def check_pointwise_identity(tau: SiegelPoint, tol: float = 1e-9,
         "first-segre-lines",
         "restriction of s_1 to random lines stays nonnegative",
         _restrict_to_planes(s_inv.component(1, 1), lines).min(), -1e-10))
-
-    if n_samples is not None:
-        for k in range(1, min(g, 3) + 1):
-            est = segre_by_quadrature(pkg, k, n_samples, seed)
-            exact = s_inv.component(k, k)
-            report.add(passing(
-                f"quadrature-s{k}",
-                f"sphere-average estimate of s_{k} within 3 standard errors",
-                est.compare(exact), 1.0))
     return report
 
 
@@ -370,13 +356,14 @@ def check_average_wedge_powers(tau: SiegelPoint, k: int = 1,
 
 def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
                                    trials: int = 1000, seed: int = 0,
-                                   n_v_samples: int = 100) -> VerificationReport:
+                                   n_v_samples: int = 100,
+                                   tol: float = 1e-10) -> VerificationReport:
     """Restrictions of s_i to i-planes: nonnegative, zero exactly on annihilators.
 
     Three phases: random i-planes give lambda >= 0; i-planes inside an exact
     annihilator space {M : M W = 0} with codim W = i - 1 give lambda = 0 and
     carry no evaluation of rank i; planes with a verified rank-i evaluation
-    give lambda strictly positive.
+    give lambda strictly positive.  tol bounds |lambda| in the second phase.
     """
     g = tau.g
     if i < 1 or i > g:
@@ -384,7 +371,7 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
     report = VerificationReport(
         "positivity-vanishing",
         {"genus": g, "i": i, "trials": trials, "seed": seed,
-         "n_v_samples": n_v_samples})
+         "n_v_samples": n_v_samples, "tol": tol})
     pkg = curvature_package(tau)
     s_i = segre_by_moments(pkg, i).component(i, i)
     n = sym_dim(g)
@@ -424,7 +411,7 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
         report.add(passing(
             "annihilator-plane-vanishing",
             f"|restriction of s_{i}| on {i}-planes inside exact annihilator spaces",
-            overall_zero, 1e-10))
+            overall_zero, tol))
         report.add(passing(
             "annihilator-rank-bound",
             f"no evaluation of rank {i} found on annihilator spaces "

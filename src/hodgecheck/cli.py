@@ -14,35 +14,39 @@ import sys
 
 from .errors import ConfigInvalid, SuiteUnknown
 from .report import canonical_json
-from .suites import DEFAULT_TOLERANCES, SUITES, RunConfig, run_suites
+from .suites import DEFAULT_TOLERANCES, FILE_KEYS, SUITES, RunConfig, run_suites
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each flag's dest is the RunConfig field it sets; None means not given
     parser = argparse.ArgumentParser(
         prog="hodgecheck",
         description="Run verification suites for the period-domain bundle "
                     "calculus and write a JSON report.")
     parser.add_argument("--config", metavar="PATH",
-                        help="JSON file with the same keys as the flags")
-    parser.add_argument("--suite", action="append", metavar="NAME",
+                        help="JSON file with the keys "
+                             f"{', '.join(sorted(FILE_KEYS))}; flags override it")
+    parser.add_argument("--suite", dest="suites", action="extend", metavar="NAME",
+                        type=lambda item: [s for s in item.split(",") if s],
                         help="suite to run (repeatable, comma separated "
                              f"allowed); available: {', '.join(sorted(SUITES))}")
-    parser.add_argument("--genus", action="append", type=int, metavar="G",
-                        help="genus to include (repeatable)")
+    parser.add_argument("--genus", dest="genus_list", action="append", type=int,
+                        metavar="G", help="genus to include (repeatable)")
     parser.add_argument("--seed", type=int, help="base seed for all sampling")
-    parser.add_argument("--samples", type=int,
+    parser.add_argument("--samples", dest="n_samples", type=int, metavar="SAMPLES",
                         help="sample count for Monte Carlo suites (min 100)")
     parser.add_argument("--tol", action="append", metavar="NAME=VALUE",
                         help="override a named tolerance "
                              f"({', '.join(sorted(DEFAULT_TOLERANCES))})")
-    parser.add_argument("--out", metavar="PATH",
+    parser.add_argument("--out", dest="output_path", metavar="PATH",
                         help="write the report here instead of stdout")
-    parser.add_argument("--parallel", action="store_true",
+    parser.add_argument("--parallel", action="store_true", default=None,
                         help="run suites in worker processes")
     return parser
 
 
 def _load_config_file(path: str) -> dict:
+    """The file's values keyed by RunConfig field, as the file typed them."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -52,12 +56,10 @@ def _load_config_file(path: str) -> dict:
         raise ConfigInvalid(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigInvalid("config file must hold a JSON object")
-    known = {"genus", "suites", "seed", "n_samples", "n_tau", "plane_trials",
-             "eval_trials", "rank_pairs", "tolerances", "out", "parallel"}
-    unknown = set(data) - known
+    unknown = set(data) - set(FILE_KEYS)
     if unknown:
-        raise ConfigInvalid(f"unknown config keys {sorted(unknown)}; known: {sorted(known)}")
-    return data
+        raise ConfigInvalid(f"unknown config keys {sorted(unknown)}; known: {sorted(FILE_KEYS)}")
+    return {FILE_KEYS[key]: value for key, value in data.items()}
 
 
 def _parse_tol_overrides(items) -> dict:
@@ -73,73 +75,22 @@ def _parse_tol_overrides(items) -> dict:
     return out
 
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("VERIFY_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigInvalid(f"VERIFY_SEED={raw!r} is not an integer") from exc
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    defaults = RunConfig()
-
-    def pick(flag_value, file_key, default):
-        if flag_value is not None:
-            return flag_value
-        if file_key in file_cfg:
-            return file_cfg[file_key]
-        return default
-
-    seed = args.seed
-    if seed is None:
-        seed = file_cfg.get("seed")
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        seed = defaults.seed
-
-    suites = []
-    if args.suite:
-        for item in args.suite:
-            suites.extend(s for s in item.split(",") if s)
-    elif "suites" in file_cfg:
-        raw = file_cfg["suites"]
-        if not isinstance(raw, list):
-            raise ConfigInvalid("config key 'suites' must be a list")
-        suites = list(raw)
-
-    genus = pick(args.genus, "genus", defaults.genus_list)
-    if not isinstance(genus, (list, tuple)):
-        raise ConfigInvalid("genus must be a list")
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    raw_tol = file_cfg.get("tolerances", {})
-    if not isinstance(raw_tol, dict):
+    values = _load_config_file(args.config) if args.config else {}
+    raw_seed = os.environ.get("VERIFY_SEED")
+    if raw_seed is not None and args.seed is None and "seed" not in values:
+        try:
+            values["seed"] = int(raw_seed)
+        except ValueError as exc:
+            raise ConfigInvalid(f"VERIFY_SEED={raw_seed!r} is not an integer") from exc
+    values.update((name, value) for name, value in vars(args).items()
+                  if name in FILE_KEYS.values() and value is not None)
+    tolerances = values.get("tolerances", {})
+    if not isinstance(tolerances, dict):
         raise ConfigInvalid("config key 'tolerances' must be an object")
-    try:
-        tolerances.update({k: float(v) for k, v in raw_tol.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"config tolerances must be numbers: {exc}") from exc
-    tolerances.update(_parse_tol_overrides(args.tol))
-
-    cfg = RunConfig(
-        genus_list=tuple(genus),
-        suites=tuple(suites),
-        seed=seed,
-        n_samples=pick(args.samples, "n_samples", defaults.n_samples),
-        n_tau=file_cfg.get("n_tau", defaults.n_tau),
-        plane_trials=file_cfg.get("plane_trials", defaults.plane_trials),
-        eval_trials=file_cfg.get("eval_trials", defaults.eval_trials),
-        rank_pairs=file_cfg.get("rank_pairs", defaults.rank_pairs),
-        tolerances=tolerances,
-        output_path=pick(args.out, "out", defaults.output_path),
-        parallel=bool(args.parallel or file_cfg.get("parallel", defaults.parallel)),
-    )
-    return cfg.validate()
+    values["tolerances"] = {**DEFAULT_TOLERANCES, **tolerances,
+                            **_parse_tol_overrides(args.tol)}
+    return RunConfig(**values).validate()
 
 
 def main(argv=None) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadParameters, DimensionMismatch, NotInWperp
+from .errors import DimensionMismatch, NotInWperp
 from .linalg import (
     LinSubspace,
     SiegelPoint,
@@ -34,7 +34,7 @@ from .linalg import (
     vec_to_sym,
 )
 from .report import VerificationReport, floor_check, passing
-from .sampling import derive_rng, random_subspace
+from .sampling import derive_rng
 from .symmaps import wperp
 
 WPERP_MEMBERSHIP_TOL = 1e-10

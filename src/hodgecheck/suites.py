@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .charforms import (
 from .curvature import fd_relative_error
 from .errors import ConfigInvalid, SuiteUnknown
 from .linalg import LinSubspace, sym_to_vec
-from .report import SCHEMA_VERSION, VerificationReport, passing
+from .report import SCHEMA_VERSION, VerificationReport, jsonable, passing
 from .sampling import derive_rng, random_siegel_point, random_subspace
 from .slices import check_embedded_subspace_invariance
 from .symmaps import (
@@ -50,6 +50,8 @@ DEFAULT_TOLERANCES = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every run setting; validate() is the one type and range gate for all sources."""
+
     genus_list: tuple = (1, 2, 3)
     suites: tuple = ()          # empty means all registered suites
     seed: int = 0
@@ -66,6 +68,9 @@ class RunConfig:
         # type, not isinstance: a JSON true is a bool, and bool subclasses int
         if type(self.seed) is not int or self.seed < 0:
             raise ConfigInvalid(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("genus_list", "suites"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigInvalid(f"{name} must be a list, got {getattr(self, name)!r}")
         if not self.genus_list:
             raise ConfigInvalid("empty genus list")
         for g in self.genus_list:
@@ -83,9 +88,15 @@ class RunConfig:
                 f"unknown tolerance names {sorted(unknown)}; "
                 f"known: {sorted(DEFAULT_TOLERANCES)}")
         for name, value in self.tolerances.items():
+            if type(value) not in (int, float):
+                raise ConfigInvalid(f"tolerances must be numbers, got {name}={value!r}")
             if not 0 < value < math.inf:
                 raise ConfigInvalid(
                     f"tolerance {name} must be positive and finite, got {value}")
+        if type(self.parallel) is not bool:
+            raise ConfigInvalid(f"parallel must be true or false, got {self.parallel!r}")
+        if self.output_path is not None and type(self.output_path) is not str:
+            raise ConfigInvalid(f"output_path must be a path string, got {self.output_path!r}")
         for name in self.suites:
             if name not in SUITES:
                 raise SuiteUnknown(
@@ -99,6 +110,11 @@ class RunConfig:
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
+
+
+# config-file key -> RunConfig field; the file spells two fields as their flags do
+FILE_KEYS = {{"genus_list": "genus", "output_path": "out"}.get(f.name, f.name): f.name
+             for f in fields(RunConfig)}
 
 
 def _forms_identity(cfg: RunConfig) -> VerificationReport:
@@ -141,7 +157,7 @@ def _positivity_vanishing(cfg: RunConfig) -> VerificationReport:
         rng = derive_rng(cfg.seed, "posvan-point", g)
         tau = random_siegel_point(g, rng)
         sub = check_positivity_and_vanishing(
-            tau, i=i, trials=cfg.plane_trials, seed=cfg.seed)
+            tau, i=i, trials=cfg.plane_trials, seed=cfg.seed, tol=cfg.tol("vanishing"))
         report.merge(sub, prefix=f"g{g}.")
     return report
 
@@ -338,18 +354,11 @@ def run_suites(cfg: RunConfig) -> dict:
     by_name = {name: rep.to_dict() for name, rep in zip(names, reports)}
     return {
         "schema_version": SCHEMA_VERSION,
-        "config": {
-            "genus_list": list(cfg.genus_list),
+        "config": jsonable({
+            **{f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "output_path"},
             "suites": names,
-            "seed": cfg.seed,
-            "n_samples": cfg.n_samples,
-            "n_tau": cfg.n_tau,
-            "plane_trials": cfg.plane_trials,
-            "eval_trials": cfg.eval_trials,
-            "rank_pairs": cfg.rank_pairs,
             "tolerances": {k: cfg.tol(k) for k in sorted(DEFAULT_TOLERANCES)},
-            "parallel": cfg.parallel,
-        },
+        }),
         "suites": dict(sorted(by_name.items())),
         "passed": bool(verdicts) and all(verdicts),
     }

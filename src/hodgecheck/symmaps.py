@@ -161,16 +161,6 @@ def frac_det(mat) -> Fraction:
     return Fraction(_det(rows), math.prod(scales))
 
 
-def frac_independent_rows(mat) -> list[int]:
-    """Indices of a maximal linearly independent subset of rows, greedily.
-
-    A row outside the span of the rows before it is a pivot column of the transpose.
-    """
-    rows, _ = _integer_rows(mat)
-    columns = [list(col) for col in zip(*rows)]
-    return _eliminate(columns, len(rows))[0]
-
-
 # ---------------------------------------------------------------------------
 # Rational symmetric maps.
 # ---------------------------------------------------------------------------
@@ -328,7 +318,6 @@ def rational_span_to_subspace(basis: list[RationalSymMap]) -> LinSubspace:
 @dataclass
 class DegeneracyWitness:
     v: object                 # fiber vector (ndarray, or list of int when exact)
-    basis_indices: list[int]  # rows of e_v that are independent
     rank: int
 
 
@@ -384,9 +373,8 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100, seed: int = 0
         hit = _find_witness(basis, i, n_v_samples, rng)
         if hit is None:
             return DegeneracyReport(True, None, i, dim, n_v_samples, True, note)
-        v, rows, rank = hit
-        idx = frac_independent_rows(rows)[:i]
-        return DegeneracyReport(False, DegeneracyWitness(v, idx, rank),
+        v, _, rank = hit
+        return DegeneracyReport(False, DegeneracyWitness(v, rank),
                                 i, dim, n_v_samples, True, "witness is exact")
 
     mats = _float_basis(x)
@@ -399,8 +387,7 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100, seed: int = 0
         rows = np.array([m @ v for m in mats], dtype=complex)
         rank, _, _ = rank_with_kernel(rows)
         if rank >= i:
-            idx = _independent_rows_float(rows, i)
-            return DegeneracyReport(False, DegeneracyWitness(v, idx, rank),
+            return DegeneracyReport(False, DegeneracyWitness(v, rank),
                                     i, dim, n_v_samples, False, "")
     return DegeneracyReport(True, None, i, dim, n_v_samples, False, note)
 
@@ -421,18 +408,6 @@ def _find_witness(basis: list[RationalSymMap], i: int, n_v: int, rng):
         if rank >= i:
             return w, rows, rank
     return None
-
-
-def _independent_rows_float(matrix: np.ndarray, count: int) -> list[int]:
-    chosen: list[int] = []
-    for idx in range(matrix.shape[0]):
-        trial = chosen + [idx]
-        r, _, _ = rank_with_kernel(matrix[trial])
-        if r == len(trial):
-            chosen = trial
-            if len(chosen) == count:
-                break
-    return chosen
 
 
 # ---------------------------------------------------------------------------

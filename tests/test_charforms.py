@@ -163,7 +163,7 @@ def test_quadrature_input_guards():
 def test_pointwise_identity_report():
     rng = derive_rng(36, "pointwise")
     x = random_siegel_point(2, rng)
-    rep = check_pointwise_identity(x, tol=1e-9, n_samples=2000, seed=3)
+    rep = check_pointwise_identity(x, tol=1e-9, seed=3)
     assert rep.passed
     names = [c["name"] for c in rep.to_dict()["checks"]]
     assert "moment-vs-inverse" in names

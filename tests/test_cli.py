@@ -226,3 +226,28 @@ def test_config_file_count_that_is_not_a_positive_integer_exits_2(key, value, tm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert key in captured.err
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("tolerances", {"fd": True}, "fd"), ("tolerances", {"slice": "1e-10"}, "slice"),
+    ("parallel", "no", "parallel"), ("parallel", 1, "parallel"),
+    ("out", ["report.json"], "out")])
+def test_config_file_value_of_the_wrong_json_type_exits_2(key, value, named, tmp_path, capsys):
+    # file values reach validate() as JSON typed them: nothing casts them first
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["slice-embed"], "genus": [2], key: value}))
+    assert main(["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
+
+
+def test_vanishing_tolerance_is_the_annihilator_plane_bound(tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["--suite", "positivity-vanishing", "--genus", "3",
+                 "--tol", "vanishing=1e-300", "--out", str(out)])
+    checks = json.loads(out.read_text())["suites"]["positivity-vanishing"]["checks"]
+    check = next(c for c in checks if c["name"] == "g3.annihilator-plane-vanishing")
+    assert check["tolerance"] == 1e-300
+    assert check["measured"] > 1e-300  # roundoff, about 1e-21
+    assert code == 1

@@ -21,7 +21,7 @@ from hodgecheck.extform import (
     restrict_to_plane,
     wedge,
 )
-from hodgecheck.linalg import LinSubspace, sym_dim, sym_to_vec
+from hodgecheck.linalg import LinSubspace, sym_dim
 from hodgecheck.sampling import derive_rng, random_plane_sg, random_symmetric_complex
 
 

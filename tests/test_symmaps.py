@@ -25,7 +25,6 @@ from hodgecheck.symmaps import (
     _integer_rows,
     _random_rational_w,
     frac_det,
-    frac_independent_rows,
     frac_matrix,
     frac_nullspace,
     frac_rank,
@@ -341,22 +340,6 @@ def gj_det(mat):
     return det
 
 
-def gj_independent_rows(mat):
-    chosen, reduced, pivots = [], [], []
-    for idx, row in enumerate(mat):
-        work = [Fraction(x) for x in row]
-        for rrow, p in zip(reduced, pivots):
-            f = work[p]
-            work = [a - f * b for a, b in zip(work, rrow)]
-        p = next((c for c, x in enumerate(work) if x != 0), None)
-        if p is None:
-            continue
-        reduced.append([x / work[p] for x in work])
-        pivots.append(p)
-        chosen.append(idx)
-    return chosen
-
-
 def random_rational_matrix(rng, nrows, ncols, rank=None, zero_cols=(),
                            zero_rows=(), den=7):
     """Random rational matrix with given rank (via a product), zeroed columns
@@ -410,7 +393,6 @@ def assert_matches_oracle(m):
     assert len(null) == ncols - len(want_pivots)
     for v in null:
         assert all(sum((a * b for a, b in zip(r, v)), Fraction(0)) == 0 for r in m)
-    assert frac_independent_rows(m) == gj_independent_rows(m)
     if len(m) == ncols:
         assert frac_det(m) == gj_det(m)
         assert isinstance(frac_det(m), Fraction)
@@ -500,7 +482,6 @@ def test_wperp_exact_maps_are_the_fraction_route_maps():
 def test_frac_helpers_accept_integers():
     m = [[0, 2, 4], [0, 1, 2], [3, 0, 1]]
     assert frac_rank(m) == 2
-    assert frac_independent_rows(m) == [0, 2]
     assert frac_det(m) == 0
     assert fraction_rref(m) == gj_rref(m)
 
@@ -525,7 +506,6 @@ def test_find_witness_matches_rational_evaluation():
             assert all((a == 0) == (b == 0) for a, b in zip(r, want))
             ratio = {Fraction(a) / b for a, b in zip(r, want) if b != 0}
             assert len(ratio) == 1 and ratio.pop() > 0
-        assert frac_independent_rows(rows) == gj_independent_rows(want_rows)
 
 
 def test_kernel_property_against_oracle():
