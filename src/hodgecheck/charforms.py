@@ -34,8 +34,7 @@ import numpy as np
 
 from .curvature import (
     CurvaturePackage,
-    _one_one_matrix,
-    curvature_array,
+    curvature_matrix,
     curvature_package,
     fundamental_matrix_batch,
     hodge_metric,
@@ -63,7 +62,7 @@ def _point(x) -> SiegelPoint:
 def normalized_curvature(x, bundle: str = "dual") -> FormMatrix:
     if isinstance(x, CurvaturePackage) and bundle == "dual":
         return x.g_normalized
-    return _one_one_matrix(curvature_array(_point(x), bundle) * (1.0 / (2j * np.pi)))
+    return curvature_matrix(_point(x), bundle).scale(1.0 / (2j * np.pi))
 
 
 def chern_total(x, bundle: str = "dual", k_max: int | None = None) -> ExtForm:
@@ -268,9 +267,8 @@ def check_chern_segre_equality(tau: SiegelPoint, k_list=(1, 2, 3),
     is evidence the equality persists there too.
     """
     g = tau.g
-    for k in k_list:
-        if k > g:
-            raise BadParameters(f"degree {k} exceeds genus {g}")
+    if not k_list or len(set(k_list)) != len(k_list) or not all(1 <= k <= g for k in k_list):
+        raise BadParameters(f"degrees {list(k_list)} must be distinct and in 1..{g}, at least one")
     report = VerificationReport(
         "dual-identity", {"genus": g, "k_list": list(k_list), "tol": tol})
     pkg = curvature_package(tau)

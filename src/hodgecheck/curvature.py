@@ -72,20 +72,9 @@ def curvature_array(tau: SiegelPoint, bundle: str = "dual") -> np.ndarray:
     return 0.25 * np.einsum("ik,bkl,lm,amj->ijab", b, p, b, p)
 
 
-def _one_one_matrix(c: np.ndarray) -> FormMatrix:
-    """The matrix of (1, 1)-forms whose entry (i, j) has coefficients c[i, j].
-
-    The 1-subsets in combinations order are the generator indices, so c[i, j]
-    is the (1, 1) block of entry (i, j) as it stands.
-    """
-    g = c.shape[0]
-    return FormMatrix(g, [[ExtForm.from_blocks(g, {(1, 1): c[i, j]}) for j in range(g)]
-                          for i in range(g)])
-
-
 def curvature_matrix(tau: SiegelPoint, bundle: str = "dual") -> FormMatrix:
-    """omega as a matrix of (1, 1)-forms, read off curvature_array."""
-    return _one_one_matrix(curvature_array(tau, bundle))
+    """omega as a matrix of (1, 1)-forms whose (1, 1) array is curvature_array as it stands."""
+    return FormMatrix.from_blocks(tau.g, {(1, 1): curvature_array(tau, bundle)})
 
 
 def dual_curvature_matrix(tau: SiegelPoint) -> FormMatrix:
@@ -101,7 +90,7 @@ class CurvaturePackage:
     """Point data for the dual Hodge bundle: metric and normalized curvature.
 
     gm is G = omega / (2 pi i) in curvature_array's layout, and g_normalized
-    the same coefficients as a matrix of (1, 1)-forms.
+    the matrix of (1, 1)-forms whose (1, 1) array is gm itself.
     """
 
     tau: SiegelPoint
@@ -116,7 +105,7 @@ class CurvaturePackage:
             a.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "gm", gm)
-        object.__setattr__(self, "g_normalized", _one_one_matrix(gm))
+        object.__setattr__(self, "g_normalized", FormMatrix.from_blocks(self.g, {(1, 1): gm}))
 
     @property
     def g(self) -> int:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterable
 
 import numpy as np
@@ -56,6 +56,8 @@ from .linalg import (
     sym_pair_table,
     vec_to_sym,
 )
+
+_SCALARS = (int, float, complex, np.number)  # what forms add to and multiply by
 
 
 def pair_index(g: int, a: int, b: int) -> int:
@@ -277,8 +279,10 @@ class ExtForm:
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, _SCALARS):
             other = ExtForm.scalar(other, self.g)
+        elif not isinstance(other, ExtForm):
+            return NotImplemented
         self._check_genus(other)
         blocks = dict(self._blocks)
         for key, b in other._blocks.items():
@@ -291,15 +295,15 @@ class ExtForm:
         return ExtForm.from_blocks(self.g, {k: -b for k, b in self._blocks.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, _SCALARS):
             other = ExtForm.scalar(other, self.g)
-        return self + (-other)
+        return self + (-other) if isinstance(other, ExtForm) else NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self) + other if isinstance(other, _SCALARS) else NotImplemented
 
     def __mul__(self, c):
-        if not isinstance(c, (int, float, complex, np.number)):
+        if not isinstance(c, _SCALARS):
             return NotImplemented
         c = complex(c)
         return ExtForm.from_blocks(self.g, {k: b * c for k, b in self._blocks.items()})
@@ -470,96 +474,104 @@ def _restrict_to_planes(a: ExtForm, bases: np.ndarray) -> np.ndarray:
 
 
 class FormMatrix:
-    """A g x g matrix whose entries are exterior forms.
+    """A g x g matrix of exterior forms, one complex array per bidegree (p, q).
 
-    Products use the wedge on entries and preserve factor order.  Determinants
-    and traces are only meaningful when entries are even (they then commute),
-    as they are for the curvature matrices of 2-forms this package builds.
+    Each array has shape (g, g, C(n, p), C(n, q)) and [i, j] is the (p, q)
+    block of entry (i, j); arrays are kept sorted by bidegree, and one zero in
+    every entry is not stored.  Products wedge entries in factor order; traces
+    and determinants assume even (commuting) entries, as are the curvature
+    matrices of 2-forms this package builds.
     """
 
-    __slots__ = ("g", "entries")
+    __slots__ = ("g", "n", "_blocks")
 
     def __init__(self, g: int, entries):
-        self.g = int(g)
-        rows = list(entries)
+        """Stack a g x g grid of ExtForm entries."""
+        rows = [list(r) for r in entries]
         if len(rows) != g or any(len(r) != g for r in rows):
             raise DimensionMismatch(f"entries must form a {g} x {g} grid")
-        for r in rows:
-            for e in r:
-                if not isinstance(e, ExtForm):
-                    raise DimensionMismatch("entries must be ExtForm instances")
-                if e.g != g:
-                    raise GenusMismatch(f"entry genus {e.g} vs matrix genus {g}")
-        self.entries = [list(r) for r in rows]
+        if not all(isinstance(e, ExtForm) for r in rows for e in r):
+            raise DimensionMismatch("entries must be ExtForm instances")
+        for e in (e for r in rows for e in r if e.g != g):
+            raise GenusMismatch(f"entry genus {e.g} vs matrix genus {g}")
+        keys = sorted(set().union(*(e.bidegrees() for r in rows for e in r)))
+        self.g, self.n = int(g), sym_dim(g)
+        self._blocks = {k: np.array([[e.block(*k) for e in r] for r in rows]) for k in keys}
+
+    @classmethod
+    def from_blocks(cls, g: int, blocks: dict[tuple[int, int], np.ndarray]) -> "FormMatrix":
+        """Matrix with the given (p, q) -> (g, g, C(n, p), C(n, q)) arrays, kept, not copied."""
+        m = cls.__new__(cls)
+        m.g, m.n, m._blocks = int(g), sym_dim(g), {}
+        for (p, q), block in sorted(blocks.items()):
+            block = np.asarray(block, dtype=complex)
+            shape = (m.g, m.g, math.comb(m.n, p), math.comb(m.n, q))
+            if block.shape != shape:
+                raise DimensionMismatch(f"block {(p, q)} has shape {block.shape}, not {shape}")
+            if block.any():
+                m._blocks[(p, q)] = block
+        return m
 
     @classmethod
     def identity(cls, g: int) -> "FormMatrix":
-        return cls(g, [[ExtForm.one(g) if i == j else ExtForm.zero(g) for j in range(g)]
-                       for i in range(g)])
+        return cls.from_blocks(g, {(0, 0): np.eye(g).reshape(g, g, 1, 1)})
 
-    def __getitem__(self, ij):
+    def __getitem__(self, ij) -> ExtForm:
+        """Entry (i, j), an ExtForm over views of this matrix's arrays."""
         i, j = ij
-        return self.entries[i][j]
+        return ExtForm.from_blocks(self.g, {k: b[i, j] for k, b in self._blocks.items()})
 
     def matmul(self, other: "FormMatrix", max_degree: int | None = None) -> "FormMatrix":
-        g = self.g
+        """Entry (i, j) adds entry (i, k) ^ entry (k, j) in place, over k, then bidegree pairs."""
+        g, n = self.g, self.n
         if other.g != g:
             raise GenusMismatch(f"genus {g} vs {other.g}")
-        out = []
-        for i in range(g):
-            row = []
-            for j in range(g):
-                acc = ExtForm.zero(g)
-                for k in range(g):
-                    acc = acc + self.entries[i][k].wedge(
-                        other.entries[k][j], max_degree=max_degree
-                    )
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(g, out)
+        cap = 2 * n if max_degree is None else max_degree
+        pairs = [((p1 + p2, q1 + q2), a, b, (p1, q1, p2, q2))
+                 for (p1, q1), a in self._blocks.items()
+                 for (p2, q2), b in other._blocks.items()
+                 if p1 + p2 <= n and q1 + q2 <= n and p1 + p2 + q1 + q2 <= cap]
+        out = {key: np.zeros((g, g, math.comb(n, key[0]), math.comb(n, key[1])), dtype=complex)
+               for key, *_ in pairs}
+        for i, j, k in product(range(g), repeat=3):  # a wedge over stacked entries measured slower
+            for key, a, b, degrees in pairs:
+                out[key][i, j] += _wedge_block(a[i, k], b[k, j], n, *degrees)
+        return FormMatrix.from_blocks(g, out)
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
+        if not isinstance(other, FormMatrix):
+            return NotImplemented
         if self.g != other.g:
             raise GenusMismatch(f"genus {self.g} vs {other.g}")
-        return FormMatrix(
-            self.g,
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.g)]
-                for i in range(self.g)
-            ],
-        )
+        blocks = dict(self._blocks)
+        for key, b in other._blocks.items():
+            blocks[key] = blocks[key] + b if key in blocks else b
+        return FormMatrix.from_blocks(self.g, blocks)
 
     def __sub__(self, other: "FormMatrix") -> "FormMatrix":
-        return self + other.scale(-1.0)
+        return self + other.scale(-1.0) if isinstance(other, FormMatrix) else NotImplemented
 
     def scale(self, c) -> "FormMatrix":
-        return FormMatrix(
-            self.g, [[e * c for e in row] for row in self.entries]
-        )
+        return FormMatrix.from_blocks(self.g, {k: b * complex(c) for k, b in self._blocks.items()})
 
     def trace(self) -> ExtForm:
-        acc = ExtForm.zero(self.g)
-        for i in range(self.g):
-            acc = acc + self.entries[i][i]
-        return acc
+        return ExtForm.from_blocks(self.g, {  # the diagonal in order of i, as a loop adds it
+            k: sum((b[i, i] for i in range(1, self.g)), b[0, 0]) for k, b in self._blocks.items()})
 
     def det(self, max_degree: int | None = None) -> ExtForm:
         """Leibniz determinant; assumes entries commute (even forms)."""
         g = self.g
+        entries = [[self[i, j] for j in range(g)] for i in range(g)]
         acc = ExtForm.zero(g)
         for perm in permutations(range(g)):
             sign = (-1.0) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
             prod = ExtForm.one(g)
             for i in range(g):
-                prod = prod.wedge(self.entries[i][perm[i]], max_degree=max_degree)
+                prod = prod.wedge(entries[i][perm[i]], max_degree=max_degree)
                 if prod.is_zero():
                     break
             acc = acc + prod * sign
         return acc
 
     def max_coeff_diff(self, other: "FormMatrix") -> float:
-        return max(
-            self.entries[i][j].max_coeff_diff(other.entries[i][j])
-            for i in range(self.g)
-            for j in range(self.g)
-        )
+        return max((float(np.abs(b).max()) for b in (self - other)._blocks.values()), default=0.0)

@@ -180,14 +180,13 @@ def _average_wedge(cfg: RunConfig) -> VerificationReport:
 
 
 def _curvature_fd(cfg: RunConfig) -> VerificationReport:
+    # double-precision differencing gets too noisy beyond genus 3
+    genera = [g for g in cfg.genus_list if g <= 3]
     report = VerificationReport(
         "curvature-fd",
-        {"genus_list": [g for g in cfg.genus_list if g <= 3],
-         "n_tau": cfg.n_tau, "seed": cfg.seed, "tol": cfg.tol("fd"),
+        {"genus_list": genera, "n_tau": cfg.n_tau, "seed": cfg.seed, "tol": cfg.tol("fd"),
          "step": 1e-5})
-    for g in cfg.genus_list:
-        if g > 3:
-            continue  # double-precision differencing gets too noisy beyond
+    for g in genera:
         for t in range(cfg.n_tau):
             rng = derive_rng(cfg.seed, "fd", g, t)
             # well-conditioned window keeps differencing noise below tolerance
@@ -225,13 +224,10 @@ def _eval_rank(cfg: RunConfig) -> VerificationReport:
 
 
 def _rank_locus(cfg: RunConfig) -> VerificationReport:
+    genera = [g for g in cfg.genus_list if 2 <= g <= 4]
     report = VerificationReport(
-        "rank-locus",
-        {"genus_list": [g for g in cfg.genus_list if 2 <= g <= 4],
-         "pairs_per_cell": cfg.rank_pairs, "seed": cfg.seed})
-    for g in cfg.genus_list:
-        if g < 2 or g > 4:
-            continue
+        "rank-locus", {"genus_list": genera, "pairs_per_cell": cfg.rank_pairs, "seed": cfg.seed})
+    for g in genera:
         rng = derive_rng(cfg.seed, "rank-locus", g)
         for k in range(1, g):
             disagreements = 0
@@ -299,13 +295,10 @@ def _pencil_rank_one_recovery(g: int, rng) -> int:
 
 
 def _slice_embed(cfg: RunConfig) -> VerificationReport:
+    genera = [g for g in cfg.genus_list if g >= 2]
     report = VerificationReport(
-        "slice-embed",
-        {"genus_list": [g for g in cfg.genus_list if g >= 2],
-         "seed": cfg.seed, "tol": cfg.tol("slice")})
-    for g in cfg.genus_list:
-        if g < 2:
-            continue
+        "slice-embed", {"genus_list": genera, "seed": cfg.seed, "tol": cfg.tol("slice")})
+    for g in genera:
         for wdim in sorted({1, g - 1}):
             rng = derive_rng(cfg.seed, "slice-point", g, wdim)
             tau0 = random_siegel_point(g, rng)

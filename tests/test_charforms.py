@@ -187,6 +187,13 @@ def test_dual_equality_rejects_high_order():
         check_chern_segre_equality(x, k_list=(3,))
 
 
+@pytest.mark.parametrize("k_list", [(), (0,), (-1,), (1, 1), (2, 1, 2)])
+def test_dual_equality_rejects_bad_degree_lists(k_list):
+    x = make_siegel_point(np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(BadParameters):
+        check_chern_segre_equality(x, k_list=k_list)
+
+
 def test_positivity_on_random_planes():
     rng = derive_rng(38, "positivity")
     for g in (2, 3):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -45,7 +47,7 @@ def test_scalar_curvature_closed_form():
     # one-variable case: curvature is -1/(4 y^2) e ^ ebar
     for y in (0.5, 1.0, 2.0, 3.7):
         p = make_siegel_point(np.array([[0.1]]), np.array([[y]]))
-        om = dual_curvature_matrix(p).entries[0][0]
+        om = dual_curvature_matrix(p)[0, 0]
         coeff = om.coefficient(1, 1)
         assert abs(coeff - (-1.0 / (4 * y * y))) < 1e-14
         assert om.bidegrees() == {(1, 1)}
@@ -53,7 +55,7 @@ def test_scalar_curvature_closed_form():
 
 def test_scalar_curvature_at_two_i():
     p = make_siegel_point(np.array([[0.0]]), np.array([[2.0]]))
-    coeff = dual_curvature_matrix(p).entries[0][0].coefficient(1, 1)
+    coeff = dual_curvature_matrix(p)[0, 0].coefficient(1, 1)
     assert coeff == pytest.approx(-0.0625, abs=1e-15)
 
 
@@ -61,12 +63,9 @@ def test_curvature_entries_are_one_one_forms():
     rng = derive_rng(20, "bidegree")
     for g in (1, 2, 3):
         x = random_siegel_point(g, rng)
-        for row in dual_curvature_matrix(x).entries:
-            for entry in row:
-                assert entry.bidegrees() <= {(1, 1)}
-        for row in hodge_curvature_matrix(x).entries:
-            for entry in row:
-                assert entry.bidegrees() <= {(1, 1)}
+        for m in (dual_curvature_matrix(x), hodge_curvature_matrix(x)):
+            for i, j in product(range(g), repeat=2):
+                assert m[i, j].bidegrees() <= {(1, 1)}
 
 
 def test_package_consistency():
@@ -78,6 +77,11 @@ def test_package_consistency():
     assert pkg.g_normalized.max_coeff_diff(scaled) == 0
     assert np.array_equal(pkg.gm, curvature_array(x, "dual") * (1.0 / (2j * np.pi)))
     assert not pkg.h.flags.writeable and not pkg.gm.flags.writeable
+
+
+def test_package_forms_are_gm_itself():
+    pkg = curvature_package(random_siegel_point(3, derive_rng(21, "package-share")))
+    assert np.shares_memory(pkg.g_normalized[2, 1].block(1, 1), pkg.gm)
 
 
 def test_pairing_form_is_real():
@@ -113,7 +117,7 @@ def test_pairing_form_matches_matrix_entry():
     x = make_siegel_point(np.zeros((2, 2)), np.eye(2))
     pkg = curvature_package(x)
     form = curvature_pairing_form(pkg, np.array([1.0, 0.0]))
-    assert form.max_coeff_diff(pkg.g_normalized.entries[0][0]) < 1e-15
+    assert form.max_coeff_diff(pkg.g_normalized[0, 0]) < 1e-15
 
 
 def test_pairing_form_rejects_zero():
@@ -181,7 +185,7 @@ def pairing_form_oracle(pkg, v):
     """<G v, v> as the sum of conj(v) h e_i times G[i, j] times v[j] over the entries of G."""
     row = np.conj(v) @ pkg.h
     g = pkg.g
-    return sum((pkg.g_normalized.entries[i][j] * (row[i] * v[j])
+    return sum((pkg.g_normalized[i, j] * (row[i] * v[j])
                 for i in range(g) for j in range(g)), ExtForm.zero(g))
 
 

@@ -1,4 +1,5 @@
-from itertools import combinations
+import math
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -410,3 +411,107 @@ def test_formmatrix_trace_and_identity():
     zero = ident - ident
     assert zero.det().is_zero()
     assert ident.det().max_coeff_diff(ExtForm.one(g)) == 0.0
+
+
+def test_scalar_addition_accepts_what_multiplication_does():
+    form = e(2, 0, 1).wedge(ebar(2, 1, 1)) + 0.5
+    one = ExtForm.one(2)
+    for c in (1, 1.0, 1 + 0j, np.int64(1), np.uint8(1), np.float32(1.0), np.complex128(1)):
+        assert (form + c).terms() == (c + form).terms() == (form + one).terms()
+        assert (form - c).terms() == (form - one).terms()
+        assert (c - form).terms() == (one - form).terms()
+    for bad in ("1", [1], None, FormMatrix.identity(2)):
+        for op in (lambda: form + bad, lambda: bad + form,
+                   lambda: form - bad, lambda: bad - form):
+            with pytest.raises(TypeError):
+                op()
+    with pytest.raises(GenusMismatch):
+        form + ExtForm.one(3)
+
+
+def random_grid(g, rng, keys=None):
+    """A g x g grid of random forms; with keys, dense blocks of those bidegrees in that order."""
+    if keys is None:
+        return [[random_form(g, rng, n_terms=3, max_deg=1) for _ in range(g)] for _ in range(g)]
+    n = sym_dim(g)
+
+    def dense(p, q):
+        shape = (math.comb(n, p), math.comb(n, q))
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return [[ExtForm.from_blocks(g, {k: dense(*k) for k in keys}) for _ in range(g)]
+            for _ in range(g)]
+
+
+def grid_matmul(a, b, g, max_degree=None):
+    """a b on grids: k first, then the entries' bidegree pairs in sorted order, one wedge each."""
+    out = [[ExtForm.zero(g) for _ in range(g)] for _ in range(g)]
+    for i in range(g):
+        for j in range(g):
+            for k in range(g):
+                for s in sorted(a[i][k].bidegrees()):
+                    for t in sorted(b[k][j].bidegrees()):
+                        out[i][j] = out[i][j] + a[i][k].component(*s).wedge(
+                            b[k][j].component(*t), max_degree=max_degree)
+    return out
+
+
+def grid_det(grid, g):
+    """The Leibniz determinant on a grid of forms."""
+    acc = ExtForm.zero(g)
+    for perm in permutations(range(g)):
+        sign = (-1.0) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        prod = ExtForm.one(g)
+        for i in range(g):
+            prod = prod.wedge(grid[i][perm[i]])
+        acc = acc + prod * sign
+    return acc
+
+
+def same_entries(m, grid, g):
+    return all(m[i, j].terms() == grid[i][j].terms() for i in range(g) for j in range(g))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_stacked_formmatrix_matches_grid_oracle_to_the_bit(g):
+    rng = derive_rng(43, "stacked-formmatrix", g)
+    a, b = random_grid(g, rng), random_grid(g, rng)
+    ma, mb = FormMatrix(g, a), FormMatrix(g, b)
+    assert same_entries(ma, a, g)
+    for cap in (None, 3):
+        assert same_entries(ma.matmul(mb, max_degree=cap), grid_matmul(a, b, g, cap), g)
+    assert ma.trace().terms() == sum((a[i][i] for i in range(g)), ExtForm.zero(g)).terms()
+    assert same_entries(ma + mb, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], g)
+    assert same_entries(ma - mb, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)], g)
+    c = 0.7 - 1.3j
+    assert same_entries(ma.scale(c), [[x * c for x in r] for r in a], g)
+    assert ma.max_coeff_diff(mb) == max(
+        x.max_coeff_diff(y) for r, s in zip(a, b) for x, y in zip(r, s))
+    # det of I - G, with G's entries even and their blocks sorted as the stack keeps them
+    gm = random_grid(g, rng, keys=[(0, 0), (1, 1)])
+    want = grid_det([[(ExtForm.one(g) if i == j else ExtForm.zero(g)) - gm[i][j]
+                      for j in range(g)] for i in range(g)], g)
+    assert (FormMatrix.identity(g) - FormMatrix(g, gm)).det().terms() == want.terms()
+
+
+def test_formmatrix_entries_are_views_without_zero_blocks():
+    g = 3
+    eye = np.eye(g, dtype=complex).reshape(g, g, 1, 1)
+    ident = FormMatrix.from_blocks(g, {(0, 0): eye, (1, 1): np.zeros((g, g, 6, 6))})
+    assert ident[0, 0].bidegrees() == {(0, 0)} and ident[0, 1].is_zero()
+    assert np.shares_memory(ident[1, 1].block(0, 0), eye)
+    assert (ident - ident)[0, 0].is_zero()
+
+
+def test_formmatrix_constructors_reject_bad_input():
+    g = 2
+    n = sym_dim(g)
+    with pytest.raises(DimensionMismatch):
+        FormMatrix.from_blocks(g, {(1, 1): np.ones((g, g, n, n + 1))})
+    with pytest.raises(DimensionMismatch):
+        FormMatrix.from_blocks(g, {(1, 1): np.ones((n, n))})
+    with pytest.raises(GenusMismatch):
+        FormMatrix(g, [[ExtForm.one(g), ExtForm.one(g)], [ExtForm.one(g), ExtForm.one(3)]])
+    with pytest.raises(DimensionMismatch):
+        FormMatrix(g, [[ExtForm.one(g), 1.0], [ExtForm.one(g), ExtForm.one(g)]])
+    with pytest.raises(DimensionMismatch):
+        FormMatrix(g, [[ExtForm.one(g)]])
