@@ -385,10 +385,7 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
         worst, -1e-10))
 
     if i >= 3:
-        c = i - 1
-        wdim = g - c
-        if wdim < 1:
-            raise BadParameters(f"need genus > {c} for the vanishing phase at i={i}")
+        wdim = g - i + 1  # >= 1, as i <= g
         overall_zero = 0.0
         degeneracy_ok = True
         n_spaces = 10

@@ -69,12 +69,12 @@ def random_unit_vector(metric: np.ndarray, rng: np.random.Generator, n: int) -> 
 
 def random_subspace(ambient_dim: int, dim: int, rng: np.random.Generator,
                     ambient_tag: str) -> LinSubspace:
-    rows = rng.standard_normal((dim, ambient_dim)) + 1j * rng.standard_normal((dim, ambient_dim))
-    return LinSubspace.from_spanning(rows, ambient_tag)
+    """Random complex dim-plane; more rows than ambient_dim raise BadDimension."""
+    return LinSubspace(_random_planes(ambient_dim, dim, 1, rng)[0], ambient_tag)
 
 
 def _random_planes(ambient_dim: int, dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """count random_subspace planes, to the bit, as one (count, dim, ambient_dim) basis array."""
+    """count random dim-planes as one (count, dim, ambient_dim) array of orthonormal rows."""
     parts = rng.standard_normal((count, 2, dim, ambient_dim))
     return _orthonormal_stack(parts[:, 0] + 1j * parts[:, 1])
 

@@ -126,7 +126,7 @@ def _forms_identity(cfg: RunConfig) -> VerificationReport:
         for t in range(cfg.n_tau):
             rng = derive_rng(cfg.seed, "forms", g, t)
             tau = random_siegel_point(g, rng)
-            sub = check_pointwise_identity(tau, tol=cfg.tol("identity"))
+            sub = check_pointwise_identity(tau, tol=cfg.tol("identity"), seed=cfg.seed)
             report.merge(sub, prefix=f"g{g}.t{t}.")
     return report
 

@@ -343,20 +343,18 @@ def _float_basis(x) -> list[np.ndarray]:
     return [m.as_float() if isinstance(m, RationalSymMap) else as_sym_array(m) for m in x]
 
 
-def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100, seed: int = 0,
-                                exact: bool | None = None) -> DegeneracyReport:
+def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
+                                seed: int = 0) -> DegeneracyReport:
     """Search for v with rank(e_v restricted to span(x)) >= i.
 
-    x is either a LinSubspace in flattened symmetric coordinates or a list of
-    RationalSymMap (exact path).  Absence of a witness over N integer samples
-    from [-1000, 1000]^g is wrong with probability at most (i/2001)^N when a
+    x is a LinSubspace in flattened symmetric coordinates or a list of maps.
+    The search is exact when every map is a RationalSymMap, and in floating
+    point otherwise.  Absence of a witness over N integer samples from
+    [-1000, 1000]^g is wrong with probability at most (i/2001)^N when a
     witness exists, by Schwartz-Zippel applied to the i x i minors.
     """
-    rational = isinstance(x, (list, tuple)) and x and isinstance(x[0], RationalSymMap)
-    if exact is None:
-        exact = rational
-    if exact and not rational:
-        raise BadDimension("exact path needs a rational basis")
+    exact = (isinstance(x, (list, tuple)) and bool(x)
+             and all(isinstance(m, RationalSymMap) for m in x))
     if i < 1:
         raise BadDimension(f"target rank must be >= 1, got {i}")
 
@@ -373,7 +371,7 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100, seed: int = 0
         hit = _find_witness(basis, i, n_v_samples, rng)
         if hit is None:
             return DegeneracyReport(True, None, i, dim, n_v_samples, True, note)
-        v, _, rank = hit
+        v, rank = hit
         return DegeneracyReport(False, DegeneracyWitness(v, rank),
                                 i, dim, n_v_samples, True, "witness is exact")
 
@@ -393,12 +391,11 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100, seed: int = 0
 
 
 def _find_witness(basis: list[RationalSymMap], i: int, n_v: int, rng):
-    """First of n_v random integer v with rank(e_v) >= i, as (v, rows, rank).
+    """First of n_v random integer v with rank(e_v) >= i, as (v, rank).
 
     The rows of e_v are taken on each map's integer rows num, so each is the
-    integer vector den * M v, a positive multiple of M v: the rank and the
-    independent rows are those of e_v.  Returns None when no draw reaches
-    rank i.
+    integer vector den * M v, a positive multiple of M v: the rank is that
+    of e_v.  Returns None when no draw reaches rank i.
     """
     g = basis[0].g
     for _ in range(n_v):
@@ -406,7 +403,7 @@ def _find_witness(basis: list[RationalSymMap], i: int, n_v: int, rng):
         rows = [[sum(a * b for a, b in zip(r, w)) for r in m.num] for m in basis]
         rank = _rank(rows)
         if rank >= i:
-            return w, rows, rank
+            return w, rank
     return None
 
 
@@ -484,10 +481,8 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
                     stacked = [m._flat() for m in perp] + [noise._flat()]
                     if _rank(stacked) == d + 1:
                         break
+                # noise is outside span(perp), so the copy keeps rank d
                 perturbed = [perp[0].add(noise.scale(eps))] + list(perp[1:])
-                if _rank([m._flat() for m in perturbed]) != d:
-                    missed += 1  # degenerate draw, count as failure
-                    continue
                 if t == 0:
                     probe = check_evaluation_degeneracy(
                         perturbed, i, n_v_samples, seed=int(rng.integers(1 << 30)))
@@ -571,27 +566,23 @@ def _minor_derivative_exact(m, n, rows, cols) -> int:
                for r_n in rows)
 
 
-def rank_locus_tangent_check(m, n, exact: bool | None = None) -> TangentCheck:
+def rank_locus_tangent_check(m, n) -> TangentCheck:
     """Compare two criteria for N being tangent to the rank locus at M.
 
     Route one: N maps ker(M) into im(M).  Route two: the directional
     derivatives at M, in direction N, of every (k+1) x (k+1) minor vanish,
-    where k = rank(M).  The two verdicts must agree.
+    where k = rank(M).  The two verdicts must agree.  Both run exactly when
+    M and N are RationalSymMap, and in floating point otherwise.
     """
-    rational = isinstance(m, RationalSymMap)
-    if exact is None:
-        exact = rational
-    if exact and not rational:
-        raise BadDimension("exact path needs RationalSymMap inputs")
-
-    if exact:
+    if isinstance(m, RationalSymMap) and isinstance(n, RationalSymMap):
         # integer rows: N ker(M) lies in im(M) for any positive scales of both
         g, mm, nn = m.g, m.num, n.num
         if n.g != g:
             raise DimensionMismatch(f"genus-{g} base point with a genus-{n.g} direction")
-        k = _rank(mm)
+        kernel = _int_nullspace(mm, g)[0]
+        k = g - len(kernel)
         predicate = True
-        for kv in ([x // math.gcd(*v) for x in v] for v in _int_nullspace(mm, g)[0]):
+        for kv in ([x // math.gcd(*v) for x in v] for v in kernel):
             nk = [sum(a * b for a, b in zip(r, kv)) for r in nn]
             if _rank([r + (x,) for r, x in zip(mm, nk)]) != k:
                 predicate = False

@@ -181,8 +181,7 @@ def test_criterion_06_vanishing_on_annihilators():
             for s3 in thirds:
                 worst_val = max(worst_val, abs(restrict_to_plane(s3, plane)))
             rep = check_evaluation_degeneracy(basis, 3,
-                                              n_v_samples=N_V_SAMPLES,
-                                              seed=g, exact=True)
+                                              n_v_samples=N_V_SAMPLES, seed=g)
             assert rep.satisfied and rep.witness is None
             vrng = derive_rng(0, "acc6-rank", g)
             for _ in range(N_V_SAMPLES):
@@ -218,7 +217,7 @@ def test_criterion_08_tangent_routes_never_disagree():
                     n = tangent_direction(factors, g, rng)
                 else:
                     n = random_rational_symmap(g, rng)
-                res = rank_locus_tangent_check(m, n, exact=True)
+                res = rank_locus_tangent_check(m, n)
                 assert res.agree, f"routes disagree at (g={g}, k={k})"
                 checked += 1
     _announce(8, checked == 600, f"{checked} exact pairs, zero disagreements")

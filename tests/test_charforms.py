@@ -36,6 +36,7 @@ from hodgecheck.sampling import (
     random_subspace,
     random_unit_vector,
 )
+from hodgecheck.suites import RunConfig, run_suites
 
 
 def test_chern_constant_term_and_degree_bound():
@@ -344,3 +345,14 @@ def test_average_wedge_coefficients_match_the_per_vector_forms(g, monkeypatch):
     for row, wi in zip(got, w):
         want = fundamental_form(line_hermitian_form(tau, wi), g).block(1, 1)
         assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_forms_identity_lines_follow_the_run_seed():
+    # the suite drew its lines from seed 0 at every run seed
+    report = run_suites(RunConfig(suites=("forms-identity",), genus_list=(2,), n_tau=1, seed=5))
+    got = next(c for c in report["suites"]["forms-identity"]["checks"]
+               if c["name"] == "g2.t0.first-segre-lines")
+    tau = random_siegel_point(2, derive_rng(5, "forms", 2, 0))
+    want = next(c for c in check_pointwise_identity(tau, seed=5).checks
+                if c.name == "first-segre-lines").to_dict()
+    assert got == {**want, "name": "g2.t0.first-segre-lines"}

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hodgecheck.curvature import hodge_metric
-from hodgecheck.sampling import derive_rng, random_siegel_point, random_unit_vector
+from hodgecheck.errors import BadDimension
+from hodgecheck.sampling import derive_rng, random_siegel_point, random_subspace, random_unit_vector
 
 
 def metric_for(g):
@@ -27,3 +28,12 @@ def test_draws_lie_on_the_metric_sphere(g):
     v = random_unit_vector(metric, derive_rng(52, "sphere", g), 500)
     norms = np.einsum("ni,ij,nj->n", v.conj(), metric, v)
     assert np.max(np.abs(norms - 1)) < 1e-12
+
+
+def test_random_subspace_refuses_more_rows_than_the_ambient_dimension():
+    # it used to return a smaller subspace than the one asked for
+    rng = derive_rng(53, "subspace")
+    assert random_subspace(3, 3, rng, "V").dim == 3
+    assert random_subspace(3, 0, rng, "V").dim == 0
+    with pytest.raises(BadDimension):
+        random_subspace(3, 4, rng, "V")

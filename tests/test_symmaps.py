@@ -102,11 +102,11 @@ def test_rank_locus_tangent_check_rejects_mixed_genus():
     # the exact path used to return agree=True, the float path a bare ValueError
     m = RationalSymMap([[1, 0], [0, 0]])
     n = RationalSymMap([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
-    for exact in (True, False):
+    for a, b in ((m, n), (m.as_float(), n.as_float())):
         with pytest.raises(DimensionMismatch):
-            rank_locus_tangent_check(m, n, exact=exact)
+            rank_locus_tangent_check(a, b)
         with pytest.raises(DimensionMismatch):
-            rank_locus_tangent_check(n, m, exact=exact)
+            rank_locus_tangent_check(b, a)
 
 
 def test_rational_symmap_validation():
@@ -250,7 +250,7 @@ def test_rank_locus_minors_with_denominators_match_fraction_oracle():
             for n in (random_rational_symmap(g, rng).scale(n_scale),
                       tangent_direction(factors, g, rng).scale(n_scale)):
                 assert m.den > 1 and n.den > 1
-                res = rank_locus_tangent_check(m, n, exact=True)
+                res = rank_locus_tangent_check(m, n)
                 want_k, want = frac_minor_derivative_oracle(m, n)
                 assert res.rank == want_k == k
                 assert res.max_minor_derivative == float(want)
@@ -493,7 +493,7 @@ def test_find_witness_matches_rational_evaluation():
         basis = [random_rational_symmap(g, rng).scale(Fraction(1, seed + 2 + j))
                  for j in range(3)]
         ours, ref = derive_rng(56, seed), derive_rng(56, seed)
-        v, rows, rank = _find_witness(basis, 3, 20, ours)
+        v, rank = _find_witness(basis, 3, 20, ours)
         for _ in range(20):  # the same search in Fraction arithmetic
             want_v = random_rational_vector(g, ref)
             want_rows = eval_matrix_exact(basis, want_v)
@@ -502,10 +502,6 @@ def test_find_witness_matches_rational_evaluation():
                 break
         assert ours.bit_generator.state == ref.bit_generator.state
         assert (v, rank) == (want_v, want_rank)
-        for r, want in zip(rows, want_rows):  # each row a positive multiple
-            assert all((a == 0) == (b == 0) for a, b in zip(r, want))
-            ratio = {Fraction(a) / b for a, b in zip(r, want) if b != 0}
-            assert len(ratio) == 1 and ratio.pop() > 0
 
 
 def test_kernel_property_against_oracle():
@@ -543,12 +539,11 @@ def test_degeneracy_annihilator_never_witnessed():
     for g in (3, 4):
         w_rows = [random_rational_vector(g, rng, bound=9) for _ in range(g - 2)]
         basis = wperp_exact(w_rows, g)
-        rep = check_evaluation_degeneracy(basis, 3, n_v_samples=30, seed=1,
-                                          exact=True)
+        rep = check_evaluation_degeneracy(basis, 3, n_v_samples=30, seed=1)
         assert rep.satisfied
         assert rep.witness is None
         rep_f = check_evaluation_degeneracy(rational_span_to_subspace(basis), 3,
-                                            n_v_samples=30, seed=1, exact=False)
+                                            n_v_samples=30, seed=1)
         assert rep_f.satisfied
 
 
@@ -556,8 +551,7 @@ def test_degeneracy_generic_space_witnessed():
     rng = derive_rng(54, "deg-gen")
     g = 3
     maps = [random_rational_symmap(g, rng) for _ in range(3)]
-    rep = check_evaluation_degeneracy(maps, 3, n_v_samples=30, seed=2,
-                                      exact=True)
+    rep = check_evaluation_degeneracy(maps, 3, n_v_samples=30, seed=2)
     assert not rep.satisfied
     assert rep.witness is not None
     assert rep.witness.rank >= 3
@@ -571,8 +565,8 @@ def test_degeneracy_float_path_reads_rational_maps():
     annihilator = wperp_exact([random_rational_vector(g, rng, bound=9) for _ in range(2)], g)
     generic = [random_rational_symmap(g, rng) for _ in range(3)]
     for maps, satisfied in ((annihilator, True), (generic, False)):
-        reps = [check_evaluation_degeneracy(maps, 3, n_v_samples=30, seed=3, exact=exact)
-                for exact in (True, False)]
+        reps = [check_evaluation_degeneracy(ms, 3, n_v_samples=30, seed=3)
+                for ms in (maps, [m.as_float() for m in maps])]
         assert [rep.satisfied for rep in reps] == [satisfied, satisfied]
         assert [rep.exact for rep in reps] == [True, False]
 
@@ -581,8 +575,7 @@ def test_degeneracy_rank_one_case():
     # any nonzero map has vectors outside its kernel
     rng = derive_rng(55, "deg-r1")
     maps = [random_rational_symmap(3, rng)]
-    rep = check_evaluation_degeneracy(maps, 1, n_v_samples=10, seed=0,
-                                      exact=True)
+    rep = check_evaluation_degeneracy(maps, 1, n_v_samples=10, seed=0)
     assert not rep.satisfied
 
 
@@ -590,7 +583,7 @@ def test_degeneracy_dimension_guard():
     rng = derive_rng(56, "deg-guard")
     maps = [random_rational_symmap(3, rng)]
     with pytest.raises(BadDimension):
-        check_evaluation_degeneracy(maps, 2, n_v_samples=5, seed=0, exact=True)
+        check_evaluation_degeneracy(maps, 2, n_v_samples=5, seed=0)
 
 
 def test_tangent_full_rank_always():
@@ -598,7 +591,7 @@ def test_tangent_full_rank_always():
     g = 3
     m, factors = random_rank_k_symmap(g, g, rng)
     n = random_rational_symmap(g, rng)
-    res = rank_locus_tangent_check(m, n, exact=True)
+    res = rank_locus_tangent_check(m, n)
     assert res.predicate_holds and res.minors_vanish and res.agree
     assert res.max_minor_derivative == 0.0
 
@@ -610,11 +603,11 @@ def test_tangent_explicit_two_by_two():
                           [Fraction(0), Fraction(1)]])
     off = RationalSymMap([[Fraction(0), Fraction(1)],
                           [Fraction(1), Fraction(0)]])
-    bad = rank_locus_tangent_check(e11, e22, exact=True)
+    bad = rank_locus_tangent_check(e11, e22)
     assert not bad.predicate_holds
     assert bad.agree
     assert bad.max_minor_derivative > 0
-    good = rank_locus_tangent_check(e11, off, exact=True)
+    good = rank_locus_tangent_check(e11, off)
     assert good.predicate_holds and good.minors_vanish and good.agree
     assert good.max_minor_derivative == 0.0
 
@@ -624,10 +617,66 @@ def test_tangent_constructed_directions_recognized():
     for g, k in ((3, 1), (3, 2), (4, 2)):
         m, factors = random_rank_k_symmap(g, k, rng)
         n = tangent_direction(factors, g, rng)
-        res = rank_locus_tangent_check(m, n, exact=True)
+        res = rank_locus_tangent_check(m, n)
         assert res.predicate_holds and res.agree
-        res_f = rank_locus_tangent_check(m, n, exact=False)
+        res_f = rank_locus_tangent_check(m.as_float(), n.as_float())
         assert res_f.predicate_holds and res_f.agree
+
+
+def test_mixed_pairs_take_the_float_route():
+    # only the first argument used to pick the route, so a mixed pair read .num off an array
+    rng = derive_rng(59, "tan-mixed")
+    g = 3
+    m, factors = random_rank_k_symmap(g, 2, rng)
+    for n in (tangent_direction(factors, g, rng), random_rational_symmap(g, rng)):
+        want = rank_locus_tangent_check(m.as_float(), n.as_float())
+        assert not want.exact
+        assert rank_locus_tangent_check(m, n.as_float()) == want
+        assert rank_locus_tangent_check(m.as_float(), n) == want
+
+    annihilator = wperp_exact([random_rational_vector(g, rng, bound=9)], g)
+    generic = [random_rational_symmap(g, rng) for _ in range(3)]
+    for maps, satisfied in ((annihilator, True), (generic, False)):
+        floats = [x.as_float() for x in maps]
+        want = check_evaluation_degeneracy(floats, 3, n_v_samples=30, seed=4)
+        assert want.satisfied == satisfied and not want.exact
+        for mixed in ([maps[0]] + floats[1:], floats[:-1] + [maps[-1]]):
+            got = check_evaluation_degeneracy(mixed, 3, n_v_samples=30, seed=4)
+            assert (got.satisfied, got.exact, got.dim, got.notes) == (
+                want.satisfied, want.exact, want.dim, want.notes)
+            if not satisfied:
+                assert got.witness.rank == want.witness.rank
+                assert np.array_equal(got.witness.v, want.witness.v)
+
+
+def test_perturbed_annihilator_keeps_its_dimension():
+    """perp[0] + eps * noise with noise outside span(perp) leaves a basis of rank d.
+
+    annihilator_rigidity_suite perturbs its annihilator bases this way and
+    relies on this fact instead of re-checking the rank of every copy.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(gi=st.sampled_from([(3, 3), (4, 3), (4, 4), (5, 3), (5, 4)]),
+                      seed=st.integers(0, 2**32 - 1),
+                      eps=st.fractions(min_value=-2, max_value=2, max_denominator=1000)
+                      .filter(lambda x: x != 0))
+    def check(gi, seed, eps):
+        g, i = gi
+        d = i * (i - 1) // 2
+        rng = derive_rng(seed, "perturbed-rank", g, i)
+        perp = wperp_exact(_random_rational_w(g, g - i + 1, rng), g)
+        assert len(perp) == d
+        while True:
+            noise = random_rational_symmap(g, rng)
+            if frac_rank([m.flatten() for m in perp] + [noise.flatten()]) == d + 1:
+                break
+        perturbed = [perp[0].add(noise.scale(eps))] + perp[1:]
+        assert frac_rank([m.flatten() for m in perturbed]) == d
+
+    check()
 
 
 def test_pencil_profile():
