@@ -170,6 +170,58 @@ def test_pointwise_identity_report():
     assert "moment-vs-inverse" in names
 
 
+def _scale_degree(form, k, factor):
+    blocks = {(p, q): form.block(p, q) * (factor if p == k else 1.0)
+              for p, q in form.bidegrees()}
+    return ExtForm.from_blocks(form.g, blocks)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_mumford_relation_fails_when_one_hodge_chern_degree_is_off_by_1e9(g, monkeypatch):
+    tau = random_siegel_point(g, derive_rng(43, "mumford", g))
+
+    def mumford(report):
+        return next(c for c in report.checks if c.name == "mumford-relation")
+
+    unmutated = mumford(check_pointwise_identity(tau))
+    assert unmutated.passed and unmutated.tolerance == charforms.MUMFORD_TOL
+    for k in range(1, g + 1):
+        def mutated_chern_total(x, bundle="dual", k_max=None, k=k):
+            total = chern_total(x, bundle, k_max)
+            return _scale_degree(total, k, 1 + 1e-9) if bundle == "hodge" else total
+
+        monkeypatch.setattr(charforms, "chern_total", mutated_chern_total)
+        check = mumford(check_pointwise_identity(tau))
+        assert not check.passed, (k, check.measured)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_forms_identity_segre_forms_stop_at_degree_g(g, monkeypatch):
+    built = []
+    for name in ("segre_by_inverse", "segre_by_moments"):
+        def keep(*args, _route=getattr(charforms, name), **kwargs):
+            built.append(_route(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(charforms, name, keep)
+    run_suites(RunConfig(suites=("forms-identity",), genus_list=(g,), n_tau=1))
+    assert len(built) == 2
+    for form in built:
+        assert max(form.bidegrees()) == (g, g)
+
+
+def test_forms_identity_asserts_five_checks_per_point():
+    report = run_suites(RunConfig(suites=("forms-identity",), genus_list=(1, 2), n_tau=2))
+    checks = report["suites"]["forms-identity"]["checks"]
+    assert all(c["passed"] for c in checks)
+    for g in (1, 2):
+        for t in range(2):
+            names = [c["name"] for c in checks
+                     if c["asserting"] and c["name"].startswith(f"g{g}.t{t}.")]
+            assert len(names) == 5
+            assert f"g{g}.t{t}.mumford-relation" in names
+
+
 def test_dual_equality_low_orders():
     rng = derive_rng(37, "dual-eq")
     x = random_siegel_point(3, rng)
@@ -249,13 +301,13 @@ def det_loop_stats(k_batch, k):
     prefactor = (-1.0) ** (k * (k - 1) // 2) * np.prod(np.arange(1, k + 1))
     subsets = list(combinations(range(n), k))
     means = np.zeros((len(subsets), len(subsets)), dtype=complex)
-    variances = np.zeros((len(subsets), len(subsets)))
+    second = np.zeros((len(subsets), len(subsets)))
     for i, rows in enumerate(subsets):
         for j, cols in enumerate(subsets):
             dets = prefactor * np.linalg.det(k_batch[:, rows][:, :, cols])
             means[i, j] = dets.mean()
-            variances[i, j] = dets.real.var() + dets.imag.var()
-    return means, variances
+            second[i, j] = np.mean(np.abs(dets) ** 2)
+    return means, second
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -263,13 +315,13 @@ def det_loop_stats(k_batch, k):
 def test_wedge_power_stats_matches_determinant_loop(n, k):
     rng = derive_rng(41, "minors", n, k)
     k_batch = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
-    means, variances = wedge_power_stats(k_batch, k)
-    want_means, want_variances = det_loop_stats(k_batch, k)
-    assert means.shape == variances.shape == want_means.shape
+    means, second = wedge_power_stats(k_batch, k)
+    want_means, want_second = det_loop_stats(k_batch, k)
+    assert means.shape == second.shape == want_means.shape
     if not means.size:
         return  # k > n: no minors
     assert np.max(np.abs(means - want_means)) <= 1e-12 * np.max(np.abs(want_means))
-    assert np.max(np.abs(variances - want_variances)) <= 1e-12 * np.max(want_variances)
+    assert np.max(np.abs(second - want_second)) <= 1e-12 * np.max(want_second)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -287,10 +339,11 @@ def test_wedge_power_stats_matches_exterior_power(k):
     power = ExtForm.one(g)
     for _ in range(k):
         power = power.wedge(omega)
-    means, variances = wedge_power_stats(coeffs[None], k)
+    means, second = wedge_power_stats(coeffs[None], k)
     form = ExtForm.from_blocks(g, {(k, k): means})
     assert form.bidegrees() == power.bidegrees()
-    assert not variances.any()
+    # one sample: its squared modulus is the second moment
+    assert np.allclose(second, np.abs(means) ** 2, rtol=1e-14, atol=0)
     assert form.max_coeff_diff(power) < 1e-13 * power.norm_inf()
 
 
