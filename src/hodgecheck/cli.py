@@ -1,8 +1,9 @@
 """Command line front end: configure, run suites, emit one JSON report.
 
 Exit codes: 0 all asserting checks passed, 1 some check failed, 2 the
-configuration was unusable or verified nothing.  Settings resolve as
-flag > config file > VERIFY_SEED environment variable > built-in default.
+configuration was unusable, the run verified nothing, or the report could
+not be written.  Settings resolve as flag > config file > VERIFY_SEED
+environment variable > built-in default.
 """
 
 from __future__ import annotations
@@ -109,8 +110,13 @@ def main(argv=None) -> int:
         return 2
     text = canonical_json(result)
     if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"hodgecheck: cannot write the report to {cfg.output_path}: "
+                  f"{exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if result["passed"] else 1

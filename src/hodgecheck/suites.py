@@ -117,34 +117,27 @@ FILE_KEYS = {{"genus_list": "genus", "output_path": "out"}.get(f.name, f.name): 
              for f in fields(RunConfig)}
 
 
-def _forms_identity(cfg: RunConfig) -> VerificationReport:
+def _per_point(cfg: RunConfig, suite: str, label: str, tol_name: str,
+               check) -> VerificationReport:
+    """check(tau, tol) at n_tau random points of each genus, one report."""
+    tol = cfg.tol(tol_name)
     report = VerificationReport(
-        "forms-identity",
-        {"genus_list": list(cfg.genus_list), "n_tau": cfg.n_tau,
-         "seed": cfg.seed, "tol": cfg.tol("identity")})
+        suite,
+        {"genus_list": list(cfg.genus_list), "n_tau": cfg.n_tau, "seed": cfg.seed, "tol": tol})
     for g in cfg.genus_list:
         for t in range(cfg.n_tau):
-            rng = derive_rng(cfg.seed, "forms", g, t)
-            tau = random_siegel_point(g, rng)
-            sub = check_pointwise_identity(tau, tol=cfg.tol("identity"), seed=cfg.seed)
-            report.merge(sub, prefix=f"g{g}.t{t}.")
+            tau = random_siegel_point(g, derive_rng(cfg.seed, label, g, t))
+            report.merge(check(tau, tol), prefix=f"g{g}.t{t}.")
     return report
+
+
+def _forms_identity(cfg: RunConfig) -> VerificationReport:
+    return _per_point(cfg, "forms-identity", "forms", "identity",
+                      lambda tau, tol: check_pointwise_identity(tau, tol=tol, seed=cfg.seed))
 
 
 def _dual_identity(cfg: RunConfig) -> VerificationReport:
-    report = VerificationReport(
-        "dual-identity",
-        {"genus_list": list(cfg.genus_list), "n_tau": cfg.n_tau,
-         "seed": cfg.seed, "tol": cfg.tol("equality")})
-    for g in cfg.genus_list:
-        k_list = tuple(k for k in (1, 2, 3) if k <= g)
-        for t in range(cfg.n_tau):
-            rng = derive_rng(cfg.seed, "dual", g, t)
-            tau = random_siegel_point(g, rng)
-            sub = check_chern_segre_equality(tau, k_list=k_list,
-                                             tol=cfg.tol("equality"))
-            report.merge(sub, prefix=f"g{g}.t{t}.")
-    return report
+    return _per_point(cfg, "dual-identity", "dual", "equality", check_chern_segre_equality)
 
 
 def _positivity_vanishing(cfg: RunConfig) -> VerificationReport:

@@ -176,6 +176,18 @@ def _scale_degree(form, k, factor):
     return ExtForm.from_blocks(form.g, blocks)
 
 
+def _mutated(route, k, factor, bundle="dual"):
+    """charforms.<route> with degree k of its output scaled; chern_total only for bundle."""
+    built = getattr(charforms, route)
+    if route != "chern_total":
+        return lambda *args, **kwargs: _scale_degree(built(*args, **kwargs), k, factor)
+
+    def mutated(x, which="dual", k_max=None):
+        total = built(x, which, k_max)
+        return _scale_degree(total, k, factor) if which == bundle else total
+    return mutated
+
+
 @pytest.mark.parametrize("g", [2, 3])
 def test_mumford_relation_fails_when_one_hodge_chern_degree_is_off_by_1e9(g, monkeypatch):
     tau = random_siegel_point(g, derive_rng(43, "mumford", g))
@@ -186,12 +198,9 @@ def test_mumford_relation_fails_when_one_hodge_chern_degree_is_off_by_1e9(g, mon
     unmutated = mumford(check_pointwise_identity(tau))
     assert unmutated.passed and unmutated.tolerance == charforms.MUMFORD_TOL
     for k in range(1, g + 1):
-        def mutated_chern_total(x, bundle="dual", k_max=None, k=k):
-            total = chern_total(x, bundle, k_max)
-            return _scale_degree(total, k, 1 + 1e-9) if bundle == "hodge" else total
-
-        monkeypatch.setattr(charforms, "chern_total", mutated_chern_total)
-        check = mumford(check_pointwise_identity(tau))
+        with monkeypatch.context() as patch:
+            patch.setattr(charforms, "chern_total", _mutated("chern_total", k, 1 + 1e-9, "hodge"))
+            check = mumford(check_pointwise_identity(tau))
         assert not check.passed, (k, check.measured)
 
 
@@ -225,26 +234,35 @@ def test_forms_identity_asserts_five_checks_per_point():
 def test_dual_equality_low_orders():
     rng = derive_rng(37, "dual-eq")
     x = random_siegel_point(3, rng)
-    rep = check_chern_segre_equality(x, k_list=(1, 2, 3))
+    rep = check_chern_segre_equality(x)
     assert rep.passed
-    checks = {c["name"]: c for c in rep.to_dict()["checks"]}
-    assert checks["c1-equals-dual-s1"]["measured"] < 1e-9
-    assert checks["c2-equals-dual-s2"]["measured"] < 1e-9
-    assert checks["c3-vs-dual-s3"]["asserting"] is False
-    assert checks["chern-product-both-bundles"]["asserting"] is False
+    checks = rep.to_dict()["checks"]
+    assert [c["name"] for c in checks] == [f"c{k}-equals-dual-s{k}" for k in (1, 2, 3)]
+    for c in checks:
+        assert c["asserting"] and c["measured"] < 1e-9
 
 
-def test_dual_equality_rejects_high_order():
-    x = make_siegel_point(np.zeros((2, 2)), np.eye(2))
-    with pytest.raises(BadParameters):
-        check_chern_segre_equality(x, k_list=(3,))
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_dual_equality_fails_exactly_the_degree_whose_hodge_chern_is_off_by_1e3(g, monkeypatch):
+    tau = random_siegel_point(g, derive_rng(44, "dual-mutation", g))
+    assert check_chern_segre_equality(tau).passed
+    for k in range(1, g + 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(charforms, "chern_total", _mutated("chern_total", k, 1 + 1e-3, "hodge"))
+            report = check_chern_segre_equality(tau)
+        assert [c.name for c in report.checks if not c.passed] == [f"c{k}-equals-dual-s{k}"]
 
 
-@pytest.mark.parametrize("k_list", [(), (0,), (-1,), (1, 1), (2, 1, 2)])
-def test_dual_equality_rejects_bad_degree_lists(k_list):
-    x = make_siegel_point(np.zeros((2, 2)), np.eye(2))
-    with pytest.raises(BadParameters):
-        check_chern_segre_equality(x, k_list=k_list)
+@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("route", ["segre_by_inverse", "segre_by_moments", "chern_total"])
+def test_forms_identity_fails_when_one_degree_of_a_route_is_off_by_1e6(g, route, monkeypatch):
+    tau = random_siegel_point(g, derive_rng(45, "route-mutation", g))
+    assert check_pointwise_identity(tau).passed
+    for k in range(1, g + 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(charforms, route, _mutated(route, k, 1 + 1e-6))
+            report = check_pointwise_identity(tau)
+        assert not report.passed, (k, [(c.name, c.measured) for c in report.checks])
 
 
 def test_positivity_on_random_planes():

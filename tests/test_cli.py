@@ -86,6 +86,17 @@ def test_cli_writes_report(tmp_path, capsys):
     assert doc["config"]["seed"] == 7
 
 
+@pytest.mark.parametrize("where", ["missing-dir/report.json", "."])
+def test_cli_unwritable_out_exits_2_naming_the_path(where, tmp_path, capsys):
+    # a path in a directory that does not exist, and a directory itself
+    out = tmp_path / where
+    assert main(["--suite", "curvature-fd", "--genus", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hodgecheck: ") and str(out) in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_stdout_report(capsys):
     code = main(["--suite", "rank-locus", "--genus", "2", "--seed", "1"])
     assert code == 0
