@@ -74,7 +74,7 @@ def curvature_array(tau: SiegelPoint, bundle: str = "dual") -> np.ndarray:
 
 def curvature_matrix(tau: SiegelPoint, bundle: str = "dual") -> FormMatrix:
     """omega as a matrix of (1, 1)-forms whose (1, 1) array is curvature_array as it stands."""
-    return FormMatrix.from_blocks(tau.g, {(1, 1): curvature_array(tau, bundle)})
+    return FormMatrix.from_blocks(sym_dim(tau.g), {(1, 1): curvature_array(tau, bundle)})
 
 
 def dual_curvature_matrix(tau: SiegelPoint) -> FormMatrix:
@@ -105,7 +105,8 @@ class CurvaturePackage:
             a.setflags(write=False)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "gm", gm)
-        object.__setattr__(self, "g_normalized", FormMatrix.from_blocks(self.g, {(1, 1): gm}))
+        object.__setattr__(self, "g_normalized",
+                           FormMatrix.from_blocks(sym_dim(self.g), {(1, 1): gm}))
 
     @property
     def g(self) -> int:
@@ -171,7 +172,7 @@ def curvature_pairing_form(pkg: CurvaturePackage, v) -> ExtForm:
         raise DimensionMismatch(f"vector shape {v.shape} does not match genus {g}")
     if np.allclose(v, 0):
         raise ZeroVector("pairing form needs a nonzero fiber vector")
-    return ExtForm.from_blocks(g, {(1, 1): pairing_matrix_batch(pkg, v[None])[0]})
+    return ExtForm.from_blocks(sym_dim(g), {(1, 1): pairing_matrix_batch(pkg, v[None])[0]})
 
 
 def pairing_matrix_batch(pkg: CurvaturePackage, v_batch: np.ndarray) -> np.ndarray:
@@ -228,7 +229,7 @@ def fundamental_form(l_matrix: np.ndarray, g: int) -> ExtForm:
     l_matrix = np.asarray(l_matrix, dtype=complex)
     if l_matrix.shape != (n, n):
         raise DimensionMismatch(f"form matrix shape {l_matrix.shape}, expected ({n}, {n})")
-    return ExtForm.from_blocks(g, {(1, 1): fundamental_matrix_batch(l_matrix[None], g)[0]})
+    return ExtForm.from_blocks(n, {(1, 1): fundamental_matrix_batch(l_matrix[None], g)[0]})
 
 
 def matched_dual_vector(tau: SiegelPoint, w) -> np.ndarray:

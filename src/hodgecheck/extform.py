@@ -1,19 +1,19 @@
-"""Dense exterior algebra on the coordinate 1-forms of a symmetric period matrix.
+"""Dense exterior algebra on n generator pairs dt[i] / dtbar[i], for any n.
 
-For genus g there are n = g(g+1)/2 generator pairs dt[a,b] / dtbar[a,b], one
-per unordered index pair a <= b; dt[a,b] and dt[b,a] are the same generator
-because the matrix is symmetric.  A form is a sum of monomials
-
-    coeff * dt[S] ^ dtbar[T]
-
-over index subsets S, T of the n generators.  It is stored as one complex
-array per bidegree (p, q), of shape C(n, p) x C(n, q), whose rows and columns
-run over the p- and q-subsets in itertools.combinations order.  A block that
+A form is a sum of monomials coeff * dt[S] ^ dtbar[T] over index subsets
+S, T of the n generators.  It is stored as one array per bidegree (p, q), of
+shape C(n, p) x C(n, q), whose rows and columns run over the p- and q-subsets
+in itertools.combinations order.  A block keeps the dtype it was built with
+(complex128, float64, int64, or Python ints in an object array, exact past
+int64), and results take the common dtype of their operands.  A block that
 is entirely zero is never stored, so the stored bidegrees are exactly the
 nonzero ones.  Outside the store a subset is a bitmask over the n generator
 indices, and a coefficient is addressed by a bitmask pair (S, T).  The
 canonical word order puts holomorphic generators first, each block ascending
-by index; every sign in this module is relative to that order.
+by index; every sign in this module is relative to that order.  Where forms
+meet symmetric matrices (pair_index, generator, contract, restrict_to_plane,
+repr) the generators are the n = g(g+1)/2 entries dt[a,b] = dt[b,a] of genus
+g, and any other n raises DimensionMismatch.
 
 Conventions that matter elsewhere:
 
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from itertools import combinations, permutations, product
 from typing import Iterable
 
@@ -66,6 +67,25 @@ def pair_index(g: int, a: int, b: int) -> int:
     return int(sym_pair_table(g).index[a, b])
 
 
+def _genus(n: int) -> int:
+    """The genus g with n = g(g+1)/2, whose symmetric matrices pair with n generators."""
+    g = (math.isqrt(8 * n + 1) - 1) // 2
+    if sym_dim(g) != n:
+        raise DimensionMismatch(f"{n} generators are the coordinates of no symmetric matrix")
+    return g
+
+
+def _block_shape(n: int, p: int, q: int) -> tuple[int, int]:
+    if p < 0 or q < 0:
+        raise DimensionMismatch(f"bidegree {(p, q)} is negative")
+    return math.comb(n, p), math.comb(n, q)
+
+
+def _python_scalar(c):
+    """A numpy scalar as its Python value, so its width (np.uint8 wraps) never types a block."""
+    return c.item() if isinstance(c, np.generic) else c
+
+
 @functools.cache
 def _subsets(n: int, k: int):
     """The k-subsets of range(n) in combinations order.
@@ -89,7 +109,7 @@ def _split_table(n: int, k1: int, k2: int):
     """
     splits = list(combinations(range(k1 + k2), k1))
     # the element in place s_i passes the s_i - i smaller elements of the rest
-    sign = np.array([-1.0 if (sum(s) - k1 * (k1 - 1) // 2) % 2 else 1.0 for s in splits])
+    sign = np.array([-1 if (sum(s) - k1 * (k1 - 1) // 2) % 2 else 1 for s in splits])
     position1, position2 = _subsets(n, k1)[2], _subsets(n, k2)[2]
     first, rest = [], []
     for u in combinations(range(n), k1 + k2):
@@ -112,7 +132,8 @@ def _wedge_block(a: np.ndarray, b: np.ndarray, n: int, p1: int, q1: int,
     hol_first, hol_rest, hol_sign = _split_table(n, p1, p2)
     anti_first, anti_rest, anti_sign = _split_table(n, q1, q2)
     weights = -anti_sign if (q1 * p2) % 2 else anti_sign
-    out = np.zeros((hol_first.shape[0], anti_first.shape[0]), dtype=complex)
+    out = np.zeros((hol_first.shape[0], anti_first.shape[0]), dtype=np.result_type(a, b))
+    a = a.astype(out.dtype, copy=False)  # so each split's product is taken in place
     for j, sign in enumerate(hol_sign):
         terms = a.take(hol_first[:, j], axis=0).take(anti_first, axis=1)
         terms *= b.take(hol_rest[:, j], axis=0).take(anti_rest, axis=1)
@@ -154,70 +175,61 @@ def _minors(rows: np.ndarray) -> np.ndarray:
 
 
 class ExtForm:
-    """Exterior form stored as dense per-bidegree blocks; immutable by convention."""
+    """Exterior form on n generators as dense per-bidegree blocks; immutable by convention."""
 
-    __slots__ = ("g", "n", "_blocks")
+    __slots__ = ("n", "_blocks")
     __array_ufunc__ = None  # keep numpy from coercing us in mixed products
 
-    def __init__(self, g: int, terms: dict[tuple[int, int], complex] | None = None):
-        self.g = int(g)
-        self.n = sym_dim(self.g)
-        blocks: dict[tuple[int, int], np.ndarray] = {}
-        if terms:
-            limit = 1 << self.n
-            for (s, t), c in terms.items():
-                if s >= limit or t >= limit:
-                    raise DimensionMismatch(
-                        f"mask ({s:#x}, {t:#x}) exceeds {self.n} generators"
-                    )
-                if c == 0:
-                    continue
-                p, q = s.bit_count(), t.bit_count()
-                block = blocks.get((p, q))
-                if block is None:
-                    block = blocks[(p, q)] = np.zeros(
-                        (math.comb(self.n, p), math.comb(self.n, q)), dtype=complex)
-                block[_subsets(self.n, p)[2][s], _subsets(self.n, q)[2][t]] = c
-        self._blocks = blocks
+    def __init__(self, n: int, terms: dict[tuple[int, int], complex] | None = None):
+        """Form with coefficient c at each mask pair (S, T); numpy types each block by its c."""
+        self.n, self._blocks = operator.index(n), {}
+        if self.n < 0:
+            raise DimensionMismatch(f"generator count {n} is negative")
+        entries: dict[tuple[int, int], list] = {}
+        for (s, t), c in (terms or {}).items():
+            if min(s, t) < 0 or (s | t) >> self.n:
+                raise DimensionMismatch(f"mask ({s:#x}, {t:#x}) outside {self.n} generators")
+            if c != 0:
+                entries.setdefault((s.bit_count(), t.bit_count()), []).append((s, t, c))
+        for (p, q), rows in entries.items():
+            s, t, values = zip(*rows)
+            values = np.array(values)
+            block = self._blocks[(p, q)] = np.zeros(_block_shape(self.n, p, q), values.dtype)
+            block[[_subsets(self.n, p)[2][m] for m in s],
+                  [_subsets(self.n, q)[2][m] for m in t]] = values
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_blocks(cls, g: int, blocks: dict[tuple[int, int], np.ndarray]) -> "ExtForm":
-        """Form with the given (p, q) -> C(n, p) x C(n, q) coefficient arrays.
-
-        The arrays are kept, not copied; blocks that are entirely zero are
-        dropped.
-        """
-        form = cls(g)
-        n = form.n
+    def from_blocks(cls, n: int, blocks: dict[tuple[int, int], np.ndarray]) -> "ExtForm":
+        """Form with the given (p, q) -> C(n, p) x C(n, q) arrays, kept, not copied, if nonzero."""
+        form = cls(n)
         for (p, q), block in blocks.items():
-            block = np.asarray(block, dtype=complex)
-            if block.shape != (math.comb(n, p), math.comb(n, q)):
+            block, shape = np.asarray(block), _block_shape(form.n, p, q)
+            if block.shape != shape:
                 raise DimensionMismatch(
-                    f"block {(p, q)} has shape {block.shape}, expected "
-                    f"{(math.comb(n, p), math.comb(n, q))} for {n} generators")
+                    f"block {(p, q)} has shape {block.shape}, expected {shape} for {n} generators")
             if block.any():
                 form._blocks[(p, q)] = block
         return form
 
     @classmethod
-    def zero(cls, g: int) -> "ExtForm":
-        return cls(g)
+    def zero(cls, n: int) -> "ExtForm":
+        return cls(n)
 
     @classmethod
-    def scalar(cls, c, g: int) -> "ExtForm":
-        return cls(g, {(0, 0): complex(c)})
+    def scalar(cls, n: int, c) -> "ExtForm":
+        return cls(n, {(0, 0): _python_scalar(c)})
 
     @classmethod
-    def one(cls, g: int) -> "ExtForm":
-        return cls.scalar(1.0, g)
+    def one(cls, n: int) -> "ExtForm":
+        return cls.scalar(n, 1)
 
     @classmethod
-    def generator(cls, g: int, a: int, b: int, conjugated: bool = False) -> "ExtForm":
-        bit = 1 << pair_index(g, a, b)
-        key = (0, bit) if conjugated else (bit, 0)
-        return cls(g, {key: 1.0})
+    def generator(cls, n: int, a: int, b: int, conjugated: bool = False) -> "ExtForm":
+        """dt[a,b], or dtbar[a,b] if conjugated, among the n = g(g+1)/2 generators of genus g."""
+        bit = 1 << pair_index(_genus(n), a, b)
+        return cls(n, {(0, bit) if conjugated else (bit, 0): 1})
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -226,7 +238,7 @@ class ExtForm:
         for (p, q), block in self._blocks.items():
             s_masks, t_masks = _subsets(self.n, p)[1], _subsets(self.n, q)[1]
             for i, j in zip(*np.nonzero(block)):
-                out[(s_masks[i], t_masks[j])] = complex(block[i, j])
+                out[(s_masks[i], t_masks[j])] = _python_scalar(block[i, j])
         return out
 
     def __len__(self) -> int:
@@ -236,26 +248,24 @@ class ExtForm:
         p, q = s.bit_count(), t.bit_count()
         block = self._blocks.get((p, q))
         if block is None or s >> self.n or t >> self.n:
-            return 0.0 + 0.0j
-        return complex(block[_subsets(self.n, p)[2][s], _subsets(self.n, q)[2][t]])
+            return 0
+        return _python_scalar(block[_subsets(self.n, p)[2][s], _subsets(self.n, q)[2][t]])
 
     @property
     def scalar_part(self) -> complex:
         return self.coefficient(0, 0)
 
     def block(self, p: int, q: int) -> np.ndarray:
-        """The stored (p, q) array (read counterpart of from_blocks), or zeros of its shape."""
+        """The stored (p, q) array (read counterpart of from_blocks), or int zeros of its shape."""
         block = self._blocks.get((p, q))
-        if block is None:
-            return np.zeros((math.comb(self.n, p), math.comb(self.n, q)), dtype=complex)
-        return block
+        return np.zeros(_block_shape(self.n, p, q), dtype=int) if block is None else block
 
     def is_zero(self) -> bool:
         return not self._blocks
 
     def component(self, p: int, q: int) -> "ExtForm":
         block = self._blocks.get((p, q))
-        return ExtForm.from_blocks(self.g, {} if block is None else {(p, q): block})
+        return ExtForm.from_blocks(self.n, {} if block is None else {(p, q): block})
 
     def bidegrees(self) -> set[tuple[int, int]]:
         return set(self._blocks)
@@ -269,34 +279,31 @@ class ExtForm:
     def max_coeff_diff(self, other: "ExtForm") -> float:
         return (self - other).norm_inf()
 
-    def allclose(self, other: "ExtForm", tol: float = 1e-12) -> bool:
-        return self.max_coeff_diff(other) <= tol
-
-    def _check_genus(self, other: "ExtForm"):
-        if self.g != other.g:
-            raise GenusMismatch(f"genus {self.g} vs {other.g}")
+    def _check_count(self, other: "ExtForm"):
+        if self.n != other.n:
+            raise GenusMismatch(f"forms on {self.n} vs {other.n} generators")
 
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
-            other = ExtForm.scalar(other, self.g)
+            other = ExtForm.scalar(self.n, other)
         elif not isinstance(other, ExtForm):
             return NotImplemented
-        self._check_genus(other)
+        self._check_count(other)
         blocks = dict(self._blocks)
         for key, b in other._blocks.items():
             blocks[key] = blocks[key] + b if key in blocks else b
-        return ExtForm.from_blocks(self.g, blocks)
+        return ExtForm.from_blocks(self.n, blocks)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtForm.from_blocks(self.g, {k: -b for k, b in self._blocks.items()})
+        return ExtForm.from_blocks(self.n, {k: -b for k, b in self._blocks.items()})
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
-            other = ExtForm.scalar(other, self.g)
+            other = ExtForm.scalar(self.n, other)
         return self + (-other) if isinstance(other, ExtForm) else NotImplemented
 
     def __rsub__(self, other):
@@ -305,8 +312,8 @@ class ExtForm:
     def __mul__(self, c):
         if not isinstance(c, _SCALARS):
             return NotImplemented
-        c = complex(c)
-        return ExtForm.from_blocks(self.g, {k: b * c for k, b in self._blocks.items()})
+        c = _python_scalar(c)
+        return ExtForm.from_blocks(self.n, {k: b * c for k, b in self._blocks.items()})
 
     __rmul__ = __mul__
 
@@ -316,7 +323,7 @@ class ExtForm:
     # -- the algebra --------------------------------------------------------
 
     def wedge(self, other: "ExtForm", max_degree: int | None = None) -> "ExtForm":
-        self._check_genus(other)
+        self._check_count(other)
         n = self.n
         cap = 2 * n if max_degree is None else max_degree
         out: dict[tuple[int, int], np.ndarray] = {}
@@ -327,14 +334,11 @@ class ExtForm:
                     continue
                 block = _wedge_block(a, b, n, p1, q1, p2, q2)
                 out[key] = out[key] + block if key in out else block
-        return ExtForm.from_blocks(self.g, out)
-
-    def __xor__(self, other):
-        return self.wedge(other)
+        return ExtForm.from_blocks(self.n, out)
 
     def conjugate(self) -> "ExtForm":
-        return ExtForm.from_blocks(self.g, {
-            (q, p): (-1.0 if p * q % 2 else 1.0) * b.T.conj()
+        return ExtForm.from_blocks(self.n, {
+            (q, p): (-1 if p * q % 2 else 1) * b.T.conj()
             for (p, q), b in self._blocks.items()
         })
 
@@ -346,17 +350,17 @@ class ExtForm:
         validated once, and its anti minors are the conjugated hol minors.
         (T, k, g, g) arrays give T values, each its set's alone to the bit.
         """
-        same = anti_vectors is hol_vectors
-        hol = as_sym_stack(hol_vectors, self.g)
-        anti = hol if same else as_sym_stack(anti_vectors, self.g)
+        same, g = anti_vectors is hol_vectors, _genus(self.n)
+        hol = as_sym_stack(hol_vectors, g)
+        anti = hol if same else as_sym_stack(anti_vectors, g)
         if hol.shape[:-3] != anti.shape[:-3]:
             raise DimensionMismatch(f"stacks of {hol.shape[:-3]} and {anti.shape[:-3]} sets")
         values = np.zeros(hol.shape[:-3], dtype=complex)
         block = self._blocks.get((hol.shape[-3], anti.shape[-3]))
         if block is not None:
-            hol_minors = _stack_minors(_coordinate_rows(hol, self.g))
+            hol_minors = _stack_minors(_coordinate_rows(hol, g))
             anti_minors = (hol_minors.conj() if same
-                           else _stack_minors(_coordinate_rows(anti, self.g).conj()))
+                           else _stack_minors(_coordinate_rows(anti, g).conj()))
             values.flat = [h @ block @ a for h, a in zip(hol_minors.reshape(-1, len(block)),
                                                          anti_minors.reshape(-1, block.shape[1]))]
         return values if values.ndim else complex(values)
@@ -380,11 +384,12 @@ class ExtForm:
         u: dict[int, ExtForm] = {}
         for p, q in self._blocks:
             if p + q:
-                u[p + q] = self.component(p, q) + u.get(p + q, ExtForm.zero(self.g))
+                u[p + q] = self.component(p, q) + u.get(p + q, ExtForm.zero(self.n))
         cap = 2 * self.n if max_degree is None else max_degree
-        s = [ExtForm.one(self.g)]  # s[d // 2] is the degree-d part
+        # s[d // 2] is the degree-d part; s_0 = 1 has the type of the scalar block
+        s = [ExtForm.from_blocks(self.n, {(0, 0): np.ones((1, 1), self.block(0, 0).dtype)})]
         for d in range(2, cap + 1, 2):
-            acc = ExtForm.zero(self.g)
+            acc = ExtForm.zero(self.n)
             for i, u_i in u.items():
                 if i <= d:
                     acc = acc + u_i.wedge(s[(d - i) // 2])
@@ -394,16 +399,16 @@ class ExtForm:
     # -- display ------------------------------------------------------------
 
     def __repr__(self):
-        if not self._blocks:
-            return f"ExtForm(g={self.g}, 0)"
-        pairs = sym_index_pairs(self.g)
+        try:  # generators are named by their matrix entry where n is a genus's count
+            names = [str(pair) for pair in sym_index_pairs(_genus(self.n))]
+        except DimensionMismatch:
+            names = [f"[{i}]" for i in range(self.n)]
         bits = []
         for (s, t), c in sorted(self.terms().items()):
-            gens = [f"dt{pairs[i]}" for i in range(self.n) if s >> i & 1]
-            gens += [f"dtbar{pairs[i]}" for i in range(self.n) if t >> i & 1]
-            word = "^".join(gens) if gens else "1"
-            bits.append(f"({c:.6g})*{word}")
-        return f"ExtForm(g={self.g}, " + " + ".join(bits) + ")"
+            gens = [f"dt{names[i]}" for i in range(self.n) if s >> i & 1]
+            gens += [f"dtbar{names[i]}" for i in range(self.n) if t >> i & 1]
+            bits.append(f"({c:.6g})*{'^'.join(gens) or '1'}")
+        return f"ExtForm(n={self.n}, {' + '.join(bits) or '0'})"
 
 
 def _coordinate_rows(stack: np.ndarray, g: int) -> np.ndarray:
@@ -446,18 +451,14 @@ def restrict_to_plane(a: ExtForm, y: LinSubspace) -> float:
     """
     if y.ambient_tag != "Sg":
         raise DimensionMismatch(f"plane must live in Sg coordinates, got {y.ambient_tag!r}")
-    n = y.ambient_dim
-    g = a.g
-    if n != sym_dim(g):
-        raise DimensionMismatch(
-            f"plane ambient dimension {n} does not match genus {g}"
-        )
+    if y.ambient_dim != a.n:
+        raise DimensionMismatch(f"plane ambient dimension {y.ambient_dim} is not {a.n} generators")
     return float(_restrict_to_planes(a, y.basis[None])[0])
 
 
 def _restrict_to_planes(a: ExtForm, bases: np.ndarray) -> np.ndarray:
     """restrict_to_plane on T planes of orthonormal (T, k, n) Sg rows, each value to the bit."""
-    k, g = bases.shape[-2], a.g
+    k, g = bases.shape[-2], _genus(a.n)
     mats = vec_to_sym(bases, g)
     coords = _coordinate_rows(mats, g)
     # theta_j(t) = Frobenius <t, mats[j]> (entries weighted 2 off the diagonal), so
@@ -474,38 +475,43 @@ def _restrict_to_planes(a: ExtForm, bases: np.ndarray) -> np.ndarray:
 
 
 class FormMatrix:
-    """A g x g matrix of exterior forms, one complex array per bidegree (p, q).
+    """A g x g matrix of exterior forms on n generators, one array per bidegree (p, q).
 
-    Each array has shape (g, g, C(n, p), C(n, q)) and [i, j] is the (p, q)
-    block of entry (i, j); arrays are kept sorted by bidegree, and one zero in
-    every entry is not stored.  Products wedge entries in factor order; traces
-    and determinants assume even (commuting) entries, as are the curvature
-    matrices of 2-forms this package builds.
+    Each array has shape (g, g, C(n, p), C(n, q)), keeps its dtype, and [i, j]
+    is the (p, q) block of entry (i, j); arrays are kept sorted by bidegree,
+    and one zero in every entry is not stored.  Products wedge entries in
+    factor order; traces and determinants assume even (commuting) entries, as
+    are the curvature matrices of 2-forms this package builds.
     """
 
     __slots__ = ("g", "n", "_blocks")
 
-    def __init__(self, g: int, entries):
-        """Stack a g x g grid of ExtForm entries."""
+    def __init__(self, n: int, entries):
+        """Stack a square grid of ExtForm entries on n generators."""
         rows = [list(r) for r in entries]
-        if len(rows) != g or any(len(r) != g for r in rows):
-            raise DimensionMismatch(f"entries must form a {g} x {g} grid")
+        if any(len(r) != len(rows) for r in rows):
+            raise DimensionMismatch("entries must form a square grid")
         if not all(isinstance(e, ExtForm) for r in rows for e in r):
             raise DimensionMismatch("entries must be ExtForm instances")
-        for e in (e for r in rows for e in r if e.g != g):
-            raise GenusMismatch(f"entry genus {e.g} vs matrix genus {g}")
+        for e in (e for r in rows for e in r if e.n != n):
+            raise GenusMismatch(f"entry on {e.n} vs matrix on {n} generators")
         keys = sorted(set().union(*(e.bidegrees() for r in rows for e in r)))
-        self.g, self.n = int(g), sym_dim(g)
+        self.g, self.n = len(rows), operator.index(n)
         self._blocks = {k: np.array([[e.block(*k) for e in r] for r in rows]) for k in keys}
 
     @classmethod
-    def from_blocks(cls, g: int, blocks: dict[tuple[int, int], np.ndarray]) -> "FormMatrix":
-        """Matrix with the given (p, q) -> (g, g, C(n, p), C(n, q)) arrays, kept, not copied."""
+    def from_blocks(cls, n: int, blocks: dict[tuple[int, int], np.ndarray],
+                    g: int | None = None) -> "FormMatrix":
+        """Matrix with the given (p, q) -> (g, g, C(n, p), C(n, q)) arrays, kept, not copied.
+
+        g is their leading size unless given, as it must be when no array holds it.
+        """
         m = cls.__new__(cls)
-        m.g, m.n, m._blocks = int(g), sym_dim(g), {}
-        for (p, q), block in sorted(blocks.items()):
-            block = np.asarray(block, dtype=complex)
-            shape = (m.g, m.g, math.comb(m.n, p), math.comb(m.n, q))
+        blocks = {k: np.asarray(b) for k, b in sorted(blocks.items())}
+        m.n, m._blocks = operator.index(n), {}
+        m.g = next((len(b) for b in blocks.values() if b.ndim), 0) if g is None else g
+        for (p, q), block in blocks.items():
+            shape = (m.g, m.g, *_block_shape(m.n, p, q))
             if block.shape != shape:
                 raise DimensionMismatch(f"block {(p, q)} has shape {block.shape}, not {shape}")
             if block.any():
@@ -513,59 +519,65 @@ class FormMatrix:
         return m
 
     @classmethod
-    def identity(cls, g: int) -> "FormMatrix":
-        return cls.from_blocks(g, {(0, 0): np.eye(g).reshape(g, g, 1, 1)})
+    def identity(cls, g: int, n: int) -> "FormMatrix":
+        return cls.from_blocks(n, {(0, 0): np.eye(g, dtype=int).reshape(g, g, 1, 1)})
 
     def __getitem__(self, ij) -> ExtForm:
         """Entry (i, j), an ExtForm over views of this matrix's arrays."""
         i, j = ij
-        return ExtForm.from_blocks(self.g, {k: b[i, j] for k, b in self._blocks.items()})
+        return ExtForm.from_blocks(self.n, {k: b[i, j] for k, b in self._blocks.items()})
+
+    def _check_shape(self, other: "FormMatrix"):
+        if (other.g, other.n) != (self.g, self.n):
+            raise GenusMismatch(f"{self.g} x {self.g} on {self.n} generators vs "
+                                f"{other.g} x {other.g} on {other.n}")
 
     def matmul(self, other: "FormMatrix", max_degree: int | None = None) -> "FormMatrix":
         """Entry (i, j) adds entry (i, k) ^ entry (k, j) in place, over k, then bidegree pairs."""
+        self._check_shape(other)
         g, n = self.g, self.n
-        if other.g != g:
-            raise GenusMismatch(f"genus {g} vs {other.g}")
         cap = 2 * n if max_degree is None else max_degree
-        pairs = [((p1 + p2, q1 + q2), a, b, (p1, q1, p2, q2))
+        pairs = [((p1 + p2, q1 + q2), a, b, (p1, q1, p2, q2), a.any(axis=(2, 3)),
+                  b.any(axis=(2, 3)))
                  for (p1, q1), a in self._blocks.items()
                  for (p2, q2), b in other._blocks.items()
                  if p1 + p2 <= n and q1 + q2 <= n and p1 + p2 + q1 + q2 <= cap]
-        out = {key: np.zeros((g, g, math.comb(n, key[0]), math.comb(n, key[1])), dtype=complex)
-               for key, *_ in pairs}
+        dtype = np.result_type(int, *self._blocks.values(), *other._blocks.values())
+        out = {key: np.zeros((g, g, *_block_shape(n, *key)), dtype) for key, *_ in pairs}
         for i, j, k in product(range(g), repeat=3):  # a wedge over stacked entries measured slower
-            for key, a, b, degrees in pairs:
-                out[key][i, j] += _wedge_block(a[i, k], b[k, j], n, *degrees)
-        return FormMatrix.from_blocks(g, out)
+            for key, a, b, degrees, a_live, b_live in pairs:
+                if a_live[i, k] and b_live[k, j]:  # a zero block adds nothing
+                    out[key][i, j] += _wedge_block(a[i, k], b[k, j], n, *degrees)
+        return FormMatrix.from_blocks(n, out, g)
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         if not isinstance(other, FormMatrix):
             return NotImplemented
-        if self.g != other.g:
-            raise GenusMismatch(f"genus {self.g} vs {other.g}")
+        self._check_shape(other)
         blocks = dict(self._blocks)
         for key, b in other._blocks.items():
             blocks[key] = blocks[key] + b if key in blocks else b
-        return FormMatrix.from_blocks(self.g, blocks)
+        return FormMatrix.from_blocks(self.n, blocks, self.g)
 
     def __sub__(self, other: "FormMatrix") -> "FormMatrix":
-        return self + other.scale(-1.0) if isinstance(other, FormMatrix) else NotImplemented
+        return self + other.scale(-1) if isinstance(other, FormMatrix) else NotImplemented
 
     def scale(self, c) -> "FormMatrix":
-        return FormMatrix.from_blocks(self.g, {k: b * complex(c) for k, b in self._blocks.items()})
+        c = _python_scalar(c)
+        return FormMatrix.from_blocks(self.n, {k: b * c for k, b in self._blocks.items()}, self.g)
 
     def trace(self) -> ExtForm:
-        return ExtForm.from_blocks(self.g, {  # the diagonal in order of i, as a loop adds it
+        return ExtForm.from_blocks(self.n, {  # the diagonal in order of i, as a loop adds it
             k: sum((b[i, i] for i in range(1, self.g)), b[0, 0]) for k, b in self._blocks.items()})
 
     def det(self, max_degree: int | None = None) -> ExtForm:
         """Leibniz determinant; assumes entries commute (even forms)."""
-        g = self.g
+        g, n = self.g, self.n
         entries = [[self[i, j] for j in range(g)] for i in range(g)]
-        acc = ExtForm.zero(g)
+        acc = ExtForm.zero(n)
         for perm in permutations(range(g)):
-            sign = (-1.0) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-            prod = ExtForm.one(g)
+            sign = (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+            prod = ExtForm.one(n)
             for i in range(g):
                 prod = prod.wedge(entries[i][perm[i]], max_degree=max_degree)
                 if prod.is_zero():

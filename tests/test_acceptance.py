@@ -83,7 +83,7 @@ def test_criterion_01_segre_inverts_chern_pointwise():
     worst = 0.0
     for g in GENUS_SWEEP:
         rng = derive_rng(0, "acc1", g)
-        one = ExtForm.one(g)
+        one = ExtForm.one(sym_dim(g))
         for _ in range(N_TAU):
             x = random_siegel_point(g, rng)
             c = chern_total(x)

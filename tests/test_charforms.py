@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -20,13 +20,15 @@ from hodgecheck.charforms import (
     wedge_power_stats,
 )
 from hodgecheck.curvature import (
+    _fold_projector,
+    curvature_array,
     curvature_package,
     fundamental_form,
     hodge_metric,
     line_hermitian_form,
 )
 from hodgecheck.errors import BadParameters, BadSampleCount
-from hodgecheck.extform import ExtForm, _minors, _restrict_to_planes, restrict_to_plane
+from hodgecheck.extform import ExtForm, FormMatrix, _minors, _restrict_to_planes, restrict_to_plane
 from hodgecheck.linalg import make_siegel_point, sym_dim, sym_index_pairs, sym_pair_table, vec_to_sym
 from hodgecheck.sampling import (
     _random_planes,
@@ -45,7 +47,7 @@ def test_chern_constant_term_and_degree_bound():
         x = random_siegel_point(g, rng)
         classes = chern_classes(x)
         assert len(classes) == g + 1
-        assert classes[0].max_coeff_diff(ExtForm.one(g)) == 0.0
+        assert classes[0].max_coeff_diff(ExtForm.one(sym_dim(g))) == 0.0
         total = chern_total(x)
         for p, q in total.bidegrees():
             assert p == q and p <= g
@@ -67,7 +69,7 @@ def test_moment_formula_small_orders():
     gm = normalized_curvature(x)
     tr = gm.trace()
     s = segre_by_moments(x, 2)
-    assert s.component(0, 0).max_coeff_diff(ExtForm.one(2)) == 0.0
+    assert s.component(0, 0).max_coeff_diff(ExtForm.one(sym_dim(2))) == 0.0
     assert s.component(1, 1).max_coeff_diff(tr) < 1e-14
     tr2 = gm.matmul(gm).trace()
     want_s2 = (tr.wedge(tr) + tr2) * 0.5
@@ -107,14 +109,14 @@ def test_wedge_identity_unit():
     for g in (1, 2):
         x = random_siegel_point(g, rng)
         prod = chern_total(x).wedge(segre_by_inverse(x))
-        assert prod.max_coeff_diff(ExtForm.one(g)) < 1e-12
+        assert prod.max_coeff_diff(ExtForm.one(sym_dim(g))) < 1e-12
 
 
 def test_quadrature_degenerate_orders():
     x = make_siegel_point(np.zeros((2, 2)), np.eye(2))
     # the empty minor is 1, so the general path gives exactly 1 at k = 0
     est0 = segre_by_quadrature(x, 0, n_samples=100, seed=0)
-    assert est0.form.max_coeff_diff(ExtForm.one(2)) == 0.0
+    assert est0.form.max_coeff_diff(ExtForm.one(sym_dim(2))) == 0.0
     assert est0.stderr.shape == (1, 1) and est0.stderr.max() == 0.0
     # one-dim fiber: every line is the same line, zero variance
     x1 = make_siegel_point(np.array([[0.2]]), np.array([[1.3]]))
@@ -135,22 +137,23 @@ def test_quadrature_matches_moments_within_band():
 
 def test_compare_bands_the_kk_block_by_stderr_and_the_rest_by_floor():
     g, k, floor = 2, 1, 1e-12
-    exact = ExtForm.from_blocks(g, {(1, 1): np.full((3, 3), 2.0)})
+    exact = ExtForm.from_blocks(sym_dim(g), {(1, 1): np.full((3, 3), 2.0)})
     stderr = np.full((3, 3), 0.1)
     # (k, k) coefficients score |difference| / (3 stderr + floor)
     kk = np.full((3, 3), 2.0)
     kk[0, 2] += 0.15
-    est = QuadratureEstimate(ExtForm.from_blocks(g, {(1, 1): kk}), stderr, 100, k)
+    est = QuadratureEstimate(ExtForm.from_blocks(sym_dim(g), {(1, 1): kk}), stderr, 100, k)
     assert est.compare(exact, floor) == pytest.approx(0.15 / (0.3 + floor))
     # a coefficient outside the (k, k) block scores |c| / floor
     off = np.zeros((3, 1))
     off[1, 0] = 3e-12
-    est = QuadratureEstimate(est.form + ExtForm.from_blocks(g, {(1, 0): off}), stderr, 100, k)
+    est = QuadratureEstimate(est.form + ExtForm.from_blocks(sym_dim(g), {(1, 0): off}),
+                             stderr, 100, k)
     assert est.compare(exact, floor) == pytest.approx(3.0)
     # with zero standard errors the (k, k) band is the floor as well
-    est = QuadratureEstimate(ExtForm.zero(g), np.zeros((3, 3)), 100, k)
+    est = QuadratureEstimate(ExtForm.zero(sym_dim(g)), np.zeros((3, 3)), 100, k)
     assert est.compare(exact, floor) == pytest.approx(2.0 / floor)
-    assert est.compare(ExtForm.zero(g), floor) == 0.0
+    assert est.compare(ExtForm.zero(sym_dim(g)), floor) == 0.0
 
 
 def test_quadrature_input_guards():
@@ -159,6 +162,85 @@ def test_quadrature_input_guards():
         segre_by_quadrature(x, 1, n_samples=10)
     with pytest.raises(BadParameters):
         segre_by_quadrature(x, 5, n_samples=100)
+
+
+@pytest.mark.parametrize("route", [chern_total, segre_by_inverse, segre_by_moments])
+def test_negative_degree_caps_are_rejected(route):
+    x = random_siegel_point(2, derive_rng(0, "negative-cap"))
+    with pytest.raises(BadParameters):
+        route(x, k_max=-1)
+
+
+def _int_det(m):
+    """Leibniz determinant of a square nested list of Python ints."""
+    size = len(m)
+    total = 0
+    for perm in permutations(range(size)):
+        term = (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _scaled_curvatures(y):
+    """4 d^2 Omega of the hodge and the dual bundle at tau = i y, d = det y, over the integers.
+
+    With B = y^-1 = adj(y) / d, 4 d^2 Omega_dual = -P adj P adj and
+    4 d^2 Omega_hodge = adj P adj P, laid out (i, j, a, b) as curvature_array.
+    """
+    g = len(y)
+    adj = np.array([[(-1) ** (i + j) * _int_det([[y[r][c] for c in range(g) if c != i]
+                                                  for r in range(g) if r != j])
+                     for j in range(g)] for i in range(g)], dtype=object)
+    p = [pa.astype(int).astype(object) for pa in _fold_projector(g)]
+    n = len(p)
+    hodge = np.empty((g, g, n, n), dtype=object)
+    dual = np.empty((g, g, n, n), dtype=object)
+    for a in range(n):
+        for b in range(n):
+            hodge[:, :, a, b] = adj @ p[b] @ adj @ p[a]
+            dual[:, :, a, b] = -(p[a] @ adj @ p[b] @ adj)
+    return hodge, dual
+
+
+def _exact_chern(scaled):
+    """det(I - A) over Python ints for a (g, g, n, n) object array A, through FormMatrix's minus."""
+    g, n = scaled.shape[1], scaled.shape[2]
+    eye = np.eye(g, dtype=int).astype(object).reshape(g, g, 1, 1)
+    return (FormMatrix.from_blocks(n, {(0, 0): eye})
+            - FormMatrix.from_blocks(n, {(1, 1): scaled})).det()
+
+
+def _python_ints(form):
+    return all(form.block(*k).dtype == object and all(type(c) is int for c in form.block(*k).flat)
+               for k in form.bidegrees())
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_mumford_relation_holds_exactly_over_the_integers(g):
+    """c(E) ^ c(E^dual) = 1 with every Chern degree scaled by (4 d^2 2 pi i)^k, in Python ints.
+
+    The scaling is common to both bundles degree by degree, so the relation
+    holds exactly for the integer arrays 4 d^2 Omega of an integer y = a a^T + I.
+    """
+    rng = derive_rng(0, "exact-mumford", g)
+    a = rng.integers(-2, 3, size=(g, g))
+    y = (a @ a.T + np.eye(g, dtype=int)).tolist()
+    d = _int_det(y)
+    hodge, dual = _scaled_curvatures(y)
+    tau = make_siegel_point(np.zeros((g, g)), np.array(y, dtype=float))
+    for bundle, scaled in (("hodge", hodge), ("dual", dual)):  # the layout of curvature_array
+        want = 4 * d * d * curvature_array(tau, bundle)
+        assert np.allclose(scaled.astype(complex), want, rtol=1e-12, atol=1e-9)
+    c_hodge, c_dual = _exact_chern(hodge), _exact_chern(dual)
+    product = c_hodge.wedge(c_dual)
+    assert (product - 1).is_zero()
+    assert all(_python_ints(f) for f in (c_hodge, c_dual, product))
+    assert c_hodge.block(g, g).any()  # the top class is there to cancel
+    mutated = hodge.copy()
+    mutated[0, 0, 0, 0] += 1
+    assert not (_exact_chern(mutated).wedge(c_dual) - 1).is_zero()
 
 
 def test_pointwise_identity_report():
@@ -173,7 +255,7 @@ def test_pointwise_identity_report():
 def _scale_degree(form, k, factor):
     blocks = {(p, q): form.block(p, q) * (factor if p == k else 1.0)
               for p, q in form.bidegrees()}
-    return ExtForm.from_blocks(form.g, blocks)
+    return ExtForm.from_blocks(form.n, blocks)
 
 
 def _mutated(route, k, factor, bundle="dual"):
@@ -346,19 +428,19 @@ def test_wedge_power_stats_matches_determinant_loop(n, k):
 def test_wedge_power_stats_matches_exterior_power(k):
     """One sample at genus 2: the coefficients of omega^k by repeated wedge."""
     g = 2
-    pairs = sym_index_pairs(g)
+    pairs, n = sym_index_pairs(g), sym_dim(g)
     rng = derive_rng(42, "wedge-power", k)
     coeffs = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    omega = ExtForm.zero(g)
+    omega = ExtForm.zero(n)
     for p, dt in enumerate(pairs):
         for q, dtbar in enumerate(pairs):
-            term = ExtForm.generator(g, *dt).wedge(ExtForm.generator(g, *dtbar, conjugated=True))
+            term = ExtForm.generator(n, *dt).wedge(ExtForm.generator(n, *dtbar, conjugated=True))
             omega = omega + term * coeffs[p, q]
-    power = ExtForm.one(g)
+    power = ExtForm.one(n)
     for _ in range(k):
         power = power.wedge(omega)
     means, second = wedge_power_stats(coeffs[None], k)
-    form = ExtForm.from_blocks(g, {(k, k): means})
+    form = ExtForm.from_blocks(n, {(k, k): means})
     assert form.bidegrees() == power.bidegrees()
     # one sample: its squared modulus is the second moment
     assert np.allclose(second, np.abs(means) ** 2, rtol=1e-14, atol=0)

@@ -175,10 +175,10 @@ def test_fundamental_form_bridge():
         assert ff.max_coeff_diff(pf * (4 * np.pi)) < 1e-12
 
 
-def one_one_form(k, g):
+def one_one_form(k):
     """The (1, 1)-form sum k[a, b] dt_a ^ dtbar_b."""
     n = k.shape[0]
-    return ExtForm(g, {(1 << a, 1 << b): k[a, b] for a in range(n) for b in range(n)})
+    return ExtForm(n, {(1 << a, 1 << b): k[a, b] for a in range(n) for b in range(n)})
 
 
 def pairing_form_oracle(pkg, v):
@@ -186,7 +186,7 @@ def pairing_form_oracle(pkg, v):
     row = np.conj(v) @ pkg.h
     g = pkg.g
     return sum((pkg.g_normalized[i, j] * (row[i] * v[j])
-                for i in range(g) for j in range(g)), ExtForm.zero(g))
+                for i in range(g) for j in range(g)), ExtForm.zero(sym_dim(g)))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -199,7 +199,7 @@ def test_pairing_matrix_batch_rows_match_pairing_form(g):
     assert kb.shape == (4, g * (g + 1) // 2, g * (g + 1) // 2)
     for row, vn in zip(kb, v):
         want = pairing_form_oracle(pkg, vn)
-        assert one_one_form(row, g).max_coeff_diff(want) < 1e-12 * want.norm_inf()
+        assert one_one_form(row).max_coeff_diff(want) < 1e-12 * want.norm_inf()
         form = curvature_pairing_form(pkg, vn)
         assert form.max_coeff_diff(want) < 1e-12 * want.norm_inf()
 
@@ -218,7 +218,7 @@ def test_fundamental_matrix_batch_matches_fundamental_form(g):
     assert np.max(np.abs(kb - 4 * np.pi * pb)) < 1e-12 * np.max(np.abs(kb))
     for row, wn in zip(kb, w):
         ff = fundamental_form(line_hermitian_form(x, wn), g)
-        assert one_one_form(row, g).max_coeff_diff(ff) < 1e-12 * ff.norm_inf()
+        assert one_one_form(row).max_coeff_diff(ff) < 1e-12 * ff.norm_inf()
 
 
 @pytest.mark.parametrize("g,seed", FD_POINTS)
@@ -253,16 +253,16 @@ def generator_product(factors, g):
     acc = None
     for f in factors:
         if isinstance(f, str):
-            m = [[ExtForm.generator(g, i, j, conjugated=(f == "dtbar")) for j in range(g)]
-                 for i in range(g)]
+            m = [[ExtForm.generator(sym_dim(g), i, j, conjugated=(f == "dtbar"))
+                  for j in range(g)] for i in range(g)]
         else:
-            m = [[ExtForm.scalar(f[i, j], g) for j in range(g)] for i in range(g)]
+            m = [[ExtForm.scalar(sym_dim(g), f[i, j]) for j in range(g)] for i in range(g)]
         if acc is None:
             acc = m
             continue
-        acc = [[sum((acc[i][k].wedge(m[k][j]) for k in range(g)), ExtForm.zero(g))
+        acc = [[sum((acc[i][k].wedge(m[k][j]) for k in range(g)), ExtForm.zero(sym_dim(g)))
                 for j in range(g)] for i in range(g)]
-    return FormMatrix(g, acc)
+    return FormMatrix(sym_dim(g), acc)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+import hodgecheck.extform as extform
 from hodgecheck.errors import (
     DimensionMismatch,
     GenusMismatch,
@@ -27,11 +28,11 @@ from hodgecheck.sampling import derive_rng, random_plane_sg, random_symmetric_co
 
 
 def e(g, a, b):
-    return ExtForm.generator(g, a, b)
+    return ExtForm.generator(sym_dim(g), a, b)
 
 
 def ebar(g, a, b):
-    return ExtForm.generator(g, a, b, conjugated=True)
+    return ExtForm.generator(sym_dim(g), a, b, conjugated=True)
 
 
 def random_form(g, rng, n_terms=8, max_deg=4):
@@ -44,7 +45,7 @@ def random_form(g, rng, n_terms=8, max_deg=4):
         s = sum(1 << int(i) for i in rng.choice(n, size=p, replace=False)) if p else 0
         t = sum(1 << int(i) for i in rng.choice(n, size=q, replace=False)) if q else 0
         terms[(s, t)] = complex(rng.standard_normal(), rng.standard_normal())
-    return ExtForm(g, terms)
+    return ExtForm(n, terms)
 
 
 def reference_wedge(a, b):
@@ -69,19 +70,33 @@ def reference_wedge(a, b):
             inversions = sum(x > y for i, x in enumerate(w) for y in w[i + 1:])
             key = (s1 | s2, t1 | t2)
             out[key] = out.get(key, 0.0) + (-1) ** inversions * c1 * c2
-    return ExtForm(a.g, out)
+    return ExtForm(a.n, out)
 
 
-def homogeneous_form(g, rng, degree, n_terms=6):
-    """Random form of one total degree, with mixed bidegrees."""
-    n = sym_dim(g)
+def homogeneous_form(n, rng, degree, n_terms=6, exact=False):
+    """Random form on n generators of one total degree, with mixed bidegrees.
+
+    An exact form has Python-int coefficients in object blocks.
+    """
     terms = {}
     for _ in range(n_terms if degree <= 2 * n else 0):
         p = int(rng.integers(max(0, degree - n), min(degree, n) + 1))
         s = sum(1 << int(i) for i in rng.choice(n, size=p, replace=False))
         t = sum(1 << int(i) for i in rng.choice(n, size=degree - p, replace=False))
-        terms[(s, t)] = complex(rng.standard_normal(), rng.standard_normal())
-    return ExtForm(g, terms)
+        terms[(s, t)] = (int(rng.integers(-9, 10)) if exact
+                         else complex(rng.standard_normal(), rng.standard_normal()))
+    return object_blocks(ExtForm(n, terms)) if exact else ExtForm(n, terms)
+
+
+def object_blocks(form):
+    """form with its blocks cast to object arrays, whose integers are Python ints."""
+    return ExtForm.from_blocks(form.n, {k: form.block(*k).astype(object) for k in form.bidegrees()})
+
+
+def python_ints(form):
+    """Whether every stored coefficient of form is a Python int in an object block."""
+    blocks = [form.block(*k) for k in form.bidegrees()]
+    return all(b.dtype == object and all(type(c) is int for c in b.flat) for b in blocks)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -93,30 +108,40 @@ def test_wedge_matches_reference_on_mixed_and_odd_forms(g):
         assert a.wedge(b).max_coeff_diff(want) <= 1e-12 * max(want.norm_inf(), 1.0)
     for da in (1, 3):
         for db in (1, 2):
-            a, b = homogeneous_form(g, rng, da), homogeneous_form(g, rng, db)
+            a, b = homogeneous_form(sym_dim(g), rng, da), homogeneous_form(sym_dim(g), rng, db)
             want = reference_wedge(a, b)
             assert a.wedge(b).max_coeff_diff(want) <= 1e-12 * max(want.norm_inf(), 1.0)
 
 
 def test_algebra_laws_hold_on_random_forms():
+    """The laws on n = 1..5 generators, 2, 4 and 5 being no genus's count.
+
+    Complex forms hold them to roundoff; exact forms, Python ints in object
+    blocks, hold them exactly and keep Python ints through every product.
+    """
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    @hypothesis.settings(max_examples=40, deadline=None, database=None, derandomize=True)
-    @hypothesis.given(g=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-                      degrees=st.tuples(*[st.integers(0, 4)] * 3))
-    def laws(g, seed, degrees):
+    @hypothesis.settings(max_examples=12, deadline=None, database=None, derandomize=True)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1), degrees=st.tuples(*[st.integers(0, 4)] * 3))
+    def laws(n, exact, seed, degrees):
         rng = np.random.default_rng(seed)
-        a, b, c = (homogeneous_form(g, rng, d) for d in degrees)
+        a, b, c = (homogeneous_form(n, rng, d, exact=exact) for d in degrees)
         da, db = degrees[:2]
-        assert a.wedge(b).wedge(c).max_coeff_diff(a.wedge(b.wedge(c))) < 1e-11
-        assert a.wedge(b).max_coeff_diff(b.wedge(a) * (-1.0) ** (da * db)) < 1e-11
-        assert conjugate(a.wedge(b)).max_coeff_diff(conjugate(a).wedge(conjugate(b))) < 1e-11
-        assert ExtForm(g, a.terms()).max_coeff_diff(a) == 0.0
-        even = ExtForm.one(g) + homogeneous_form(g, rng, 2) + homogeneous_form(g, rng, 4)
-        assert even.wedge(inverse_even(even)).max_coeff_diff(ExtForm.one(g)) < 1e-10
+        tol = 0 if exact else 1e-11
+        abc, ba, conj = a.wedge(b).wedge(c), b.wedge(a), conjugate(a.wedge(b))
+        assert abc.max_coeff_diff(a.wedge(b.wedge(c))) <= tol
+        assert a.wedge(b).max_coeff_diff(ba * (-1) ** (da * db)) <= tol
+        assert conj.max_coeff_diff(conjugate(a).wedge(conjugate(b))) <= tol
+        assert ExtForm(n, a.terms()).max_coeff_diff(a) == 0.0
+        even = sum((homogeneous_form(n, rng, d, exact=exact) for d in (2, 4)), ExtForm.one(n))
+        inverse = inverse_even(object_blocks(even) if exact else even)
+        assert (even.wedge(inverse) - 1).norm_inf() <= (0 if exact else 1e-10)
+        assert not exact or all(python_ints(f) for f in (abc, ba, conj, inverse))
 
-    laws()
+    for n in range(1, 6):
+        for exact in (False, True):
+            laws(n, exact)
 
 
 def test_exact_cancellation_leaves_no_block():
@@ -130,21 +155,51 @@ def test_exact_cancellation_leaves_no_block():
     assert mixed.bidegrees() == {(2, 0)}
     assert len(mixed) == 1
     # an odd part that cancels exactly does not block inversion
-    unit = ExtForm.one(g) + om.wedge(conjugate(om)) + e(g, 0, 0) - e(g, 0, 0)
+    unit = ExtForm.one(sym_dim(g)) + om.wedge(conjugate(om)) + e(g, 0, 0) - e(g, 0, 0)
     assert unit.is_even()
-    assert unit.wedge(inverse_even(unit)).max_coeff_diff(ExtForm.one(g)) == 0.0
+    assert unit.wedge(inverse_even(unit)).max_coeff_diff(ExtForm.one(sym_dim(g))) == 0.0
 
 
 def test_from_blocks_checks_shapes_and_drops_zero_blocks():
     g = 2
-    form = ExtForm.from_blocks(g, {(1, 1): np.eye(3), (2, 0): np.zeros((3, 1))})
+    form = ExtForm.from_blocks(sym_dim(g), {(1, 1): np.eye(3), (2, 0): np.zeros((3, 1))})
     assert form.bidegrees() == {(1, 1)}
     assert form.coefficient(0b10, 0b10) == 1.0
     # block reads back the stored array, and zeros for an absent bidegree
     assert np.array_equal(form.block(1, 1), np.eye(3))
     assert form.block(2, 0).shape == (3, 1) and not form.block(2, 0).any()
     with pytest.raises(DimensionMismatch):
-        ExtForm.from_blocks(g, {(1, 1): np.eye(2)})
+        ExtForm.from_blocks(sym_dim(g), {(1, 1): np.eye(2)})
+
+
+def test_negative_generator_count_is_rejected():
+    with pytest.raises(DimensionMismatch):
+        ExtForm(-1)
+
+
+def test_masks_outside_the_generators_are_rejected():
+    for mask in ((-1, 0), (0, -2), (1 << 3, 0)):
+        with pytest.raises(DimensionMismatch):
+            ExtForm(3, {mask: 1.0})
+
+
+def test_negative_bidegrees_are_rejected():
+    with pytest.raises(DimensionMismatch):
+        ExtForm.from_blocks(3, {(-1, 0): np.ones((0, 1))})
+    with pytest.raises(DimensionMismatch):
+        FormMatrix.from_blocks(3, {(0, -1): np.ones((2, 2, 1, 0))})
+
+
+def test_counts_of_no_genus_reject_only_the_matrix_operations():
+    form = ExtForm(4, {(0b1, 0b10): 2, (0b1100, 0): -1})
+    assert repr(form) == "ExtForm(n=4, (2)*dt[0]^dtbar[1] + (-1)*dt[2]^dt[3])"
+    assert repr(e(2, 0, 1)) == "ExtForm(n=3, (1)*dt(0, 1))"
+    with pytest.raises(DimensionMismatch):
+        ExtForm.generator(4, 0, 0)
+    with pytest.raises(DimensionMismatch):
+        contract(form, [np.eye(2)], [np.eye(2)])
+    with pytest.raises(DimensionMismatch):
+        restrict_to_plane(form.wedge(conjugate(form)), LinSubspace(np.eye(4)[:2], "Sg"))
 
 
 def test_generator_squares_to_zero():
@@ -167,11 +222,12 @@ def test_even_product_expansion():
     g = 2
     w1 = e(g, 0, 0).wedge(ebar(g, 0, 0))
     w2 = e(g, 1, 1).wedge(ebar(g, 1, 1))
-    prod = (ExtForm.one(g) + w1).wedge(ExtForm.one(g) + w2)
-    expected = ExtForm.one(g) + w1 + w2 + w1.wedge(w2)
+    one = ExtForm.one(sym_dim(g))
+    prod = (one + w1).wedge(one + w2)
+    expected = one + w1 + w2 + w1.wedge(w2)
     assert prod.max_coeff_diff(expected) == 0.0
     # even forms commute
-    assert prod.max_coeff_diff((ExtForm.one(g) + w2).wedge(ExtForm.one(g) + w1)) == 0.0
+    assert prod.max_coeff_diff((one + w2).wedge(one + w1)) == 0.0
 
 
 def test_wedge_associative_and_graded_commutative():
@@ -202,7 +258,7 @@ def test_wedge_degree_cap_is_plain_truncation():
         a, b = random_form(g, rng), random_form(g, rng)
         capped = a.wedge(b, max_degree=cap)
         full = a.wedge(b)
-        trunc = ExtForm(g, {
+        trunc = ExtForm(sym_dim(g), {
             (s, t): c for (s, t), c in full.terms().items()
             if bin(s).count("1") + bin(t).count("1") <= cap
         })
@@ -210,17 +266,18 @@ def test_wedge_degree_cap_is_plain_truncation():
 
 
 def test_inverse_of_one():
-    assert inverse_even(ExtForm.one(2)).max_coeff_diff(ExtForm.one(2)) == 0.0
+    assert inverse_even(ExtForm.one(sym_dim(2))).max_coeff_diff(ExtForm.one(sym_dim(2))) == 0.0
 
 
 def test_inverse_geometric_series():
     g = 2
     om = e(g, 0, 0).wedge(ebar(g, 0, 0)) * 0.7
-    inv = inverse_even(ExtForm.one(g) + om)
+    one = ExtForm.one(sym_dim(g))
+    inv = inverse_even(one + om)
     # alternating powers of a single nilpotent term
-    expected = ExtForm.one(g) - om + om.wedge(om) - om.wedge(om).wedge(om)
+    expected = one - om + om.wedge(om) - om.wedge(om).wedge(om)
     assert inv.max_coeff_diff(expected) < 1e-15
-    assert (ExtForm.one(g) + om).wedge(inv).max_coeff_diff(ExtForm.one(g)) < 1e-15
+    assert (one + om).wedge(inv).max_coeff_diff(one) < 1e-15
 
 
 def test_inverse_roundtrip_random_even():
@@ -228,24 +285,24 @@ def test_inverse_roundtrip_random_even():
     g = 3
     n = sym_dim(g)
     for _ in range(5):
-        u = ExtForm.zero(g)
+        u = ExtForm.zero(sym_dim(g))
         for _ in range(10):
             p = int(rng.integers(1, 3))
             s = sum(1 << int(i) for i in rng.choice(n, size=p, replace=False))
             t = sum(1 << int(i) for i in rng.choice(n, size=p, replace=False))
-            u = u + ExtForm(g, {(s, t): complex(rng.standard_normal(),
+            u = u + ExtForm(sym_dim(g), {(s, t): complex(rng.standard_normal(),
                                                 rng.standard_normal())})
-        a = ExtForm.one(g) + u
+        a = ExtForm.one(sym_dim(g)) + u
         b = inverse_even(a)
-        assert a.wedge(b).max_coeff_diff(ExtForm.one(g)) < 1e-12
-        assert b.wedge(a).max_coeff_diff(ExtForm.one(g)) < 1e-12
+        assert a.wedge(b).max_coeff_diff(ExtForm.one(sym_dim(g))) < 1e-12
+        assert b.wedge(a).max_coeff_diff(ExtForm.one(sym_dim(g))) < 1e-12
 
 
 def test_inverse_rejects_bad_scalar():
     with pytest.raises(NotUnitScalar):
-        inverse_even(ExtForm.one(2) * 2.0)
+        inverse_even(ExtForm.one(sym_dim(2)) * 2.0)
     with pytest.raises(OddComponent):
-        inverse_even(ExtForm.one(2) + e(2, 0, 0))
+        inverse_even(ExtForm.one(sym_dim(2)) + e(2, 0, 0))
 
 
 def test_conjugate_basics():
@@ -324,7 +381,7 @@ def test_contract_one_stack_on_both_sides_matches_two_stacks():
     nonzero = 0
     for g in (2, 3):
         for k in (1, 2, 3):
-            form = homogeneous_form(g, rng, 2 * k, n_terms=12)
+            form = homogeneous_form(sym_dim(g), rng, 2 * k, n_terms=12)
             stack = np.array([random_symmetric_complex(g, rng) for _ in range(k)])
             shared = contract(form, stack, stack)
             assert shared == contract(form, stack, stack.copy())
@@ -339,7 +396,7 @@ def test_stacked_sets_contract_as_each_set_alone():
     rng = derive_rng(18, "stacked-contract")
     for g in (2, 3):
         for p, q in ((1, 1), (2, 1), (2, 2), (3, 3)):
-            form = homogeneous_form(g, rng, p + q, n_terms=12)
+            form = homogeneous_form(sym_dim(g), rng, p + q, n_terms=12)
             hol = np.array([[random_symmetric_complex(g, rng) for _ in range(p)] for _ in range(7)])
             anti = np.array([[random_symmetric_complex(g, rng) for _ in range(q)] for _ in range(7)])
             got = contract(form, hol, anti)
@@ -347,14 +404,14 @@ def test_stacked_sets_contract_as_each_set_alone():
             assert got.tolist() == [contract(form, h, a) for h, a in zip(hol, anti)]
             shared = contract(form, hol, hol)
             assert shared.tolist() == [contract(form, h, h) for h in hol]
-    assert contract(ExtForm.zero(g), hol[:, :1], hol[:, :1]).tolist() == [0j] * 7
+    assert contract(ExtForm.zero(sym_dim(g)), hol[:, :1], hol[:, :1]).tolist() == [0j] * 7
     with pytest.raises(DimensionMismatch):
         contract(form, hol, anti[:3])
 
 
 def test_restrict_zero_form():
     y = random_plane_sg(2, 2, derive_rng(14, "r0"))
-    assert restrict_to_plane(ExtForm.zero(2), y) == 0.0
+    assert restrict_to_plane(ExtForm.zero(sym_dim(2)), y) == 0.0
 
 
 def test_restrict_positive_line():
@@ -369,10 +426,10 @@ def test_restrict_positive_line():
 def test_restrict_sign_is_basis_independent():
     rng = derive_rng(15, "rb")
     g = 2
-    kahler = ExtForm.zero(g)
+    kahler = ExtForm.zero(sym_dim(g))
     for a in range(sym_dim(g)):
         s = 1 << a
-        kahler = kahler + ExtForm(g, {(s, s): (0.3 + 0.1 * a) * 1j})
+        kahler = kahler + ExtForm(sym_dim(g), {(s, s): (0.3 + 0.1 * a) * 1j})
     form = kahler.wedge(kahler)
     for _ in range(5):
         y = random_plane_sg(g, 2, rng)
@@ -405,28 +462,28 @@ def test_restrict_ambient_mismatch():
 
 def test_formmatrix_trace_and_identity():
     g = 2
-    ident = FormMatrix.identity(g)
+    ident = FormMatrix.identity(g, sym_dim(g))
     tr = ident.trace()
     assert abs(tr.scalar_part - g) < 1e-15
     zero = ident - ident
     assert zero.det().is_zero()
-    assert ident.det().max_coeff_diff(ExtForm.one(g)) == 0.0
+    assert ident.det().max_coeff_diff(ExtForm.one(sym_dim(g))) == 0.0
 
 
 def test_scalar_addition_accepts_what_multiplication_does():
     form = e(2, 0, 1).wedge(ebar(2, 1, 1)) + 0.5
-    one = ExtForm.one(2)
+    one = ExtForm.one(sym_dim(2))
     for c in (1, 1.0, 1 + 0j, np.int64(1), np.uint8(1), np.float32(1.0), np.complex128(1)):
         assert (form + c).terms() == (c + form).terms() == (form + one).terms()
         assert (form - c).terms() == (form - one).terms()
         assert (c - form).terms() == (one - form).terms()
-    for bad in ("1", [1], None, FormMatrix.identity(2)):
+    for bad in ("1", [1], None, FormMatrix.identity(2, sym_dim(2))):
         for op in (lambda: form + bad, lambda: bad + form,
                    lambda: form - bad, lambda: bad - form):
             with pytest.raises(TypeError):
                 op()
     with pytest.raises(GenusMismatch):
-        form + ExtForm.one(3)
+        form + ExtForm.one(sym_dim(3))
 
 
 def random_grid(g, rng, keys=None):
@@ -438,13 +495,13 @@ def random_grid(g, rng, keys=None):
     def dense(p, q):
         shape = (math.comb(n, p), math.comb(n, q))
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return [[ExtForm.from_blocks(g, {k: dense(*k) for k in keys}) for _ in range(g)]
+    return [[ExtForm.from_blocks(sym_dim(g), {k: dense(*k) for k in keys}) for _ in range(g)]
             for _ in range(g)]
 
 
 def grid_matmul(a, b, g, max_degree=None):
     """a b on grids: k first, then the entries' bidegree pairs in sorted order, one wedge each."""
-    out = [[ExtForm.zero(g) for _ in range(g)] for _ in range(g)]
+    out = [[ExtForm.zero(sym_dim(g)) for _ in range(g)] for _ in range(g)]
     for i in range(g):
         for j in range(g):
             for k in range(g):
@@ -457,10 +514,10 @@ def grid_matmul(a, b, g, max_degree=None):
 
 def grid_det(grid, g):
     """The Leibniz determinant on a grid of forms."""
-    acc = ExtForm.zero(g)
+    acc = ExtForm.zero(sym_dim(g))
     for perm in permutations(range(g)):
         sign = (-1.0) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-        prod = ExtForm.one(g)
+        prod = ExtForm.one(sym_dim(g))
         for i in range(g):
             prod = prod.wedge(grid[i][perm[i]])
         acc = acc + prod * sign
@@ -475,11 +532,11 @@ def same_entries(m, grid, g):
 def test_stacked_formmatrix_matches_grid_oracle_to_the_bit(g):
     rng = derive_rng(43, "stacked-formmatrix", g)
     a, b = random_grid(g, rng), random_grid(g, rng)
-    ma, mb = FormMatrix(g, a), FormMatrix(g, b)
+    ma, mb = FormMatrix(sym_dim(g), a), FormMatrix(sym_dim(g), b)
     assert same_entries(ma, a, g)
     for cap in (None, 3):
         assert same_entries(ma.matmul(mb, max_degree=cap), grid_matmul(a, b, g, cap), g)
-    assert ma.trace().terms() == sum((a[i][i] for i in range(g)), ExtForm.zero(g)).terms()
+    assert ma.trace().terms() == sum((a[i][i] for i in range(g)), ExtForm.zero(sym_dim(g))).terms()
     assert same_entries(ma + mb, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], g)
     assert same_entries(ma - mb, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)], g)
     c = 0.7 - 1.3j
@@ -487,16 +544,32 @@ def test_stacked_formmatrix_matches_grid_oracle_to_the_bit(g):
     assert ma.max_coeff_diff(mb) == max(
         x.max_coeff_diff(y) for r, s in zip(a, b) for x, y in zip(r, s))
     # det of I - G, with G's entries even and their blocks sorted as the stack keeps them
-    gm = random_grid(g, rng, keys=[(0, 0), (1, 1)])
-    want = grid_det([[(ExtForm.one(g) if i == j else ExtForm.zero(g)) - gm[i][j]
+    gm, n = random_grid(g, rng, keys=[(0, 0), (1, 1)]), sym_dim(g)
+    want = grid_det([[(ExtForm.one(n) if i == j else ExtForm.zero(n)) - gm[i][j]
                       for j in range(g)] for i in range(g)], g)
-    assert (FormMatrix.identity(g) - FormMatrix(g, gm)).det().terms() == want.terms()
+    assert (FormMatrix.identity(g, n) - FormMatrix(n, gm)).det().terms() == want.terms()
+
+
+def test_matmul_wedges_only_pairs_of_nonzero_blocks(monkeypatch):
+    g, n = 3, sym_dim(3)
+    rng = derive_rng(44, "sparse-formmatrix")
+    zero = ExtForm.zero(n)
+    a = [[x if i == k else zero for k, x in enumerate(r)] for i, r in enumerate(random_grid(g, rng))]
+    b = random_grid(g, rng)
+    b[1] = [zero] * g
+    want = grid_matmul(a, b, g)
+    calls = []
+    wedge_block = extform._wedge_block
+    monkeypatch.setattr(extform, "_wedge_block", lambda *args: calls.append(1) or wedge_block(*args))
+    assert same_entries(FormMatrix(n, a).matmul(FormMatrix(n, b)), want, g)
+    assert len(calls) == sum(len(a[i][k].bidegrees()) * len(b[k][j].bidegrees())
+                             for i in range(g) for j in range(g) for k in range(g))
 
 
 def test_formmatrix_entries_are_views_without_zero_blocks():
     g = 3
     eye = np.eye(g, dtype=complex).reshape(g, g, 1, 1)
-    ident = FormMatrix.from_blocks(g, {(0, 0): eye, (1, 1): np.zeros((g, g, 6, 6))})
+    ident = FormMatrix.from_blocks(sym_dim(g), {(0, 0): eye, (1, 1): np.zeros((g, g, 6, 6))})
     assert ident[0, 0].bidegrees() == {(0, 0)} and ident[0, 1].is_zero()
     assert np.shares_memory(ident[1, 1].block(0, 0), eye)
     assert (ident - ident)[0, 0].is_zero()
@@ -506,12 +579,12 @@ def test_formmatrix_constructors_reject_bad_input():
     g = 2
     n = sym_dim(g)
     with pytest.raises(DimensionMismatch):
-        FormMatrix.from_blocks(g, {(1, 1): np.ones((g, g, n, n + 1))})
+        FormMatrix.from_blocks(n, {(1, 1): np.ones((g, g, n, n + 1))})
     with pytest.raises(DimensionMismatch):
-        FormMatrix.from_blocks(g, {(1, 1): np.ones((n, n))})
+        FormMatrix.from_blocks(n, {(1, 1): np.ones((n, n))})
     with pytest.raises(GenusMismatch):
-        FormMatrix(g, [[ExtForm.one(g), ExtForm.one(g)], [ExtForm.one(g), ExtForm.one(3)]])
+        FormMatrix(n, [[ExtForm.one(n), ExtForm.one(n)], [ExtForm.one(n), ExtForm.one(sym_dim(3))]])
     with pytest.raises(DimensionMismatch):
-        FormMatrix(g, [[ExtForm.one(g), 1.0], [ExtForm.one(g), ExtForm.one(g)]])
-    with pytest.raises(DimensionMismatch):
-        FormMatrix(g, [[ExtForm.one(g)]])
+        FormMatrix(n, [[ExtForm.one(n), 1.0], [ExtForm.one(n), ExtForm.one(n)]])
+    with pytest.raises(DimensionMismatch):  # the grid's size is its own, but it must be square
+        FormMatrix(n, [[ExtForm.one(n), ExtForm.one(n)]])
