@@ -74,7 +74,7 @@ def curvature_array(tau: SiegelPoint, bundle: str = "dual") -> np.ndarray:
 
 def curvature_matrix(tau: SiegelPoint, bundle: str = "dual") -> FormMatrix:
     """omega as a matrix of (1, 1)-forms whose (1, 1) array is curvature_array as it stands."""
-    return FormMatrix.from_blocks(sym_dim(tau.g), {(1, 1): curvature_array(tau, bundle)})
+    return FormMatrix.from_blocks(tau.g, sym_dim(tau.g), {(1, 1): curvature_array(tau, bundle)})
 
 
 def dual_curvature_matrix(tau: SiegelPoint) -> FormMatrix:
@@ -106,7 +106,7 @@ class CurvaturePackage:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "gm", gm)
         object.__setattr__(self, "g_normalized",
-                           FormMatrix.from_blocks(sym_dim(self.g), {(1, 1): gm}))
+                           FormMatrix.from_blocks(self.g, sym_dim(self.g), {(1, 1): gm}))
 
     @property
     def g(self) -> int:

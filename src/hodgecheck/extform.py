@@ -4,16 +4,19 @@ A form is a sum of monomials coeff * dt[S] ^ dtbar[T] over index subsets
 S, T of the n generators.  It is stored as one array per bidegree (p, q), of
 shape C(n, p) x C(n, q), whose rows and columns run over the p- and q-subsets
 in itertools.combinations order.  A block keeps the dtype it was built with
-(complex128, float64, int64, or Python ints in an object array, exact past
-int64), and results take the common dtype of their operands.  A block that
-is entirely zero is never stored, so the stored bidegrees are exactly the
-nonzero ones.  Outside the store a subset is a bitmask over the n generator
-indices, and a coefficient is addressed by a bitmask pair (S, T).  The
-canonical word order puts holomorphic generators first, each block ascending
-by index; every sign in this module is relative to that order.  Where forms
-meet symmetric matrices (pair_index, generator, contract, restrict_to_plane,
-repr) the generators are the n = g(g+1)/2 entries dt[a,b] = dt[b,a] of genus
-g, and any other n raises DimensionMismatch.
+(complex128, float64, int64, or exact Python scalars in an object array; the
+terms constructor stores integers as Python ints).  Exact blocks meeting
+inexact ones take the inexact dtype, and exact blocks meeting only exact
+ones compute in object, so integers never wrap and exact forms divide into
+Fractions.  A block that is entirely zero is never stored, so the stored
+bidegrees are exactly the nonzero ones.  Outside the store a subset is a
+bitmask over the n generator indices, and a coefficient is addressed by a
+bitmask pair (S, T).  The canonical word order puts holomorphic generators
+first, each block ascending by index; every sign in this module is relative
+to that order.  Where forms meet symmetric matrices (pair_index, generator,
+contract, restrict_to_plane, repr) the generators are the n = g(g+1)/2
+entries dt[a,b] = dt[b,a] of genus g, and any other n raises
+DimensionMismatch.
 
 Conventions that matter elsewhere:
 
@@ -38,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable
 
@@ -58,7 +62,7 @@ from .linalg import (
     vec_to_sym,
 )
 
-_SCALARS = (int, float, complex, np.number)  # what forms add to and multiply by
+_SCALARS = (int, float, complex, Fraction, np.number)  # what forms add to and multiply by
 
 
 def pair_index(g: int, a: int, b: int) -> int:
@@ -75,6 +79,7 @@ def _genus(n: int) -> int:
     return g
 
 
+@functools.cache
 def _block_shape(n: int, p: int, q: int) -> tuple[int, int]:
     if p < 0 or q < 0:
         raise DimensionMismatch(f"bidegree {(p, q)} is negative")
@@ -84,6 +89,38 @@ def _block_shape(n: int, p: int, q: int) -> tuple[int, int]:
 def _python_scalar(c):
     """A numpy scalar as its Python value, so its width (np.uint8 wraps) never types a block."""
     return c.item() if isinstance(c, np.generic) else c
+
+
+def _coefficients(values) -> np.ndarray:
+    """Coefficients as an array, integers as Python ints in an object array."""
+    values = [_python_scalar(c) for c in values]
+    return np.array(values, object if all(isinstance(c, int) for c in values) else None)
+
+
+def _common_dtype(*blocks: np.ndarray) -> np.dtype:
+    """The dtype blocks combine in: numpy's if inexact, else the inexact ones', else object."""
+    dtype = np.result_type(*blocks) if blocks else np.dtype(object)
+    if dtype.kind not in "fc":  # exact blocks only, or object ones among inexact ones
+        inexact = [b for b in blocks if b.dtype.kind in "fc"]
+        dtype = np.result_type(*inexact) if inexact else np.dtype(object)
+    return dtype
+
+
+def _summed(first: dict, second: dict) -> dict:
+    """The blocks of the sum of two block dicts, all in the dtype they combine in."""
+    dtype = _common_dtype(*first.values(), *second.values())
+    out = {k: b.astype(dtype, copy=False) for k, b in first.items()}
+    for k, b in second.items():
+        b = b.astype(dtype, copy=False)
+        out[k] = out[k] + b if k in out else b
+    return out
+
+
+def _scaled(blocks: dict, c) -> dict:
+    """Each block times the scalar c, in the dtype they combine in."""
+    c = _python_scalar(c)
+    dtype = _common_dtype(*blocks.values(), np.asarray(c))
+    return {k: b.astype(dtype, copy=False) * c for k, b in blocks.items()}
 
 
 @functools.cache
@@ -122,9 +159,9 @@ def _split_table(n: int, k1: int, k2: int):
             np.array(rest, dtype=np.intp).reshape(shape), sign)
 
 
-def _wedge_block(a: np.ndarray, b: np.ndarray, n: int, p1: int, q1: int,
+def _wedge_block(a: np.ndarray, b: np.ndarray, n: int, dtype: np.dtype, p1: int, q1: int,
                  p2: int, q2: int) -> np.ndarray:
-    """The (p1 + p2, q1 + q2) block of a ^ b for a (p1, q1) block a and a (p2, q2) block b.
+    """Block (p1 + p2, q1 + q2) of a ^ b in dtype, for a (p1, q1) block a and a (p2, q2) block b.
 
     out[U, V] sums a[S1, T1] * b[S2, T2] over the splits U = S1 + S2 and
     V = T1 + T2, signed by both merges and by the block swap of T1 past S2.
@@ -132,8 +169,8 @@ def _wedge_block(a: np.ndarray, b: np.ndarray, n: int, p1: int, q1: int,
     hol_first, hol_rest, hol_sign = _split_table(n, p1, p2)
     anti_first, anti_rest, anti_sign = _split_table(n, q1, q2)
     weights = -anti_sign if (q1 * p2) % 2 else anti_sign
-    out = np.zeros((hol_first.shape[0], anti_first.shape[0]), dtype=np.result_type(a, b))
-    a = a.astype(out.dtype, copy=False)  # so each split's product is taken in place
+    out = np.zeros((hol_first.shape[0], anti_first.shape[0]), dtype)
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)  # products then run in place
     for j, sign in enumerate(hol_sign):
         terms = a.take(hol_first[:, j], axis=0).take(anti_first, axis=1)
         terms *= b.take(hol_rest[:, j], axis=0).take(anti_rest, axis=1)
@@ -181,19 +218,21 @@ class ExtForm:
     __array_ufunc__ = None  # keep numpy from coercing us in mixed products
 
     def __init__(self, n: int, terms: dict[tuple[int, int], complex] | None = None):
-        """Form with coefficient c at each mask pair (S, T); numpy types each block by its c."""
+        """Form with coefficient c at each mask pair (S, T); integers become Python ints."""
         self.n, self._blocks = operator.index(n), {}
         if self.n < 0:
             raise DimensionMismatch(f"generator count {n} is negative")
+        if not terms:
+            return
         entries: dict[tuple[int, int], list] = {}
-        for (s, t), c in (terms or {}).items():
+        for (s, t), c in terms.items():
             if min(s, t) < 0 or (s | t) >> self.n:
                 raise DimensionMismatch(f"mask ({s:#x}, {t:#x}) outside {self.n} generators")
             if c != 0:
                 entries.setdefault((s.bit_count(), t.bit_count()), []).append((s, t, c))
         for (p, q), rows in entries.items():
             s, t, values = zip(*rows)
-            values = np.array(values)
+            values = _coefficients(values)
             block = self._blocks[(p, q)] = np.zeros(_block_shape(self.n, p, q), values.dtype)
             block[[_subsets(self.n, p)[2][m] for m in s],
                   [_subsets(self.n, q)[2][m] for m in t]] = values
@@ -219,7 +258,7 @@ class ExtForm:
 
     @classmethod
     def scalar(cls, n: int, c) -> "ExtForm":
-        return cls(n, {(0, 0): _python_scalar(c)})
+        return cls.from_blocks(n, {(0, 0): _coefficients([c]).reshape(1, 1)})
 
     @classmethod
     def one(cls, n: int) -> "ExtForm":
@@ -291,10 +330,7 @@ class ExtForm:
         elif not isinstance(other, ExtForm):
             return NotImplemented
         self._check_count(other)
-        blocks = dict(self._blocks)
-        for key, b in other._blocks.items():
-            blocks[key] = blocks[key] + b if key in blocks else b
-        return ExtForm.from_blocks(self.n, blocks)
+        return ExtForm.from_blocks(self.n, _summed(self._blocks, other._blocks))
 
     __radd__ = __add__
 
@@ -312,19 +348,20 @@ class ExtForm:
     def __mul__(self, c):
         if not isinstance(c, _SCALARS):
             return NotImplemented
-        c = _python_scalar(c)
-        return ExtForm.from_blocks(self.n, {k: b * c for k, b in self._blocks.items()})
+        return ExtForm.from_blocks(self.n, _scaled(self._blocks, c))
 
     __rmul__ = __mul__
 
     def __truediv__(self, c):
-        return self * (1.0 / c)
+        c = _python_scalar(c)
+        exact = isinstance(c, int) and _common_dtype(*self._blocks.values()) == object
+        return self * (Fraction(1, c) if exact else 1.0 / c)
 
     # -- the algebra --------------------------------------------------------
 
     def wedge(self, other: "ExtForm", max_degree: int | None = None) -> "ExtForm":
         self._check_count(other)
-        n = self.n
+        n, dtype = self.n, _common_dtype(*self._blocks.values(), *other._blocks.values())
         cap = 2 * n if max_degree is None else max_degree
         out: dict[tuple[int, int], np.ndarray] = {}
         for (p1, q1), a in self._blocks.items():
@@ -332,7 +369,7 @@ class ExtForm:
                 key = (p1 + p2, q1 + q2)
                 if key[0] > n or key[1] > n or sum(key) > cap:
                     continue
-                block = _wedge_block(a, b, n, p1, q1, p2, q2)
+                block = _wedge_block(a, b, n, dtype, p1, q1, p2, q2)
                 out[key] = out[key] + block if key in out else block
         return ExtForm.from_blocks(self.n, out)
 
@@ -497,20 +534,17 @@ class FormMatrix:
             raise GenusMismatch(f"entry on {e.n} vs matrix on {n} generators")
         keys = sorted(set().union(*(e.bidegrees() for r in rows for e in r)))
         self.g, self.n = len(rows), operator.index(n)
-        self._blocks = {k: np.array([[e.block(*k) for e in r] for r in rows]) for k in keys}
+        grids = {k: [[e.block(*k) for e in r] for r in rows] for k in keys}
+        self._blocks = {k: np.array(grid, _common_dtype(*(b for r in grid for b in r)))
+                        for k, grid in grids.items()}
 
     @classmethod
-    def from_blocks(cls, n: int, blocks: dict[tuple[int, int], np.ndarray],
-                    g: int | None = None) -> "FormMatrix":
-        """Matrix with the given (p, q) -> (g, g, C(n, p), C(n, q)) arrays, kept, not copied.
-
-        g is their leading size unless given, as it must be when no array holds it.
-        """
+    def from_blocks(cls, g: int, n: int, blocks: dict[tuple[int, int], np.ndarray]) -> "FormMatrix":
+        """g x g matrix of the given (p, q) -> (g, g, C(n, p), C(n, q)) arrays, kept, not copied."""
         m = cls.__new__(cls)
-        blocks = {k: np.asarray(b) for k, b in sorted(blocks.items())}
-        m.n, m._blocks = operator.index(n), {}
-        m.g = next((len(b) for b in blocks.values() if b.ndim), 0) if g is None else g
-        for (p, q), block in blocks.items():
+        m.g, m.n, m._blocks = operator.index(g), operator.index(n), {}
+        for (p, q), block in sorted(blocks.items()):
+            block = np.asarray(block)
             shape = (m.g, m.g, *_block_shape(m.n, p, q))
             if block.shape != shape:
                 raise DimensionMismatch(f"block {(p, q)} has shape {block.shape}, not {shape}")
@@ -520,7 +554,7 @@ class FormMatrix:
 
     @classmethod
     def identity(cls, g: int, n: int) -> "FormMatrix":
-        return cls.from_blocks(n, {(0, 0): np.eye(g, dtype=int).reshape(g, g, 1, 1)})
+        return cls.from_blocks(g, n, {(0, 0): np.eye(g, dtype=object).reshape(g, g, 1, 1)})
 
     def __getitem__(self, ij) -> ExtForm:
         """Entry (i, j), an ExtForm over views of this matrix's arrays."""
@@ -542,29 +576,25 @@ class FormMatrix:
                  for (p1, q1), a in self._blocks.items()
                  for (p2, q2), b in other._blocks.items()
                  if p1 + p2 <= n and q1 + q2 <= n and p1 + p2 + q1 + q2 <= cap]
-        dtype = np.result_type(int, *self._blocks.values(), *other._blocks.values())
+        dtype = _common_dtype(*self._blocks.values(), *other._blocks.values())
         out = {key: np.zeros((g, g, *_block_shape(n, *key)), dtype) for key, *_ in pairs}
         for i, j, k in product(range(g), repeat=3):  # a wedge over stacked entries measured slower
             for key, a, b, degrees, a_live, b_live in pairs:
                 if a_live[i, k] and b_live[k, j]:  # a zero block adds nothing
-                    out[key][i, j] += _wedge_block(a[i, k], b[k, j], n, *degrees)
-        return FormMatrix.from_blocks(n, out, g)
+                    out[key][i, j] += _wedge_block(a[i, k], b[k, j], n, dtype, *degrees)
+        return FormMatrix.from_blocks(g, n, out)
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         if not isinstance(other, FormMatrix):
             return NotImplemented
         self._check_shape(other)
-        blocks = dict(self._blocks)
-        for key, b in other._blocks.items():
-            blocks[key] = blocks[key] + b if key in blocks else b
-        return FormMatrix.from_blocks(self.n, blocks, self.g)
+        return FormMatrix.from_blocks(self.g, self.n, _summed(self._blocks, other._blocks))
 
     def __sub__(self, other: "FormMatrix") -> "FormMatrix":
         return self + other.scale(-1) if isinstance(other, FormMatrix) else NotImplemented
 
     def scale(self, c) -> "FormMatrix":
-        c = _python_scalar(c)
-        return FormMatrix.from_blocks(self.n, {k: b * c for k, b in self._blocks.items()}, self.g)
+        return FormMatrix.from_blocks(self.g, self.n, _scaled(self._blocks, c))
 
     def trace(self) -> ExtForm:
         return ExtForm.from_blocks(self.n, {  # the diagonal in order of i, as a loop adds it
@@ -574,10 +604,10 @@ class FormMatrix:
         """Leibniz determinant; assumes entries commute (even forms)."""
         g, n = self.g, self.n
         entries = [[self[i, j] for j in range(g)] for i in range(g)]
-        acc = ExtForm.zero(n)
+        acc, one = ExtForm.zero(n), ExtForm.one(n)
         for perm in permutations(range(g)):
             sign = (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-            prod = ExtForm.one(n)
+            prod = one
             for i in range(g):
                 prod = prod.wedge(entries[i][perm[i]], max_degree=max_degree)
                 if prod.is_zero():

@@ -39,6 +39,7 @@ from hodgecheck.sampling import (
     random_unit_vector,
 )
 from hodgecheck.suites import RunConfig, run_suites
+from test_extform import python_ints
 
 
 def test_chern_constant_term_and_degree_bound():
@@ -207,14 +208,7 @@ def _scaled_curvatures(y):
 def _exact_chern(scaled):
     """det(I - A) over Python ints for a (g, g, n, n) object array A, through FormMatrix's minus."""
     g, n = scaled.shape[1], scaled.shape[2]
-    eye = np.eye(g, dtype=int).astype(object).reshape(g, g, 1, 1)
-    return (FormMatrix.from_blocks(n, {(0, 0): eye})
-            - FormMatrix.from_blocks(n, {(1, 1): scaled})).det()
-
-
-def _python_ints(form):
-    return all(form.block(*k).dtype == object and all(type(c) is int for c in form.block(*k).flat)
-               for k in form.bidegrees())
+    return (FormMatrix.identity(g, n) - FormMatrix.from_blocks(g, n, {(1, 1): scaled})).det()
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -236,7 +230,7 @@ def test_mumford_relation_holds_exactly_over_the_integers(g):
     c_hodge, c_dual = _exact_chern(hodge), _exact_chern(dual)
     product = c_hodge.wedge(c_dual)
     assert (product - 1).is_zero()
-    assert all(_python_ints(f) for f in (c_hodge, c_dual, product))
+    assert all(python_ints(f) for f in (c_hodge, c_dual, product))
     assert c_hodge.block(g, g).any()  # the top class is there to cancel
     mutated = hodge.copy()
     mutated[0, 0, 0, 0] += 1

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -85,12 +86,7 @@ def homogeneous_form(n, rng, degree, n_terms=6, exact=False):
         t = sum(1 << int(i) for i in rng.choice(n, size=degree - p, replace=False))
         terms[(s, t)] = (int(rng.integers(-9, 10)) if exact
                          else complex(rng.standard_normal(), rng.standard_normal()))
-    return object_blocks(ExtForm(n, terms)) if exact else ExtForm(n, terms)
-
-
-def object_blocks(form):
-    """form with its blocks cast to object arrays, whose integers are Python ints."""
-    return ExtForm.from_blocks(form.n, {k: form.block(*k).astype(object) for k in form.bidegrees()})
+    return ExtForm(n, terms)
 
 
 def python_ints(form):
@@ -114,7 +110,7 @@ def test_wedge_matches_reference_on_mixed_and_odd_forms(g):
 
 
 def test_algebra_laws_hold_on_random_forms():
-    """The laws on n = 1..5 generators, 2, 4 and 5 being no genus's count.
+    """The laws on n = 1..6 generators, 2, 4 and 5 being no genus's count.
 
     Complex forms hold them to roundoff; exact forms, Python ints in object
     blocks, hold them exactly and keep Python ints through every product.
@@ -135,13 +131,42 @@ def test_algebra_laws_hold_on_random_forms():
         assert conj.max_coeff_diff(conjugate(a).wedge(conjugate(b))) <= tol
         assert ExtForm(n, a.terms()).max_coeff_diff(a) == 0.0
         even = sum((homogeneous_form(n, rng, d, exact=exact) for d in (2, 4)), ExtForm.one(n))
-        inverse = inverse_even(object_blocks(even) if exact else even)
+        inverse = inverse_even(even)
         assert (even.wedge(inverse) - 1).norm_inf() <= (0 if exact else 1e-10)
         assert not exact or all(python_ints(f) for f in (abc, ba, conj, inverse))
 
-    for n in range(1, 6):
+    for n in range(1, 7):
         for exact in (False, True):
             laws(n, exact)
+
+
+def test_integer_coefficients_never_wrap():
+    big = ExtForm(3, {(1, 1): 2**40})
+    product = big.wedge(ExtForm(3, {(2, 2): 2**40}))
+    assert product.terms() == {(3, 3): -2**80} and python_ints(product)
+    narrow = ExtForm(3, {(1, 0): np.uint8(200), (0, 0): np.uint8(200)})
+    assert (narrow * 2).terms() == {(1, 0): 400, (0, 0): 400}
+    assert (narrow + np.uint8(100)).scalar_part == 300
+    stored = ExtForm.from_blocks(3, {(0, 0): np.array([[2**40]])})  # an int64 block
+    assert stored.block(0, 0).dtype == np.int64
+    for form in (stored.wedge(stored), stored * 2**40, stored + ExtForm.scalar(3, 2**63)):
+        assert python_ints(form)
+    assert stored.wedge(stored).scalar_part == (stored * 2**40).scalar_part == 2**80
+    square = FormMatrix.from_blocks(1, 3, {(0, 0): np.full((1, 1, 1, 1), 2**40)})
+    entry = square.matmul(square)[0, 0]
+    assert python_ints(entry) and entry.scalar_part == 2**80
+
+
+def test_exact_forms_divide_into_fractions():
+    exact = ExtForm(3, {(1, 1): 3, (0, 0): 1})
+    half = exact / 2
+    assert all(type(c) is Fraction for c in half.terms().values())
+    assert half.terms() == {(1, 1): Fraction(3, 2), (0, 0): Fraction(1, 2)}
+    assert (half * 2).max_coeff_diff(exact) == 0
+    assert (half / np.int64(3)).scalar_part == Fraction(1, 6)
+    inexact = ExtForm(3, {(1, 1): 3 + 1j, (0, 0): 1})
+    assert (inexact / 2).block(1, 1).dtype == complex
+    assert (inexact / 2).terms() == (inexact * 0.5).terms()
 
 
 def test_exact_cancellation_leaves_no_block():
@@ -187,7 +212,7 @@ def test_negative_bidegrees_are_rejected():
     with pytest.raises(DimensionMismatch):
         ExtForm.from_blocks(3, {(-1, 0): np.ones((0, 1))})
     with pytest.raises(DimensionMismatch):
-        FormMatrix.from_blocks(3, {(0, -1): np.ones((2, 2, 1, 0))})
+        FormMatrix.from_blocks(2, 3, {(0, -1): np.ones((2, 2, 1, 0))})
 
 
 def test_counts_of_no_genus_reject_only_the_matrix_operations():
@@ -554,13 +579,15 @@ def test_matmul_wedges_only_pairs_of_nonzero_blocks(monkeypatch):
     g, n = 3, sym_dim(3)
     rng = derive_rng(44, "sparse-formmatrix")
     zero = ExtForm.zero(n)
-    a = [[x if i == k else zero for k, x in enumerate(r)] for i, r in enumerate(random_grid(g, rng))]
+    a = random_grid(g, rng)
+    a = [[x if i == k else zero for k, x in enumerate(r)] for i, r in enumerate(a)]
     b = random_grid(g, rng)
     b[1] = [zero] * g
     want = grid_matmul(a, b, g)
     calls = []
     wedge_block = extform._wedge_block
-    monkeypatch.setattr(extform, "_wedge_block", lambda *args: calls.append(1) or wedge_block(*args))
+    monkeypatch.setattr(extform, "_wedge_block",
+                        lambda *args: calls.append(1) or wedge_block(*args))
     assert same_entries(FormMatrix(n, a).matmul(FormMatrix(n, b)), want, g)
     assert len(calls) == sum(len(a[i][k].bidegrees()) * len(b[k][j].bidegrees())
                              for i in range(g) for j in range(g) for k in range(g))
@@ -569,7 +596,7 @@ def test_matmul_wedges_only_pairs_of_nonzero_blocks(monkeypatch):
 def test_formmatrix_entries_are_views_without_zero_blocks():
     g = 3
     eye = np.eye(g, dtype=complex).reshape(g, g, 1, 1)
-    ident = FormMatrix.from_blocks(sym_dim(g), {(0, 0): eye, (1, 1): np.zeros((g, g, 6, 6))})
+    ident = FormMatrix.from_blocks(g, sym_dim(g), {(0, 0): eye, (1, 1): np.zeros((g, g, 6, 6))})
     assert ident[0, 0].bidegrees() == {(0, 0)} and ident[0, 1].is_zero()
     assert np.shares_memory(ident[1, 1].block(0, 0), eye)
     assert (ident - ident)[0, 0].is_zero()
@@ -579,9 +606,9 @@ def test_formmatrix_constructors_reject_bad_input():
     g = 2
     n = sym_dim(g)
     with pytest.raises(DimensionMismatch):
-        FormMatrix.from_blocks(n, {(1, 1): np.ones((g, g, n, n + 1))})
+        FormMatrix.from_blocks(g, n, {(1, 1): np.ones((g, g, n, n + 1))})
     with pytest.raises(DimensionMismatch):
-        FormMatrix.from_blocks(n, {(1, 1): np.ones((n, n))})
+        FormMatrix.from_blocks(g, n, {(1, 1): np.ones((n, n))})
     with pytest.raises(GenusMismatch):
         FormMatrix(n, [[ExtForm.one(n), ExtForm.one(n)], [ExtForm.one(n), ExtForm.one(sym_dim(3))]])
     with pytest.raises(DimensionMismatch):
