@@ -9,10 +9,14 @@ i > c.  The converse (only the W-perp spaces are degenerate in this way) is
 probed by randomized polynomial identity testing.
 
 Everything here offers an exact path over the rationals.  A RationalSymMap
-is Python-int rows over one denominator, and ranks, kernels, determinants and
-the witness search run on integers through one fraction-free (Bareiss)
-elimination, so they are exact: a reported witness is a proof and a reported
-absence is wrong with probability bounded by Schwartz-Zippel.
+is Python-int rows over one denominator, and every exact answer is computed
+on integers, so a reported witness is a proof and a reported absence is
+wrong with probability bounded by Schwartz-Zippel.  Ranks, kernels and
+determinants run through one fraction-free (Bareiss) elimination, as does
+each single draw of a witness search.  Two questions over whole stacks run
+as i x i minors in extform._minors on object arrays of Python ints: the
+draws after the first of check_evaluation_degeneracy's search, and every
+minor derivative of rank_locus_tangent_check.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import (
     NotSymmetric,
     RankMismatch,
 )
+from .extform import _minors, _subsets
 from .linalg import (
     DEFAULT_RANK_TOL,
     LinSubspace,
@@ -196,7 +201,8 @@ class RationalSymMap:
         """Symmetric rows of Python ints over den != 0, reduced to lowest terms."""
         c = math.gcd(den, *(x for r in num for x in r)) * (1 if den > 0 else -1)
         out = cls.__new__(cls)
-        out.num = tuple(tuple(x // c for x in r) for r in num)
+        out.num = (tuple(map(tuple, num)) if c == 1  # as for nearly every random map
+                   else tuple(tuple(x // c for x in r) for r in num))
         out.den, out.g = den // c, len(num)
         return out
 
@@ -351,7 +357,9 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
     The search is exact when every map is a RationalSymMap, and in floating
     point otherwise.  Absence of a witness over N integer samples from
     [-1000, 1000]^g is wrong with probability at most (i/2001)^N when a
-    witness exists, by Schwartz-Zippel applied to the i x i minors.
+    witness exists, by Schwartz-Zippel applied to the i x i minors.  The
+    exact search owns its stream: it tests the first draw alone, then makes
+    the other N - 1 draws at once and hands them to _first_witness.
     """
     exact = (isinstance(x, (list, tuple)) and bool(x)
              and all(isinstance(m, RationalSymMap) for m in x))
@@ -368,7 +376,12 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
         dim = len(basis)
         if dim < i:
             raise BadDimension(f"space of dimension {dim} cannot carry rank {i}")
-        hit = _find_witness(basis, i, n_v_samples, rng)
+        hit = _find_witness(basis, i, min(n_v_samples, 1), rng)
+        if hit is None and n_v_samples > 1:
+            ws = [_random_int_vector(basis[0].g, rng) for _ in range(n_v_samples - 1)]
+            found = _first_witness(basis, i, ws)
+            if found is not None:
+                hit = ws[found[0]], found[1]
         if hit is None:
             return DegeneracyReport(True, None, i, dim, n_v_samples, True, note)
         v, rank = hit
@@ -390,21 +403,53 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
     return DegeneracyReport(True, None, i, dim, n_v_samples, False, note)
 
 
+def _evaluation_rows(basis: list[RationalSymMap], w: list[int]) -> list[list[int]]:
+    """Rows of e_w on each map's integer rows num: den * M w, a positive multiple of M w."""
+    return [[sum(a * b for a, b in zip(r, w)) for r in m.num] for m in basis]
+
+
 def _find_witness(basis: list[RationalSymMap], i: int, n_v: int, rng):
     """First of n_v random integer v with rank(e_v) >= i, as (v, rank).
 
-    The rows of e_v are taken on each map's integer rows num, so each is the
-    integer vector den * M v, a positive multiple of M v: the rank is that
-    of e_v.  Returns None when no draw reaches rank i.
+    Draws one v at a time and stops at the first witness, so a shared stream
+    is consumed only up to it.  Returns None when no draw reaches rank i.
     """
     g = basis[0].g
     for _ in range(n_v):
         w = _random_int_vector(g, rng)
-        rows = [[sum(a * b for a, b in zip(r, w)) for r in m.num] for m in basis]
-        rank = _rank(rows)
+        rank = _rank(_evaluation_rows(basis, w))
         if rank >= i:
             return w, rank
     return None
+
+
+def _first_witness(basis: list[RationalSymMap], i: int, ws) -> tuple[int, int] | None:
+    """(index, rank) of the first integer vector w in ws with rank(e_w) >= i, or None.
+
+    rank(e_w) >= i exactly when some i x i minor of the dim x g matrix e_w is
+    nonzero.  All e_w come from one integer product, and their minors from
+    one _minors expansion whose batch axis runs over (row subset, draw); the
+    rows are taken along the shorter side p of e_w (its transpose when
+    dim > g), so there are C(p, i) row subsets.  Where that gives more than
+    2pq minors a draw (q the longer side) the expansion costs more than
+    eliminating each draw, so each e_w is eliminated in turn instead.  The
+    rank is _rank of the found draw either way.
+    """
+    g, dim = basis[0].g, len(basis)
+    p, q = sorted((dim, g))
+    if math.comb(p, i) * math.comb(q, i) > 2 * p * q:
+        ranks = (_rank(_evaluation_rows(basis, w)) for w in ws)
+        return next(((s, r) for s, r in enumerate(ranks) if r >= i), None)
+    num = np.array([m.num for m in basis], dtype=object)
+    e = num @ np.array(ws, dtype=object).reshape(len(ws), g).T  # e[:, :, s] is e_w of ws[s]
+    if dim > g:
+        e = e.swapaxes(0, 1)
+    minors = _minors(np.moveaxis(e[_subsets(p, i)[0]], 0, 2))  # (C(q, i), C(p, i), draws)
+    hits = np.flatnonzero((minors != 0).any(axis=(0, 1)))
+    if not len(hits):
+        return None
+    s = int(hits[0])
+    return s, _rank(e[..., s].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -549,21 +594,19 @@ class TangentCheck:
     exact: bool
 
 
-def _minor_derivative_float(m: np.ndarray, n: np.ndarray, rows, cols) -> complex:
-    base = m[np.ix_(rows, cols)]
-    pert = n[np.ix_(rows, cols)]
-    total = 0.0 + 0.0j
-    for r in range(len(rows)):
-        work = base.copy()
-        work[r] = pert[r]
-        total += np.linalg.det(work)
-    return total
+def _minor_derivatives(m: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
+    """Derivatives at m, in direction n, of every k x k minor of the square array m.
 
-
-def _minor_derivative_exact(m, n, rows, cols) -> int:
-    """Sum of integer minors of m with one row, in turn, taken from n."""
-    return sum(_det([[(n if ri == r_n else m)[ri][ci] for ci in cols] for ri in rows])
-               for r_n in rows)
+    d/dt det((m + t n)[R, C]) at t = 0 is the sum over j of that minor with
+    row R[j] taken from n.  One _minors expansion covers every (row subset R,
+    row j taken from n) pair.  The result, in m's dtype, has one row per
+    column k-subset and one column per row k-subset.
+    """
+    rows = _subsets(m.shape[0], k)[0]
+    stack = np.repeat(m[rows][:, None], k, axis=1)  # stack[R, j] holds the rows R of m
+    j = np.arange(k)
+    stack[:, j, j] = n[rows]                        # ... but row R[j] of n in place j
+    return _minors(np.moveaxis(stack, (2, 3), (0, 1))).sum(axis=-1)
 
 
 def rank_locus_tangent_check(m, n) -> TangentCheck:
@@ -587,15 +630,12 @@ def rank_locus_tangent_check(m, n) -> TangentCheck:
             if _rank([r + (x,) for r, x in zip(mm, nk)]) != k:
                 predicate = False
                 break
-        minors_ok = True
         worst = 0
         if k < g:
-            for rows in itertools.combinations(range(g), k + 1):
-                for cols in itertools.combinations(range(g), k + 1):
-                    d = _minor_derivative_exact(mm, nn, rows, cols)
-                    worst = max(worst, abs(d))
-                    if d != 0:
-                        minors_ok = False
+            derivs = _minor_derivatives(np.array(mm, dtype=object), np.array(nn, dtype=object),
+                                        k + 1)
+            worst = max(map(abs, derivs.flat))
+        minors_ok = worst == 0
         # each minor has k rows of mm = m.den * M and one of nn = n.den * N;
         # int / int is correctly rounded, as float(Fraction) is
         return TangentCheck(k, predicate, minors_ok, predicate == minors_ok,
@@ -619,12 +659,9 @@ def rank_locus_tangent_check(m, n) -> TangentCheck:
     worst = 0.0
     if k < g:
         mscale = max(1.0, float(np.max(np.abs(ma)))) ** k * scale
-        for rows in itertools.combinations(range(g), k + 1):
-            for cols in itertools.combinations(range(g), k + 1):
-                d = abs(_minor_derivative_float(ma, na, rows, cols))
-                worst = max(worst, d / mscale)
-                if d > DEFAULT_RANK_TOL * mscale:
-                    minors_ok = False
+        largest = float(np.abs(_minor_derivatives(ma, na, k + 1)).max())
+        worst = largest / mscale
+        minors_ok = largest <= DEFAULT_RANK_TOL * mscale
     return TangentCheck(k, predicate, minors_ok, predicate == minors_ok, worst, False)
 
 

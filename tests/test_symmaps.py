@@ -20,9 +20,13 @@ from hodgecheck.symmaps import (
     check_evaluation_degeneracy,
     eval_matrix_exact,
     find_rank_ones,
+    _det,
     _find_witness,
+    _first_witness,
     _int_nullspace,
     _integer_rows,
+    _minor_derivatives,
+    _random_int_vector,
     _random_rational_w,
     frac_det,
     frac_matrix,
@@ -502,6 +506,129 @@ def test_find_witness_matches_rational_evaluation():
                 break
         assert ours.bit_generator.state == ref.bit_generator.state
         assert (v, rank) == (want_v, want_rank)
+
+
+def per_draw_witness(basis, i, ws):
+    """First (index, rank) in ws with rank(e_w) >= i, each draw eliminated alone in Fractions."""
+    for s, w in enumerate(ws):
+        rank = frac_rank(eval_matrix_exact(basis, [Fraction(x) for x in w]))
+        if rank >= i:
+            return s, rank
+    return None
+
+
+def off_coordinate_maps(g, skip, count, rng):
+    """count random integer maps whose row and column skip are zero."""
+    maps = []
+    for _ in range(count):
+        rows = [list(r) for r in random_rational_symmap(g, rng).num]
+        for a in range(g):
+            rows[a][skip] = rows[skip][a] = 0
+        maps.append(RationalSymMap(rows))
+    return maps
+
+
+def test_first_witness_matches_per_draw_elimination():
+    """The stacked search gives the per-draw search's first index and rank on explicit stacks."""
+    rng = derive_rng(64, "stacked-witness")
+    cases = []  # (basis, i, ws, expected index or None)
+
+    def draws(g, count=30):
+        return [_random_int_vector(g, rng) for _ in range(count)]
+
+    # annihilator spaces have no witness, with dim <= g and dim > g (i = 4), and with
+    # entries so large that a float or int64 expansion would not cancel to zero
+    for g, i, bound in ((3, 3, 9), (4, 3, 9), (5, 3, 9), (4, 4, 9), (5, 5, 9), (4, 3, 10**6)):
+        w = [rng.integers(-bound, bound + 1, size=g).tolist() for _ in range(g - i + 1)]
+        cases.append((wperp_exact(w, g), i, draws(g), None))
+    # generic spaces: dim <= g, and dim > g so the transposed e_w is expanded
+    for g, dim, i in ((4, 3, 3), (5, 3, 3), (3, 6, 3), (4, 6, 4)):
+        cases.append(([random_rational_symmap(g, rng) for _ in range(dim)], i, draws(g), 0))
+    # every nonzero minor sits outside the first row subset: three dependent leading
+    # maps (dim <= g), or maps that vanish on coordinate 2 (dim > g, transposed)
+    a, b, c, e = (random_rational_symmap(4, rng) for _ in range(4))
+    cases.append(([a, b, a.add(b), c], 3, draws(4), 0))
+    cases.append((off_coordinate_maps(4, 2, 6, rng), 3, draws(4), 0))
+    # and, with dim > g, rank i needs maps past the first g
+    cases.append(([a, a.scale(2), a.scale(3), b, c, e], 4, draws(4), 0))
+    # a perturbed annihilator copy on a stack that starts with vectors of W: there
+    # e_w has rank <= 1, so the first witness comes after them
+    for g, i in ((4, 3), (4, 4), (5, 3)):
+        w = _random_rational_w(g, g - i + 1, rng)
+        perp = wperp_exact(w, g)
+        perturbed = [perp[0].add(random_rational_symmap(g, rng))] + perp[1:]
+        lead = w + [[x + y for x, y in zip(w[0], w[-1])]]
+        cases.append((perturbed, i, lead + draws(g), len(lead)))
+    # past the expansion's cost rule each draw is eliminated in turn, to the same answer
+    cases.append(([random_rational_symmap(5, rng) for _ in range(10)], 5, draws(5), 0))
+
+    for basis, i, ws, index in cases:
+        want = per_draw_witness(basis, i, ws)
+        assert (want and want[0]) == index
+        got = _first_witness(basis, i, ws)
+        assert got == want
+        assert got is None or all(type(x) is int for x in got)
+    assert _first_witness(cases[0][0], 3, []) is None
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_degeneracy_search_matches_the_sequential_search(g):
+    """check_evaluation_degeneracy gives _find_witness's verdict, v and rank on its stream."""
+    rng = derive_rng(65, "stacked-degeneracy", g)
+    late = 0
+    for i in range(3, g + 1):
+        for seed in range(3):
+            stream = derive_rng(seed, "degeneracy", i)
+            first_draws = [_random_int_vector(g, stream) for _ in range(2)]
+            w = _random_rational_w(g, g - i + 1, rng)
+            perp = wperp_exact(w, g)
+            # a W holding the stream's first draws makes them non-witnesses of the copy
+            w_lead = (first_draws + w)[:g - i + 1]
+            assert frac_rank(w_lead) == len(w_lead)
+            lead = wperp_exact(w_lead, g)
+            noise = random_rational_symmap(g, rng)
+            spaces = (perp, [perp[0].add(noise)] + perp[1:],
+                      [lead[0].add(noise)] + lead[1:],
+                      [random_rational_symmap(g, rng) for _ in range(len(perp))])
+            for basis in spaces:
+                rep = check_evaluation_degeneracy(basis, i, n_v_samples=25, seed=seed)
+                hit = _find_witness(basis, i, 25, derive_rng(seed, "degeneracy", i))
+                assert rep.satisfied == (hit is None)
+                if hit is not None:
+                    assert (rep.witness.v, rep.witness.rank) == hit
+                    late += hit[0] != first_draws[0]
+    assert late >= 3 * (g - 2)  # each leading-W copy is witnessed after the first draw
+
+
+def det_minor_derivatives(m, n, k):
+    """_minor_derivatives by one _det per (minor, row taken from n), nested lists."""
+    g = len(m)
+    subsets = list(itertools.combinations(range(g), k))
+    return [[sum(_det([[(n if ri == rn else m)[ri][ci] for ci in cols] for ri in rows])
+                 for rn in rows) for rows in subsets] for cols in subsets]
+
+
+def test_minor_derivatives_match_per_minor_determinants():
+    rng = derive_rng(66, "minor-derivatives")
+    for g in range(2, 6):
+        for k in range(g):
+            m = random_rank_k_symmap(g, k, rng)[0].scale(Fraction(1, 7)) if k else \
+                RationalSymMap([[0] * g] * g)
+            n = random_rational_symmap(g, rng).scale(Fraction(-3, 11))
+            assert n.den > 1 and (m.den > 1 or not k)
+            got = _minor_derivatives(np.array(m.num, dtype=object),
+                                     np.array(n.num, dtype=object), k + 1)
+            assert got.tolist() == det_minor_derivatives(m.num, n.num, k + 1)
+            assert all(type(x) is int for x in got.flat)
+    # past 2^53 the derivatives along a tangent direction cancel only in integers
+    for g, k in ((3, 1), (3, 2), (4, 2), (4, 3)):
+        factors = [[x * 10**9 + 1 for x in _random_int_vector(g, rng)] for _ in range(k)]
+        rows = [[sum((-1) ** j * u[a] * u[b] for j, u in enumerate(factors)) for b in range(g)]
+                for a in range(g)]
+        m = RationalSymMap(rows)
+        res = rank_locus_tangent_check(m, tangent_direction(factors, g, rng))
+        assert res.rank == k and res.predicate_holds and res.minors_vanish and res.agree
+        assert res.max_minor_derivative == 0.0
 
 
 def test_kernel_property_against_oracle():
