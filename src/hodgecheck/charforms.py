@@ -41,8 +41,7 @@ from .curvature import (
     pairing_matrix_batch,
 )
 from .errors import BadParameters, BadSampleCount
-from .extform import ExtForm, FormMatrix, _minors, _restrict_to_planes
-from .extform import restrict_to_plane  # noqa: F401 (benchmark/tracing.py wraps this binding)
+from .extform import ExtForm, FormMatrix, _minors, _restrict_to_planes, restrict_to_plane
 from .linalg import LinSubspace, SiegelPoint, sym_basis, sym_dim
 from .report import VerificationReport, floor_check, passing
 from .sampling import _random_planes, derive_rng, random_subspace, random_unit_vector
@@ -414,23 +413,23 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
 
     if i >= 3:
         wdim = g - i + 1  # >= 1, as i <= g
+        overall_zero = 0.0
         degeneracy_ok = True
         n_spaces = 10
-        planes = []
         for trial in range(n_spaces):
             perp = wperp_exact(_random_rational_w(g, wdim, rng), g)
             deg = check_evaluation_degeneracy(perp, i, n_v_samples, seed + trial)
             degeneracy_ok = degeneracy_ok and deg.satisfied
             perp_sub = rational_span_to_subspace(perp)
             if perp_sub.dim == i:  # the space is itself an i-plane
-                planes.append(perp_sub.basis)
+                planes = [perp_sub]
             else:
                 shape = (i, perp_sub.dim)
                 mixes = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                          for _ in range(5))
-                planes += [LinSubspace.from_spanning(mix @ perp_sub.basis, "Sg").basis
-                           for mix in mixes]
-        overall_zero = float(np.abs(_restrict_to_planes(s_i, np.array(planes))).max())
+                planes = [LinSubspace.from_spanning(mix @ perp_sub.basis, "Sg") for mix in mixes]
+            for plane in planes:
+                overall_zero = max(overall_zero, abs(restrict_to_plane(s_i, plane)))
         report.add(passing(
             "annihilator-plane-vanishing",
             f"|restriction of s_{i}| on {i}-planes inside exact annihilator spaces",
@@ -441,19 +440,21 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
             f"({n_spaces} spaces x {n_v_samples} exact rational vectors)",
             0.0 if degeneracy_ok else 1.0, 0.5))
 
-    witnessed = []
+    witness_min = np.inf
+    found = 0
     attempts = 0
-    while len(witnessed) < 20 and attempts < 200:
+    while found < 20 and attempts < 200:
         attempts += 1
         plane = random_subspace(n, i, rng, "Sg")
         deg = check_evaluation_degeneracy(plane, i, n_v_samples=20,
                                           seed=seed + attempts)
-        if not deg.satisfied:
-            witnessed.append(plane.basis)
-    found = len(witnessed)
+        if deg.satisfied:
+            continue
+        found += 1
+        witness_min = min(witness_min, restrict_to_plane(s_i, plane))
     report.add(floor_check(
         "witness-plane-positivity",
         f"minimum restriction of s_{i} over {found} planes with a rank-{i} "
         "evaluation witness",
-        float(_restrict_to_planes(s_i, np.array(witnessed)).min()) if found else np.inf, 1e-12))
+        witness_min if found else np.inf, 1e-12))
     return report

@@ -359,7 +359,9 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
     [-1000, 1000]^g is wrong with probability at most (i/2001)^N when a
     witness exists, by Schwartz-Zippel applied to the i x i minors.  The
     exact search owns its stream: it tests the first draw alone, then makes
-    the other N - 1 draws at once and hands them to _first_witness.
+    the other N - 1 draws at once and hands them to _first_witness.  Where
+    one draw of the p x q matrix e_v has more than 2pq i x i minors it
+    eliminates each draw in turn instead (_find_witness over all N).
     """
     exact = (isinstance(x, (list, tuple)) and bool(x)
              and all(isinstance(m, RationalSymMap) for m in x))
@@ -376,12 +378,17 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
         dim = len(basis)
         if dim < i:
             raise BadDimension(f"space of dimension {dim} cannot carry rank {i}")
-        hit = _find_witness(basis, i, min(n_v_samples, 1), rng)
-        if hit is None and n_v_samples > 1:
-            ws = [_random_int_vector(basis[0].g, rng) for _ in range(n_v_samples - 1)]
-            found = _first_witness(basis, i, ws)
-            if found is not None:
-                hit = ws[found[0]], found[1]
+        p, q = sorted((dim, basis[0].g))
+        if math.comb(p, i) * math.comb(q, i) > 2 * p * q:
+            # past 2pq minors a draw the expansion outgrows elimination (no benchmark workload here)
+            hit = _find_witness(basis, i, n_v_samples, rng)
+        else:
+            hit = _find_witness(basis, i, min(n_v_samples, 1), rng)
+            if hit is None and n_v_samples > 1:
+                ws = [_random_int_vector(basis[0].g, rng) for _ in range(n_v_samples - 1)]
+                found = _first_witness(basis, i, ws)
+                if found is not None:
+                    hit = ws[found[0]], found[1]
         if hit is None:
             return DegeneracyReport(True, None, i, dim, n_v_samples, True, note)
         v, rank = hit
@@ -403,21 +410,20 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
     return DegeneracyReport(True, None, i, dim, n_v_samples, False, note)
 
 
-def _evaluation_rows(basis: list[RationalSymMap], w: list[int]) -> list[list[int]]:
-    """Rows of e_w on each map's integer rows num: den * M w, a positive multiple of M w."""
-    return [[sum(a * b for a, b in zip(r, w)) for r in m.num] for m in basis]
-
-
 def _find_witness(basis: list[RationalSymMap], i: int, n_v: int, rng):
     """First of n_v random integer v with rank(e_v) >= i, as (v, rank).
 
-    Draws one v at a time and stops at the first witness, so a shared stream
-    is consumed only up to it.  Returns None when no draw reaches rank i.
+    The rows of e_v are taken on each map's integer rows num, so each is the
+    integer vector den * M v, a positive multiple of M v: the rank is that
+    of e_v.  Draws one v at a time and stops at the first witness, so a
+    shared stream is consumed only up to it.  Returns None when no draw
+    reaches rank i.
     """
     g = basis[0].g
     for _ in range(n_v):
         w = _random_int_vector(g, rng)
-        rank = _rank(_evaluation_rows(basis, w))
+        rows = [[sum(a * b for a, b in zip(r, w)) for r in m.num] for m in basis]
+        rank = _rank(rows)
         if rank >= i:
             return w, rank
     return None
@@ -430,16 +436,11 @@ def _first_witness(basis: list[RationalSymMap], i: int, ws) -> tuple[int, int] |
     nonzero.  All e_w come from one integer product, and their minors from
     one _minors expansion whose batch axis runs over (row subset, draw); the
     rows are taken along the shorter side p of e_w (its transpose when
-    dim > g), so there are C(p, i) row subsets.  Where that gives more than
-    2pq minors a draw (q the longer side) the expansion costs more than
-    eliminating each draw, so each e_w is eliminated in turn instead.  The
-    rank is _rank of the found draw either way.
+    dim > g), so there are C(p, i) row subsets.  The rank is _rank of the
+    found draw.
     """
     g, dim = basis[0].g, len(basis)
-    p, q = sorted((dim, g))
-    if math.comb(p, i) * math.comb(q, i) > 2 * p * q:
-        ranks = (_rank(_evaluation_rows(basis, w)) for w in ws)
-        return next(((s, r) for s, r in enumerate(ranks) if r >= i), None)
+    p = min(dim, g)
     num = np.array([m.num for m in basis], dtype=object)
     e = num @ np.array(ws, dtype=object).reshape(len(ws), g).T  # e[:, :, s] is e_w of ws[s]
     if dim > g:
