@@ -12,17 +12,21 @@ Everything here offers an exact path over the rationals.  A RationalSymMap
 is Python-int rows over one denominator, and every exact answer is computed
 on integers, so a reported witness is a proof and a reported absence is
 wrong with probability bounded by Schwartz-Zippel.  Ranks, kernels and
-determinants run through one fraction-free (Bareiss) elimination, as does
-each single draw of a witness search.  Two questions over whole stacks run
-as i x i minors in extform._minors on object arrays of Python ints: the
-draws after the first of check_evaluation_degeneracy's search, and every
-minor derivative of rank_locus_tangent_check.
+reduced echelon forms run through one fraction-free (Bareiss) elimination.
+Both witness searches take (basis, i, ws), ws an iterable of integer
+vectors, and return the first witness w with its rank, or None:
+_find_witness eliminates one draw at a time, _first_witness expands every
+draw's i x i minors at once.  Every minor is computed by extform._minors:
+the witness minors and the minor derivatives of rank_locus_tangent_check on
+object arrays of Python ints, and the quadratics of find_rank_ones' pencils
+on complex arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +40,7 @@ from .errors import (
     NotSymmetric,
     RankMismatch,
 )
-from .extform import _minors, _subsets
+from .extform import _genus, _minors, _subsets
 from .linalg import (
     DEFAULT_RANK_TOL,
     LinSubspace,
@@ -83,11 +87,10 @@ def _eliminate(rows: list[list[int]], ncols: int, reduce: bool = False):
     first).  Every entry stays an integer minor of the input (Sylvester's
     identity), so the division is exact, also after columns without a pivot.
     reduce=True clears above the pivots too; every pivot then equals the last.
-    Returns (pivot_columns, row-swap sign).
+    Returns the pivot columns.
     """
     nrows = len(rows)
     pivots: list[int] = []
-    sign = 1
     prev = 1
     for c in range(ncols):
         r = len(pivots)
@@ -96,9 +99,7 @@ def _eliminate(rows: list[list[int]], ncols: int, reduce: bool = False):
         p = next((i for i in range(r, nrows) if rows[i][c]), None)
         if p is None:
             continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            sign = -sign
+        rows[r], rows[p] = rows[p], rows[r]
         top = rows[r]
         piv = top[c]
         start = 0 if reduce else c
@@ -111,26 +112,18 @@ def _eliminate(rows: list[list[int]], ncols: int, reduce: bool = False):
                            for a, b in zip(row[start:], top[start:])]
         prev = piv
         pivots.append(c)
-    return pivots, sign
+    return pivots
 
 
 def _rank(rows) -> int:
     """Rank of integer rows; works on a copy."""
-    return len(_eliminate([list(r) for r in rows], len(rows[0]) if rows else 0)[0])
-
-
-def _det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix; eliminates rows in place."""
-    pivots, sign = _eliminate(rows, len(rows))
-    if len(pivots) < len(rows):
-        return 0
-    return sign * rows[-1][-1] if rows else 1
+    return len(_eliminate([list(r) for r in rows], len(rows[0]) if rows else 0))
 
 
 def frac_rref(mat) -> tuple[list[list[int]], list[int], int]:
     """Reduced row echelon form as integer rows (last times the form), pivot columns, last."""
     rows, _ = _integer_rows(mat)
-    pivots, _ = _eliminate(rows, len(rows[0]) if rows else 0, reduce=True)
+    pivots = _eliminate(rows, len(rows[0]) if rows else 0, reduce=True)
     last = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     return rows, pivots, last
 
@@ -158,12 +151,6 @@ def _int_nullspace(mat, ncols: int) -> tuple[list[list[int]], int]:
             v[pc] = -rows[r][fc]
         basis.append(v)
     return basis, last
-
-
-def frac_det(mat) -> Fraction:
-    """Forward elimination leaves sign * det(integer rows) as the last pivot."""
-    rows, scales = _integer_rows(mat)
-    return Fraction(_det(rows), math.prod(scales))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +331,7 @@ def _float_basis(x) -> list[np.ndarray]:
     if isinstance(x, LinSubspace):
         if x.ambient_tag != "Sg":
             raise DimensionMismatch(f"expected Sg coordinates, got {x.ambient_tag!r}")
-        g = int((np.sqrt(8 * x.ambient_dim + 1) - 1) / 2 + 0.5)
-        return list(vec_to_sym(x.basis, g))
+        return list(vec_to_sym(x.basis, _genus(x.ambient_dim)))
     return [m.as_float() if isinstance(m, RationalSymMap) else as_sym_array(m) for m in x]
 
 
@@ -358,10 +344,10 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
     point otherwise.  Absence of a witness over N integer samples from
     [-1000, 1000]^g is wrong with probability at most (i/2001)^N when a
     witness exists, by Schwartz-Zippel applied to the i x i minors.  The
-    exact search owns its stream: it tests the first draw alone, then makes
-    the other N - 1 draws at once and hands them to _first_witness.  Where
-    one draw of the p x q matrix e_v has more than 2pq i x i minors it
-    eliminates each draw in turn instead (_find_witness over all N).
+    exact search owns its stream: it tests the first draw alone with
+    _find_witness, then hands the other N - 1 draws to _first_witness, or to
+    _find_witness where one draw of the p x q matrix e_v has more than 2pq
+    i x i minors.
     """
     exact = (isinstance(x, (list, tuple)) and bool(x)
              and all(isinstance(m, RationalSymMap) for m in x))
@@ -379,16 +365,11 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
         if dim < i:
             raise BadDimension(f"space of dimension {dim} cannot carry rank {i}")
         p, q = sorted((dim, basis[0].g))
-        if math.comb(p, i) * math.comb(q, i) > 2 * p * q:
-            # past 2pq minors a draw the expansion outgrows elimination (no benchmark workload here)
-            hit = _find_witness(basis, i, n_v_samples, rng)
-        else:
-            hit = _find_witness(basis, i, min(n_v_samples, 1), rng)
-            if hit is None and n_v_samples > 1:
-                ws = [_random_int_vector(basis[0].g, rng) for _ in range(n_v_samples - 1)]
-                found = _first_witness(basis, i, ws)
-                if found is not None:
-                    hit = ws[found[0]], found[1]
+        # past 2pq minors a draw the expansion outgrows elimination (no benchmark workload there)
+        eliminate = math.comb(p, i) * math.comb(q, i) > 2 * p * q
+        search = _find_witness if eliminate else _first_witness
+        ws = _int_vectors(basis[0].g, n_v_samples, rng)
+        hit = _find_witness(basis, i, itertools.islice(ws, 1)) or search(basis, i, ws)
         if hit is None:
             return DegeneracyReport(True, None, i, dim, n_v_samples, True, note)
         v, rank = hit
@@ -410,27 +391,28 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
     return DegeneracyReport(True, None, i, dim, n_v_samples, False, note)
 
 
-def _find_witness(basis: list[RationalSymMap], i: int, n_v: int, rng):
-    """First of n_v random integer v with rank(e_v) >= i, as (v, rank).
+def _int_vectors(g: int, n: int, rng):
+    """n draws of _random_int_vector, made lazily: a search that stops early draws no more."""
+    return (_random_int_vector(g, rng) for _ in range(n))
 
-    The rows of e_v are taken on each map's integer rows num, so each is the
-    integer vector den * M v, a positive multiple of M v: the rank is that
-    of e_v.  Draws one v at a time and stops at the first witness, so a
-    shared stream is consumed only up to it.  Returns None when no draw
-    reaches rank i.
+
+def _find_witness(basis: list[RationalSymMap], i: int, ws):
+    """(w, rank) for the first integer vector w in ws with rank(e_w) >= i, or None.
+
+    The rows of e_w are taken on each map's integer rows num, so each is the
+    integer vector den * M w, a positive multiple of M w: the rank is that
+    of e_w.  Takes one w at a time from ws and stops at the first witness,
+    so a lazy ws is drawn only up to it.
     """
-    g = basis[0].g
-    for _ in range(n_v):
-        w = _random_int_vector(g, rng)
-        rows = [[sum(a * b for a, b in zip(r, w)) for r in m.num] for m in basis]
-        rank = _rank(rows)
+    for w in ws:
+        rank = _rank([[sum(map(operator.mul, r, w)) for r in m.num] for m in basis])
         if rank >= i:
             return w, rank
     return None
 
 
-def _first_witness(basis: list[RationalSymMap], i: int, ws) -> tuple[int, int] | None:
-    """(index, rank) of the first integer vector w in ws with rank(e_w) >= i, or None.
+def _first_witness(basis: list[RationalSymMap], i: int, ws):
+    """_find_witness's answer from every draw of ws at once: (w, rank) or None.
 
     rank(e_w) >= i exactly when some i x i minor of the dim x g matrix e_w is
     nonzero.  All e_w come from one integer product, and their minors from
@@ -439,6 +421,7 @@ def _first_witness(basis: list[RationalSymMap], i: int, ws) -> tuple[int, int] |
     dim > g), so there are C(p, i) row subsets.  The rank is _rank of the
     found draw.
     """
+    ws = list(ws)
     g, dim = basis[0].g, len(basis)
     p = min(dim, g)
     num = np.array([m.num for m in basis], dtype=object)
@@ -450,7 +433,7 @@ def _first_witness(basis: list[RationalSymMap], i: int, ws) -> tuple[int, int] |
     if not len(hits):
         return None
     s = int(hits[0])
-    return s, _rank(e[..., s].tolist())
+    return ws[s], _rank(e[..., s].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +521,7 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
                         example = ("example witness v = ["
                                    + ", ".join(str(x) for x in probe.witness.v)
                                    + f"], rank {probe.witness.rank}")
-                elif _find_witness(perturbed, i, n_v_samples, rng) is None:
+                elif _find_witness(perturbed, i, _int_vectors(g, n_v_samples, rng)) is None:
                     missed += 1
             report.add(passing(
                 f"perturbed-witness-eps-{label}",
@@ -548,7 +531,7 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
 
         missed = sum(
             _find_witness(_random_rational_space(g, d, rng),
-                          i, n_v_samples, rng) is None
+                          i, _int_vectors(g, n_v_samples, rng)) is None
             for _ in range(trials))
         report.add(passing(
             "generic-same-dim-witness",
@@ -557,7 +540,7 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
 
         missed = sum(
             _find_witness(_random_rational_space(g, d + 1, rng),
-                          i, n_v_samples, rng) is None
+                          i, _int_vectors(g, n_v_samples, rng)) is None
             for _ in range(trials))
         report.add(passing(
             "larger-dim-witness",
@@ -570,7 +553,7 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
         dim_small = max(small_i, small_i * (small_i - 1) // 2)
         missed = sum(
             _find_witness(_random_rational_space(g, dim_small, rng),
-                          small_i, n_v_samples, rng) is None
+                          small_i, _int_vectors(g, n_v_samples, rng)) is None
             for _ in range(10))
         report.add(passing(
             f"rank-{small_i}-always-witnessed",
@@ -777,23 +760,16 @@ def find_rank_ones(x: LinSubspace, v) -> list[SymMap]:
             found.append(members[0] / np.linalg.norm(members[0]))
     else:
         a, b = members
-        # 2x2 minors of s*a + t*b are quadratics in (s, t); intersect their roots
+        # 2x2 minors of s*a + t*b are quadratics q0 s^2 + q1 s t + q2 t^2, one per
+        # (row pair, column pair); the roots of the first nonzero one are the candidates
         candidates = [(1.0, 0.0), (0.0, 1.0)]
-        quads = []
-        for r1, r2 in itertools.combinations(range(g), 2):
-            for c1, c2 in itertools.combinations(range(g), 2):
-                # minor(s, t) = q0 s^2 + q1 s t + q2 t^2
-                q0 = a[r1, c1] * a[r2, c2] - a[r1, c2] * a[r2, c1]
-                q2 = b[r1, c1] * b[r2, c2] - b[r1, c2] * b[r2, c1]
-                q1 = (a[r1, c1] * b[r2, c2] + b[r1, c1] * a[r2, c2]
-                      - a[r1, c2] * b[r2, c1] - b[r1, c2] * a[r2, c1])
-                quads.append((q0, q1, q2))
-        scale = max(max(abs(q) for q in qs) for qs in quads) if quads else 0.0
-        for q0, q1, q2 in quads:
-            if max(abs(q0), abs(q1), abs(q2)) > 1e-9 * max(scale, 1e-30):
-                roots = np.roots([q0, q1, q2])
-                candidates.extend((complex(r), 1.0) for r in roots)
-                break
+        pairs = _subsets(g, 2)[0]
+        q0, q2 = (_minors(np.moveaxis(m[pairs], 0, 2)) for m in (a, b))
+        quads = np.stack([q0.T, _minor_derivatives(a, b, 2).T, q2.T], axis=-1).reshape(-1, 3)
+        size = np.abs(quads).max(axis=1)
+        big = np.flatnonzero(size > 1e-9 * max(size.max(initial=0.0), 1e-30))
+        if len(big):
+            candidates.extend((complex(r), 1.0) for r in np.roots(quads[big[0]]))
         for s, t in candidates:
             cand = s * a + t * b
             norm = np.linalg.norm(cand)

@@ -21,15 +21,14 @@ from hodgecheck.symmaps import (
     check_evaluation_degeneracy,
     eval_matrix_exact,
     find_rank_ones,
-    _det,
     _find_witness,
     _first_witness,
     _int_nullspace,
+    _int_vectors,
     _integer_rows,
     _minor_derivatives,
     _random_int_vector,
     _random_rational_w,
-    frac_det,
     frac_matrix,
     frac_nullspace,
     frac_rank,
@@ -238,8 +237,8 @@ def frac_minor_derivative_oracle(m, n):
     worst = Fraction(0)
     for rows in itertools.combinations(range(g), k + 1):
         for cols in itertools.combinations(range(g), k + 1):
-            d = sum(frac_det([[(nn if ri == r_n else mm)[ri][ci] for ci in cols]
-                              for ri in rows]) for r_n in rows)
+            d = sum(gj_det([[(nn if ri == r_n else mm)[ri][ci] for ci in cols]
+                            for ri in rows]) for r_n in rows)
             worst = max(worst, abs(d))
     return k, worst
 
@@ -275,10 +274,8 @@ def fraction_rref(mat):
 def test_frac_helpers():
     ident = frac_matrix([[1, 0], [0, 1]])
     assert frac_rank(ident) == 2
-    assert frac_det(ident) == 1
     m = frac_matrix([[1, 2], [2, 4]])
     assert frac_rank(m) == 1
-    assert frac_det(m) == 0
     null = frac_nullspace(m, 2)
     assert len(null) == 1
     v = null[0]
@@ -398,9 +395,6 @@ def assert_matches_oracle(m):
     assert len(null) == ncols - len(want_pivots)
     for v in null:
         assert all(sum((a * b for a, b in zip(r, v)), Fraction(0)) == 0 for r in m)
-    if len(m) == ncols:
-        assert frac_det(m) == gj_det(m)
-        assert isinstance(frac_det(m), Fraction)
 
 
 def test_fraction_free_kernel_matches_gauss_jordan_oracle():
@@ -408,25 +402,6 @@ def test_fraction_free_kernel_matches_gauss_jordan_oracle():
     assert len(cases) > 60
     for m in cases:
         assert_matches_oracle(m)
-
-
-def test_frac_det_sign_follows_row_swaps():
-    rng = derive_rng(54, "det-swaps")
-    for n in (2, 3, 4, 5):
-        for _ in range(5):
-            m = random_rational_matrix(rng, n, n)
-            d = frac_det(m)
-            assert d == gj_det(m)
-            for i, j in itertools.combinations(range(n), 2):
-                swapped = list(m)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                assert frac_det(swapped) == -d
-            # a zero leading entry forces a pivot swap inside the kernel
-            m[0][0] = Fraction(0)
-            assert frac_det(m) == gj_det(m)
-    assert frac_det([]) == 1
-    assert frac_det([[Fraction(0, 1), Fraction(1, 2)], [Fraction(1, 3), Fraction(0)]]) \
-        == Fraction(-1, 6)
 
 
 def _fraction_nullspace(mat, ncols):
@@ -487,7 +462,6 @@ def test_wperp_exact_maps_are_the_fraction_route_maps():
 def test_frac_helpers_accept_integers():
     m = [[0, 2, 4], [0, 1, 2], [3, 0, 1]]
     assert frac_rank(m) == 2
-    assert frac_det(m) == 0
     assert fraction_rref(m) == gj_rref(m)
 
 
@@ -498,7 +472,7 @@ def test_find_witness_matches_rational_evaluation():
         basis = [random_rational_symmap(g, rng).scale(Fraction(1, seed + 2 + j))
                  for j in range(3)]
         ours, ref = derive_rng(56, seed), derive_rng(56, seed)
-        v, rank = _find_witness(basis, 3, 20, ours)
+        v, rank = _find_witness(basis, 3, _int_vectors(g, 20, ours))
         for _ in range(20):  # the same search in Fraction arithmetic
             want_v = random_rational_vector(g, ref)
             want_rows = eval_matrix_exact(basis, want_v)
@@ -565,9 +539,34 @@ def test_first_witness_matches_per_draw_elimination():
         want = per_draw_witness(basis, i, ws)
         assert (want and want[0]) == index
         got = _first_witness(basis, i, ws)
-        assert got == want
-        assert got is None or all(type(x) is int for x in got)
+        assert got == (want and (ws[want[0]], want[1]))
+        assert got == _find_witness(basis, i, ws)
+        assert got is None or (type(got[1]) is int and all(type(x) is int for x in got[0]))
     assert _first_witness(cases[0][0], 3, []) is None
+
+
+def test_find_witness_draws_only_up_to_the_witness():
+    """_find_witness takes draws one at a time from its iterable and stops at the witness."""
+    rng = derive_rng(67, "lazy-witness")
+    for g, i in ((4, 3), (4, 4), (5, 3)):
+        w = _random_rational_w(g, g - i + 1, rng)
+        perp = wperp_exact(w, g)
+        perturbed = [perp[0].add(random_rational_symmap(g, rng))] + perp[1:]
+        # vectors of W give e_w rank <= 1, so the witness is the first draw after them
+        ws = w + [_random_int_vector(g, rng) for _ in range(10)]
+        for basis, index in ((perturbed, len(w)), (perp, None)):
+            pulled = []
+
+            def counting():
+                for v in ws:
+                    pulled.append(v)
+                    yield v
+
+            hit = _find_witness(basis, i, counting())
+            want = per_draw_witness(basis, i, ws)
+            assert (want and want[0]) == index
+            assert hit == (want and (ws[index], want[1]))
+            assert len(pulled) == (len(ws) if index is None else index + 1)
 
 
 @pytest.mark.parametrize("g", [3, 4, 5])
@@ -602,7 +601,8 @@ def test_degeneracy_search_matches_the_sequential_search(g, monkeypatch):
                       [random_rational_symmap(g, rng) for _ in range(len(perp))])
             for basis in spaces:
                 rep = check_evaluation_degeneracy(basis, i, n_v_samples=25, seed=seed)
-                hit = _find_witness(basis, i, 25, derive_rng(seed, "degeneracy", i))
+                draws = _int_vectors(g, 25, derive_rng(seed, "degeneracy", i))
+                hit = _find_witness(basis, i, draws)
                 assert rep.satisfied == (hit is None)
                 if hit is not None:
                     assert (rep.witness.v, rep.witness.rank) == hit
@@ -613,10 +613,10 @@ def test_degeneracy_search_matches_the_sequential_search(g, monkeypatch):
 
 
 def det_minor_derivatives(m, n, k):
-    """_minor_derivatives by one _det per (minor, row taken from n), nested lists."""
+    """_minor_derivatives by one gj_det per (minor, row taken from n), nested lists."""
     g = len(m)
     subsets = list(itertools.combinations(range(g), k))
-    return [[sum(_det([[(n if ri == rn else m)[ri][ci] for ci in cols] for ri in rows])
+    return [[sum(gj_det([[(n if ri == rn else m)[ri][ci] for ci in cols] for ri in rows])
                  for rn in rows) for rows in subsets] for cols in subsets]
 
 
@@ -855,6 +855,42 @@ def test_find_rank_ones_dimension_guard():
     x = wperp(line(3, 0))
     with pytest.raises(BadDimension):
         find_rank_ones(x, np.array([1.0, 0.0, 0.0]))
+
+
+def test_sg_coordinates_of_no_symmetric_matrix_are_rejected():
+    x = LinSubspace(np.eye(4)[:2], "Sg")
+    with pytest.raises(DimensionMismatch, match="no symmetric matrix"):
+        check_evaluation_degeneracy(x, 1)
+    with pytest.raises(DimensionMismatch, match="no symmetric matrix"):
+        find_rank_ones(x, np.ones(2))
+
+
+@pytest.mark.parametrize("g", [3, 4, 5, 6])
+def test_find_rank_ones_recovers_both_generators_of_a_pencil(g):
+    """u u^T and w w^T with u.v = w.v = 0 span a pencil annihilating v; both come back.
+
+    The span is handed over as two generic combinations of the generators, so
+    neither member of the pencil is a generator.  In the second case row 1 of
+    both generators is zero, so every quadratic of row pair (0, 1) vanishes and
+    the roots come from a later row pair.
+    """
+    for seed in range(20):
+        rng = derive_rng(68, "pencil-recovery", g, seed)
+        for zero_row in (False, True):
+            u, w = rng.standard_normal((2, g))
+            if zero_row:
+                u[1] = w[1] = 0.0
+            v = np.linalg.svd(np.array([u, w]))[2][-1]
+            gens = [np.outer(u, u), np.outer(w, w)]
+            c = rng.standard_normal((2, 2))
+            span = LinSubspace.from_spanning(
+                sym_to_vec([c[0, 0] * gens[0] + c[0, 1] * gens[1],
+                            c[1, 0] * gens[0] + c[1, 1] * gens[1]]), "Sg")
+            found = find_rank_ones(span, v)
+            assert len(found) == 2
+            for gen in gens:
+                gen = gen.reshape(-1) / np.linalg.norm(gen)
+                assert max(abs(np.vdot(f.m.reshape(-1), gen)) for f in found) > 1 - 1e-9
 
 
 def test_rigidity_suite_small():
