@@ -41,8 +41,8 @@ from .curvature import (
     pairing_matrix_batch,
 )
 from .errors import BadParameters, BadSampleCount
-from .extform import ExtForm, FormMatrix, _minors, _restrict_to_planes, restrict_to_plane
-from .linalg import LinSubspace, SiegelPoint, sym_basis, sym_dim
+from .extform import ExtForm, FormMatrix, _minors, restrict_to_plane
+from .linalg import SiegelPoint, _orthonormal_stack, sym_basis, sym_dim
 from .report import VerificationReport, floor_check, passing
 from .sampling import _random_planes, derive_rng, random_subspace, random_unit_vector
 from .symmaps import (
@@ -280,7 +280,7 @@ def check_pointwise_identity(tau: SiegelPoint, tol: float = 1e-9,
     report.add(floor_check(
         "first-segre-lines",
         "restriction of s_1 to random lines stays nonnegative",
-        _restrict_to_planes(s_inv.component(1, 1), lines).min(), -1e-10))
+        restrict_to_plane(s_inv.component(1, 1), lines).min(), -1e-10))
     return report
 
 
@@ -389,6 +389,8 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
     annihilator space {M : M W = 0} with codim W = i - 1 give lambda = 0 and
     carry no evaluation of rank i; planes with a verified rank-i evaluation
     give lambda strictly positive.  tol bounds |lambda| in the second phase.
+    Each phase restricts its planes as one stack in one restrict_to_plane
+    call (the random planes in chunks of _PLANE_CHUNK).
     """
     g = tau.g
     if i < 1 or i > g:
@@ -405,7 +407,7 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
     # memory stays flat in trials, and the chunks consume the stream as one draw does
     chunks = (_random_planes(n, i, min(_PLANE_CHUNK, trials - start), rng)
               for start in range(0, trials, _PLANE_CHUNK))
-    worst = min((v for bases in chunks for v in _restrict_to_planes(s_i, bases)), default=np.inf)
+    worst = min((v for bases in chunks for v in restrict_to_plane(s_i, bases)), default=np.inf)
     report.add(floor_check(
         "random-plane-floor",
         f"minimum restriction of s_{i} over {trials} random {i}-planes",
@@ -413,23 +415,21 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
 
     if i >= 3:
         wdim = g - i + 1  # >= 1, as i <= g
-        overall_zero = 0.0
         degeneracy_ok = True
         n_spaces = 10
+        annihilator_planes = []
         for trial in range(n_spaces):
             perp = wperp_exact(_random_rational_w(g, wdim, rng), g)
             deg = check_evaluation_degeneracy(perp, i, n_v_samples, seed + trial)
             degeneracy_ok = degeneracy_ok and deg.satisfied
             perp_sub = rational_span_to_subspace(perp)
             if perp_sub.dim == i:  # the space is itself an i-plane
-                planes = [perp_sub]
-            else:
-                shape = (i, perp_sub.dim)
-                mixes = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                         for _ in range(5))
-                planes = [LinSubspace.from_spanning(mix @ perp_sub.basis, "Sg") for mix in mixes]
-            for plane in planes:
-                overall_zero = max(overall_zero, abs(restrict_to_plane(s_i, plane)))
+                annihilator_planes.append(perp_sub.basis[None])
+            else:  # five random i-planes inside it
+                parts = rng.standard_normal((5, 2, i, perp_sub.dim))
+                annihilator_planes.append(
+                    _orthonormal_stack((parts[:, 0] + 1j * parts[:, 1]) @ perp_sub.basis))
+        overall_zero = np.abs(restrict_to_plane(s_i, np.concatenate(annihilator_planes))).max()
         report.add(passing(
             "annihilator-plane-vanishing",
             f"|restriction of s_{i}| on {i}-planes inside exact annihilator spaces",
@@ -440,21 +440,18 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
             f"({n_spaces} spaces x {n_v_samples} exact rational vectors)",
             0.0 if degeneracy_ok else 1.0, 0.5))
 
-    witness_min = np.inf
-    found = 0
+    witnessed = []
     attempts = 0
-    while found < 20 and attempts < 200:
+    while len(witnessed) < 20 and attempts < 200:
         attempts += 1
         plane = random_subspace(n, i, rng, "Sg")
         deg = check_evaluation_degeneracy(plane, i, n_v_samples=20,
                                           seed=seed + attempts)
-        if deg.satisfied:
-            continue
-        found += 1
-        witness_min = min(witness_min, restrict_to_plane(s_i, plane))
+        if not deg.satisfied:
+            witnessed.append(plane.basis)
     report.add(floor_check(
         "witness-plane-positivity",
-        f"minimum restriction of s_{i} over {found} planes with a rank-{i} "
+        f"minimum restriction of s_{i} over {len(witnessed)} planes with a rank-{i} "
         "evaluation witness",
-        witness_min if found else np.inf, 1e-12))
+        restrict_to_plane(s_i, np.array(witnessed)).min() if witnessed else np.inf, 1e-12))
     return report

@@ -477,24 +477,25 @@ def inverse_even(a: ExtForm, max_degree: int | None = None) -> ExtForm:
     return a.inverse_even(max_degree=max_degree)
 
 
-def restrict_to_plane(a: ExtForm, y: LinSubspace) -> float:
-    """Value of the (k, k) component of a on a k-plane of symmetric matrices.
+def restrict_to_plane(a: ExtForm, planes: LinSubspace | np.ndarray) -> float | np.ndarray:
+    """Value of the (k, k) component of a on k-planes of symmetric matrices.
 
-    The plane arrives as Frobenius-orthonormal rows in flattened coordinates.
-    The value is normalized against the plane's own unit volume form
+    A plane arrives as Frobenius-orthonormal rows in flattened coordinates:
+    one LinSubspace tagged "Sg" gives one float, and a (T, k, n) stack of
+    bases gives T values, each its plane's alone to the bit.  The value is
+    normalized against the plane's own unit volume form
     wedge_j (i/2) theta_j ^ conj(theta_j), built from the Frobenius-dual
     coframe of the basis, so the result does not depend on the basis choice
-    and is real for real forms.  The one-plane case of _restrict_to_planes.
+    and is real for real forms.
     """
-    if y.ambient_tag != "Sg":
-        raise DimensionMismatch(f"plane must live in Sg coordinates, got {y.ambient_tag!r}")
-    if y.ambient_dim != a.n:
-        raise DimensionMismatch(f"plane ambient dimension {y.ambient_dim} is not {a.n} generators")
-    return float(_restrict_to_planes(a, y.basis[None])[0])
-
-
-def _restrict_to_planes(a: ExtForm, bases: np.ndarray) -> np.ndarray:
-    """restrict_to_plane on T planes of orthonormal (T, k, n) Sg rows, each value to the bit."""
+    one = isinstance(planes, LinSubspace)
+    if one and planes.ambient_tag != "Sg":
+        raise DimensionMismatch(f"plane must live in Sg coordinates, got {planes.ambient_tag!r}")
+    bases = planes.basis[None] if one else np.asarray(planes)
+    if bases.ndim != 3:
+        raise DimensionMismatch(f"a stack of plane bases is (T, k, n), got shape {bases.shape}")
+    if bases.shape[-1] != a.n:
+        raise DimensionMismatch(f"plane ambient dimension {bases.shape[-1]} is not {a.n} generators")
     k, g = bases.shape[-2], _genus(a.n)
     mats = vec_to_sym(bases, g)
     coords = _coordinate_rows(mats, g)
@@ -503,7 +504,8 @@ def _restrict_to_planes(a: ExtForm, bases: np.ndarray) -> np.ndarray:
     # wedge_j (i/2) theta_j ^ conj(theta_j) is sign (i/2)^k |det Theta|^2 on the plane
     det = np.linalg.det((coords * sym_pair_table(g).frob) @ np.swapaxes(coords.conj(), -1, -2))
     sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
-    return (a.contract(mats, mats) / (sign * (0.5j) ** k * det * np.conj(det))).real
+    values = (a.contract(mats, mats) / (sign * (0.5j) ** k * det * np.conj(det))).real
+    return float(values[0]) if one else values
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .errors import DimensionMismatch, NotInWperp
 from .linalg import (
     LinSubspace,
     SiegelPoint,
+    as_sym_array,
     make_siegel_point,
     subspace_distance,
     vec_to_sym,
@@ -94,7 +95,8 @@ def slice_member(sl: AffineSlice, direction):
     """Base point moved by a direction; the direction must kill W.
 
     direction is either a coefficient vector for the slice's direction basis
-    or a symmetric matrix.  Members whose imaginary part is not positive
+    or a symmetric matrix; an asymmetric one raises NotSymmetric, as every
+    symmetric input does.  Members whose imaginary part is not positive
     definite are reported as OutOfDomain rather than raised, so sweeps can
     step over them.
     """
@@ -105,7 +107,7 @@ def slice_member(sl: AffineSlice, direction):
     else:
         if direction.shape != (g, g):
             raise DimensionMismatch(f"direction shape {direction.shape} for genus {g}")
-        n = 0.5 * (direction + direction.T)
+        n = as_sym_array(direction)
     return _finish_member(sl, n)
 
 

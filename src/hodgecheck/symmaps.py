@@ -606,14 +606,11 @@ def rank_locus_tangent_check(m, n) -> TangentCheck:
         g, mm, nn = m.g, m.num, n.num
         if n.g != g:
             raise DimensionMismatch(f"genus-{g} base point with a genus-{n.g} direction")
-        kernel = _int_nullspace(mm, g)[0]
+        kernel = [[x // math.gcd(*v) for x in v] for v in _int_nullspace(mm, g)[0]]
         k = g - len(kernel)
-        predicate = True
-        for kv in ([x // math.gcd(*v) for x in v] for v in kernel):
-            nk = [sum(a * b for a, b in zip(r, kv)) for r in nn]
-            if _rank([r + (x,) for r, x in zip(mm, nk)]) != k:
-                predicate = False
-                break
+        # N K, K's columns spanning ker(M), lies in im(M) iff appending it keeps rank k
+        nk = [tuple(sum(a * b for a, b in zip(r, kv)) for kv in kernel) for r in nn]
+        predicate = _rank([r + x for r, x in zip(mm, nk)]) == k
         worst = 0
         if k < g:
             derivs = _minor_derivatives(np.array(mm, dtype=object), np.array(nn, dtype=object),
@@ -631,14 +628,10 @@ def rank_locus_tangent_check(m, n) -> TangentCheck:
         raise DimensionMismatch(f"base point of shape {ma.shape} with a direction of {na.shape}")
     g = ma.shape[0]
     k, kernel, image = rank_with_kernel(ma)
-    predicate = True
-    proj = image.projector()
     scale = max(1.0, float(np.linalg.norm(na)))
-    for kv in kernel.basis:
-        nk = na @ kv
-        if np.linalg.norm(nk - proj @ nk) > DEFAULT_RANK_TOL * scale:
-            predicate = False
-            break
+    nk = na @ kernel.basis.T
+    outside = np.linalg.norm(nk - image.projector() @ nk, axis=0).max(initial=0.0)
+    predicate = bool(outside <= DEFAULT_RANK_TOL * scale)
     minors_ok = True
     worst = 0.0
     if k < g:

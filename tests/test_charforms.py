@@ -28,7 +28,7 @@ from hodgecheck.curvature import (
     line_hermitian_form,
 )
 from hodgecheck.errors import BadParameters, BadSampleCount
-from hodgecheck.extform import ExtForm, FormMatrix, _minors, _restrict_to_planes, restrict_to_plane
+from hodgecheck.extform import ExtForm, FormMatrix, _minors, restrict_to_plane
 from hodgecheck.linalg import make_siegel_point, sym_dim, sym_index_pairs, sym_pair_table, vec_to_sym
 from hodgecheck.sampling import (
     _random_planes,
@@ -364,6 +364,24 @@ def test_positivity_and_vanishing_report():
     assert "witness-plane-positivity" in names
 
 
+def test_each_plane_set_is_restricted_in_one_call(monkeypatch):
+    """At i = 4 each annihilator space (dimension 6) gives five mixed 4-planes."""
+    shapes = []
+
+    def counted(a, planes):
+        shapes.append(planes.shape)
+        return restrict_to_plane(a, planes)
+
+    monkeypatch.setattr(charforms, "restrict_to_plane", counted)
+    x = random_siegel_point(4, derive_rng(39, "pv", 4))
+    rep = check_positivity_and_vanishing(x, i=4, trials=50, seed=2, n_v_samples=20)
+    assert rep.passed
+    checks = {c["name"]: c for c in rep.to_dict()["checks"]}
+    assert checks["annihilator-plane-vanishing"]["asserting"]
+    assert shapes[:2] == [(50, 4, 10), (10 * 5, 4, 10)]
+    assert len(shapes) == 3 and shapes[2][0] > 0
+
+
 def test_random_plane_chunks_keep_the_report(monkeypatch):
     """Chunks of the plane draw give the report of one draw, later phases included."""
     x = random_siegel_point(3, derive_rng(39, "pv"))
@@ -467,7 +485,7 @@ def test_batched_planes_match_the_per_plane_loop_bitwise(g):
         # one draw consumes the stream as the 50 single draws do, into the same bases
         assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
         assert bases.tobytes() == np.array([y.basis for y in planes]).tobytes()
-        got = _restrict_to_planes(s_k, bases)
+        got = restrict_to_plane(s_k, bases)
         assert got.shape == (50,) and np.all(got > 0)
         assert got.tolist() == [restrict_to_plane(s_k, y) for y in planes]
         assert got.tolist() == [_restriction_oracle(s_k, y.basis, g) for y in planes]

@@ -483,6 +483,11 @@ def test_restrict_ambient_mismatch():
     wrong_dim = LinSubspace(np.array([[1.0, 0.0]]), "Sg")
     with pytest.raises(DimensionMismatch):
         restrict_to_plane(form, wrong_dim)
+    # a stack of bases is (T, k, n): one bare basis, or rows of the wrong n, is refused
+    with pytest.raises(DimensionMismatch):
+        restrict_to_plane(form, np.eye(3)[:1])
+    with pytest.raises(DimensionMismatch):
+        restrict_to_plane(form, np.eye(2)[None, :1])
 
 
 def test_formmatrix_trace_and_identity():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hodgecheck.errors import NotInWperp
+from hodgecheck.errors import NotInWperp, NotSymmetric
 from hodgecheck.linalg import LinSubspace, make_siegel_point, subspace_distance, sym_to_vec
 from hodgecheck.sampling import derive_rng, random_siegel_point, random_subspace
 from hodgecheck.slices import (
@@ -75,6 +75,16 @@ def test_member_rejects_directions_outside():
     bad[0, 0] = 1.0
     with pytest.raises(NotInWperp):
         slice_member(sl, bad)
+
+
+def test_member_refuses_an_asymmetric_direction():
+    tau0 = make_siegel_point(np.zeros((3, 3)), np.eye(3))
+    sl = AffineSlice(tau0, span_e1(3))
+    lopsided = np.array([[0, 0, 0], [0, 0.1, 0.2], [0, 0, 0.1]])
+    with pytest.raises(NotSymmetric):
+        slice_member(sl, lopsided)
+    member = slice_member(sl, lopsided + np.triu(lopsided, 1).T)
+    assert np.array_equal(member.tau - tau0.tau, lopsided + np.triu(lopsided, 1).T)
 
 
 def test_real_embedding_scalar_case():

@@ -751,6 +751,16 @@ def test_tangent_explicit_two_by_two():
     assert good.max_minor_derivative == 0.0
 
 
+def test_tangent_predicate_reads_every_kernel_vector():
+    # ker M = span(e2, e3): N e2 = e1 stays in im M = span(e1), N e3 = e3 leaves it
+    m = RationalSymMap([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    n = RationalSymMap([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    for res in (rank_locus_tangent_check(m, n),
+                rank_locus_tangent_check(m.as_float(), n.as_float())):
+        assert res.rank == 1
+        assert not res.predicate_holds and not res.minors_vanish and res.agree
+
+
 def test_tangent_constructed_directions_recognized():
     rng = derive_rng(58, "tan-dir")
     for g, k in ((3, 1), (3, 2), (4, 2)):
