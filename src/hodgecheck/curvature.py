@@ -170,7 +170,7 @@ def curvature_pairing_form(pkg: CurvaturePackage, v) -> ExtForm:
     g = pkg.g
     if v.shape != (g,):
         raise DimensionMismatch(f"vector shape {v.shape} does not match genus {g}")
-    if np.allclose(v, 0):
+    if not v.any():
         raise ZeroVector("pairing form needs a nonzero fiber vector")
     return ExtForm.from_blocks(sym_dim(g), {(1, 1): pairing_matrix_batch(pkg, v[None])[0]})
 
@@ -195,7 +195,7 @@ def line_hermitian_form(tau: SiegelPoint, w) -> np.ndarray:
     g = tau.g
     if w.shape != (g,):
         raise DimensionMismatch(f"vector shape {w.shape} does not match genus {g}")
-    if np.allclose(w, 0):
+    if not w.any():
         raise ZeroVector("the form is undefined on the zero vector")
     h = dual_metric(tau)
     basis = sym_basis(g)

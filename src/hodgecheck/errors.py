@@ -45,10 +45,6 @@ class BadDimension(HodgecheckError):
     """Subspace dimension outside the meaningful range."""
 
 
-class RankMismatch(HodgecheckError):
-    """Input matrix does not have the rank the operation assumes."""
-
-
 class InputNotRankOne(HodgecheckError):
     """Pencil endpoints must have rank one."""
 

@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotInWperp
+from .errors import DimensionMismatch, NotInWperp, NotPositiveDefinite
 from .linalg import (
     LinSubspace,
     SiegelPoint,
     as_sym_array,
-    make_siegel_point,
     subspace_distance,
     vec_to_sym,
 )
@@ -119,11 +118,10 @@ def _finish_member(sl: AffineSlice, n: np.ndarray):
         if residual > WPERP_MEMBERSHIP_TOL * scale:
             raise NotInWperp(
                 f"direction moves the pinned subspace by {residual:.3e}")
-    tau = sl.tau0.tau + n
-    y = tau.imag
-    if np.min(np.linalg.eigvalsh(0.5 * (y + y.T))) <= 0:
+    try:
+        return SiegelPoint(sl.tau0.tau + n)
+    except NotPositiveDefinite:
         return OutOfDomain
-    return make_siegel_point(tau.real, tau.imag)
 
 
 def random_slice_member(sl: AffineSlice, rng) -> SiegelPoint:

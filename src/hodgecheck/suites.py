@@ -23,7 +23,6 @@ from .charforms import (
 )
 from .curvature import fd_relative_error
 from .errors import ConfigInvalid, SuiteUnknown
-from .linalg import LinSubspace, sym_to_vec
 from .report import SCHEMA_VERSION, VerificationReport, jsonable, passing
 from .sampling import derive_rng, random_siegel_point, random_subspace
 from .slices import check_embedded_subspace_invariance
@@ -36,6 +35,7 @@ from .symmaps import (
     random_rank_k_symmap,
     random_rational_symmap,
     rank_locus_tangent_check,
+    rational_span_to_subspace,
     tangent_direction,
 )
 
@@ -284,8 +284,7 @@ def _pencil_rank_one_recovery(g: int, rng) -> int:
     # two rank ones annihilating a common vector v (g >= 3), then search for them
     m1, m2, factors = _independent_rank_ones(g, rng)
     v = np.array([float(x) for x in frac_nullspace(factors, g)[0]])
-    span = LinSubspace.from_spanning(sym_to_vec([m1.as_float(), m2.as_float()]), "Sg")
-    return len(find_rank_ones(span, v))
+    return len(find_rank_ones(rational_span_to_subspace([m1, m2]), v))
 
 
 def _slice_embed(cfg: RunConfig) -> VerificationReport:

@@ -161,6 +161,19 @@ def test_line_form_scalar_case():
         line_hermitian_form(p, np.array([0.0]))
 
 
+def test_tiny_vectors_are_not_zero():
+    """Only the zero vector is refused: 1e-9 w gives the forms of w, rescaled as documented."""
+    x = random_siegel_point(2, derive_rng(26, "tiny-vector"))
+    w = np.array([1.0, 0.5])
+    tiny = 1e-9 * w
+    L = line_hermitian_form(x, w)
+    assert np.max(np.abs(line_hermitian_form(x, tiny) - L)) <= 1e-12 * np.max(np.abs(L))
+    pkg = curvature_package(x)
+    form = curvature_pairing_form(pkg, w)
+    scaled = curvature_pairing_form(pkg, tiny) / 1e-18
+    assert scaled.max_coeff_diff(form) <= 1e-12 * form.norm_inf()
+
+
 def test_fundamental_form_bridge():
     """L of a metric-unit line matches 4 pi times the paired dual vector form."""
     rng = derive_rng(26, "bridge")

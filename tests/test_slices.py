@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from hodgecheck import symmaps
 from hodgecheck.errors import NotInWperp, NotSymmetric
-from hodgecheck.linalg import LinSubspace, make_siegel_point, subspace_distance, sym_to_vec
+from hodgecheck.linalg import (
+    LinSubspace,
+    make_siegel_point,
+    rank_with_kernel,
+    subspace_distance,
+    sym_to_vec,
+)
 from hodgecheck.sampling import derive_rng, random_siegel_point, random_subspace
 from hodgecheck.slices import (
     AffineSlice,
@@ -157,6 +164,21 @@ def test_embedded_image_member_independent():
         for _ in range(5):
             m = random_slice_member(sl, rng)
             assert subspace_distance(base_img, embedded_subspace(m, w)) < 1e-10
+
+
+def test_invariance_report_measures_a_wrong_direction_dimension(monkeypatch):
+    """An SVD kernel one row short gives a slice of c(c+1)/2 - 1 directions: a failed check."""
+    def one_kernel_row_fewer(m, tol=symmaps.DEFAULT_RANK_TOL):
+        rank, kernel, image = rank_with_kernel(m, tol)
+        return rank, LinSubspace(kernel.basis[1:], "V"), image
+
+    monkeypatch.setattr(symmaps, "rank_with_kernel", one_kernel_row_fewer)
+    tau0 = random_siegel_point(3, derive_rng(66, "short-kernel"))
+    rep = check_embedded_subspace_invariance(tau0, span_e1(3), n_members=4, seed=4)
+    checks = {c["name"]: c for c in rep.to_dict()["checks"]}
+    assert checks["direction-space-dimension"]["measured"] == 1.0
+    assert not checks["direction-space-dimension"]["passed"]
+    assert not rep.passed
 
 
 def test_invariance_report():

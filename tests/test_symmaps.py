@@ -575,14 +575,20 @@ def test_degeneracy_search_matches_the_sequential_search(g, monkeypatch):
 
     At g = 5 the annihilator spaces for i = 4 and 5 (6 and 10 maps) are past the
     cost rule, so their draws are eliminated in turn and never reach _first_witness.
+    Every other i is searched by _first_witness alone, all draws in one call.
     """
-    expanded = set()
+    expanded, eliminated = set(), set()
 
     def spy(basis, i, ws):
         expanded.add(i)
         return _first_witness(basis, i, ws)
 
+    def eliminating_spy(basis, i, ws):
+        eliminated.add(i)
+        return _find_witness(basis, i, ws)
+
     monkeypatch.setattr(symmaps, "_first_witness", spy)
+    monkeypatch.setattr(symmaps, "_find_witness", eliminating_spy)
     rng = derive_rng(65, "stacked-degeneracy", g)
     late = 0
     for i in range(3, g + 1):
@@ -608,8 +614,9 @@ def test_degeneracy_search_matches_the_sequential_search(g, monkeypatch):
                     assert (rep.witness.v, rep.witness.rank) == hit
                     late += hit[0] != first_draws[0]
     assert late >= 3 * (g - 2)  # each leading-W copy is witnessed after the first draw
-    # every annihilator space misses on its first draw, so each i within the rule expands
-    assert expanded == {i for i in range(3, g + 1) if (g, i) not in ((5, 4), (5, 5))}
+    past_rule = {i for i in range(3, g + 1) if (g, i) in ((5, 4), (5, 5))}
+    assert expanded == set(range(3, g + 1)) - past_rule
+    assert eliminated == past_rule
 
 
 def det_minor_derivatives(m, n, k):
@@ -912,6 +919,20 @@ def test_rigidity_suite_small():
     assert checks["generic-same-dim-witness"]["passed"]
     assert checks["rank-1-always-witnessed"]["passed"]
     assert checks["rank-2-always-witnessed"]["passed"]
+
+
+def test_rigidity_suite_measures_a_wrong_annihilator_dimension(monkeypatch):
+    """A kernel with one vector repeated reads d + 1 maps: the check fails, nothing raises."""
+    def one_vector_twice(mat, ncols):
+        basis, last = _int_nullspace(mat, ncols)
+        return basis + basis[:1], last
+
+    monkeypatch.setattr(symmaps, "_int_nullspace", one_vector_twice)
+    rep = annihilator_rigidity_suite(3, 3, trials=4, n_v_samples=20, seed=3)
+    checks = {c["name"]: c for c in rep.to_dict()["checks"]}
+    assert checks["annihilator-dimension"]["measured"] == 1.0
+    assert not checks["annihilator-dimension"]["passed"]
+    assert not rep.passed
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
