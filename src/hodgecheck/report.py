@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,10 +102,7 @@ class VerificationReport:
         self.checks.extend(checks)
 
     def merge(self, other: "VerificationReport", prefix: str = ""):
-        for c in other.checks:
-            name = f"{prefix}{c.name}" if prefix else c.name
-            self.checks.append(CheckRecord(name, c.anchor, c.measured, c.tolerance,
-                                           c.passed, c.asserting, c.notes))
+        self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
 
     def to_dict(self) -> dict:
         return {

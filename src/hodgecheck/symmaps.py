@@ -16,7 +16,12 @@ reduced echelon forms run through one fraction-free (Bareiss) elimination.
 Both witness searches take (basis, i, ws), ws an iterable of integer
 vectors, and return the first witness w with its rank, or None:
 _find_witness eliminates one draw at a time, _first_witness expands every
-draw's i x i minors at once.  Every minor is computed by extform._minors:
+draw's i x i minors at once.  The rigidity suite searches in two ways:
+missed counts the spaces of a family that show no witness in lazy draws
+from the suite's shared stream, and witness runs check_evaluation_degeneracy
+on a space's own stream.  A space of fewer than i maps has no witness and is
+not searched, so a short annihilator basis fails annihilator-dimension
+instead of raising.  Every minor is computed by extform._minors:
 the witness minors and the minor derivatives of rank_locus_tangent_check on
 object arrays of Python ints, and the quadratics of find_rank_ones' pencils
 on complex arrays.
@@ -33,6 +38,8 @@ import numpy as np
 
 from .errors import (
     BadDimension,
+    BadParameters,
+    BadSampleCount,
     DimensionMismatch,
     InputNotRankOne,
     NotIndependent,
@@ -349,6 +356,8 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
              and all(isinstance(m, RationalSymMap) for m in x))
     if i < 1:
         raise BadDimension(f"target rank must be >= 1, got {i}")
+    if n_v_samples < 1:
+        raise BadSampleCount(f"need at least one sample vector, got {n_v_samples}")
     mats = list(x) if exact else _float_basis(x)
     dim = len(mats)
     if dim < i:
@@ -446,6 +455,21 @@ def _random_rational_space(g: int, dim: int, rng) -> list[RationalSymMap]:
             return basis
 
 
+def _perturbed(perp: list[RationalSymMap], rank: int, eps: Fraction,
+               rng) -> list[RationalSymMap]:
+    """perp with eps times a random map outside its span added to its first map.
+
+    Noise is redrawn until it lifts the stacked rank above rank, the rank of
+    perp, so the copy keeps that rank; a short or redundant basis of perp
+    still finds such noise.
+    """
+    flat = [m._flat() for m in perp]
+    while True:
+        noise = random_rational_symmap(perp[0].g, rng)
+        if _rank(flat + [noise._flat()]) > rank:
+            return [perp[0].add(noise.scale(eps))] + perp[1:]
+
+
 def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
                                n_v_samples: int = 100,
                                seed: int = 0) -> VerificationReport:
@@ -455,12 +479,13 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
     of codimension-(i-1) subspaces W never show an evaluation of rank i,
     while perturbed copies and generic spaces of the same dimension (and any
     space one dimension larger) always do.  For i in {1, 2} no space of
-    dimension max(i, i(i-1)/2) avoids rank-i evaluations at all.  All ranks
-    are computed over the rationals, so every "witness found" verdict is a
-    proof.
+    dimension i avoids rank-i evaluations at all.  All ranks are computed
+    over the rationals, so every "witness found" verdict is a proof.
     """
     if i < 1 or i > g:
         raise BadDimension(f"target rank {i} outside 1..{g}")
+    if trials < 1:
+        raise BadParameters(f"need at least one trial, got {trials}")
     report = VerificationReport(
         "eval-rank", {"genus": g, "i": i, "trials": trials,
                       "n_v_samples": n_v_samples, "seed": seed})
@@ -469,88 +494,59 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
     sz_note = (f"no-witness verdicts wrong with probability <= "
                f"({i}/2001)^{n_v_samples} per space when a witness exists")
 
+    def witness(space):
+        """A rank-i witness on space from a search on its own stream, or None."""
+        own_seed = int(rng.integers(1 << 30))
+        if len(space) < i:  # fewer than i maps never carry rank i
+            return None
+        return check_evaluation_degeneracy(space, i, n_v_samples, seed=own_seed).witness
+
+    def missed(spaces, rank) -> int:
+        """How many spaces show no rank-`rank` evaluation in draws of the shared stream."""
+        return sum(_find_witness(space, rank, _int_vectors(g, n_v_samples, rng)) is None
+                   for space in spaces)
+
     if i >= 3:
-        wdim = g - i + 1
-        n_spaces = 3
-        dim_error = 0
-        missing_witness_ok = True
-        perps = []
-        for _ in range(n_spaces):
-            perp = wperp_exact(_random_rational_w(g, wdim, rng), g)
-            perps.append(perp)
-            dim_error = max(dim_error, abs(len(perp) - d))
-            rep = check_evaluation_degeneracy(perp, i, n_v_samples,
-                                              seed=int(rng.integers(1 << 30)))
-            missing_witness_ok = missing_witness_ok and rep.satisfied
+        perps, found = [], []
+        for _ in range(3):
+            perps.append(wperp_exact(_random_rational_w(g, g - i + 1, rng), g))
+            found.append(witness(perps[-1]))
         report.add(passing(
             "annihilator-dimension",
             f"dim {{M : M W = 0}} = {d} for codimension {i - 1}",
-            float(dim_error), 0.5))
+            max(abs(len(perp) - d) for perp in perps), 0.5))
         report.add(passing(
             "annihilator-no-witness",
             f"no rank-{i} evaluation on annihilator spaces",
-            0.0 if missing_witness_ok else 1.0, 0.5, notes=sz_note))
+            1.0 if any(found) else 0.0, 0.5, notes=sz_note))
 
+        ranks = [_rank([m._flat() for m in perp]) for perp in perps]
         for label, eps in (("unit", Fraction(1)), ("small", Fraction(1, 1000))):
-            missed = 0
-            example = ""
-            for t in range(trials):
-                perp = perps[t % len(perps)]
-                while True:
-                    noise = random_rational_symmap(g, rng)
-                    stacked = [m._flat() for m in perp] + [noise._flat()]
-                    if _rank(stacked) == d + 1:
-                        break
-                # noise is outside span(perp), so the copy keeps rank d
-                perturbed = [perp[0].add(noise.scale(eps))] + list(perp[1:])
-                if t == 0:
-                    probe = check_evaluation_degeneracy(
-                        perturbed, i, n_v_samples, seed=int(rng.integers(1 << 30)))
-                    if probe.satisfied:
-                        missed += 1
-                    else:
-                        example = ("example witness v = ["
-                                   + ", ".join(str(x) for x in probe.witness.v)
-                                   + f"], rank {probe.witness.rank}")
-                elif _find_witness(perturbed, i, _int_vectors(g, n_v_samples, rng)) is None:
-                    missed += 1
+            copies = (_perturbed(perps[t % 3], ranks[t % 3], eps, rng) for t in range(trials))
+            first = witness(next(copies))
+            example = "" if first is None else (
+                "example witness v = [" + ", ".join(str(x) for x in first.v)
+                + f"], rank {first.rank}")
             report.add(passing(
                 f"perturbed-witness-eps-{label}",
                 f"perturbing one basis vector of the annihilator by {eps} "
                 f"times an outside map always restores a rank-{i} evaluation",
-                float(missed), 0.5, notes=example))
+                (first is None) + missed(copies, i), 0.5, notes=example))
 
-        missed = sum(
-            _find_witness(_random_rational_space(g, d, rng),
-                          i, _int_vectors(g, n_v_samples, rng)) is None
-            for _ in range(trials))
         report.add(passing(
             "generic-same-dim-witness",
             f"generic {d}-dimensional spaces always show a rank-{i} evaluation",
-            float(missed), 0.5))
-
-        missed = sum(
-            _find_witness(_random_rational_space(g, d + 1, rng),
-                          i, _int_vectors(g, n_v_samples, rng)) is None
-            for _ in range(trials))
+            missed((_random_rational_space(g, d, rng) for _ in range(trials)), i), 0.5))
         report.add(passing(
             "larger-dim-witness",
             f"spaces of dimension {d + 1} always show a rank-{i} evaluation",
-            float(missed), 0.5))
+            missed((_random_rational_space(g, d + 1, rng) for _ in range(trials)), i), 0.5))
 
-    for small_i in (1, 2):
-        if small_i > min(i, g):
-            continue
-        dim_small = max(small_i, small_i * (small_i - 1) // 2)
-        missed = sum(
-            _find_witness(_random_rational_space(g, dim_small, rng),
-                          small_i, _int_vectors(g, n_v_samples, rng)) is None
-            for _ in range(10))
+    for small_i in (1, 2)[:i]:
         report.add(passing(
             f"rank-{small_i}-always-witnessed",
-            f"every {dim_small}-dimensional space shows a rank-{small_i} "
-            "evaluation",
-            float(missed), 0.5))
+            f"every {small_i}-dimensional space shows a rank-{small_i} evaluation",
+            missed((_random_rational_space(g, small_i, rng) for _ in range(10)), small_i), 0.5))
     return report
 
 

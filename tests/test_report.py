@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,9 +51,12 @@ def test_report_merge_prefixes():
     a = VerificationReport("outer", {})
     b = VerificationReport("inner", {})
     b.add(passing("leaf", "x", 0.0, 1.0))
+    b.add(reporting("info", "y", 3.0, notes="n"))
     a.merge(b, prefix="g2.")
     names = [c["name"] for c in a.to_dict()["checks"]]
-    assert names == ["g2.leaf"]
+    assert names == ["g2.leaf", "g2.info"]
+    # every other field is carried over as it is
+    assert [replace(c, name=c.name.removeprefix("g2.")) for c in a.checks] == b.checks
 
 
 def test_canonical_json_sorted_and_strict():

@@ -8,6 +8,8 @@ import pytest
 from hodgecheck import symmaps
 from hodgecheck.errors import (
     BadDimension,
+    BadParameters,
+    BadSampleCount,
     DimensionMismatch,
     InputNotRankOne,
     NotIndependent,
@@ -732,6 +734,14 @@ def test_degeneracy_dimension_guard():
         check_evaluation_degeneracy(maps, 2, n_v_samples=5, seed=0)
 
 
+def test_degeneracy_needs_a_sample():
+    # zero draws would read "no witness" on any space, with failure bound (i/2001)^0 = 1
+    maps = [random_rational_symmap(3, derive_rng(56, "deg-n0")) for _ in range(3)]
+    for ms in (maps, [m.as_float() for m in maps]):
+        with pytest.raises(BadSampleCount):
+            check_evaluation_degeneracy(ms, 1, n_v_samples=0, seed=0)
+
+
 def test_tangent_full_rank_always():
     rng = derive_rng(57, "tan-full")
     g = 3
@@ -929,6 +939,41 @@ def test_rigidity_suite_measures_a_wrong_annihilator_dimension(monkeypatch):
 
     monkeypatch.setattr(symmaps, "_int_nullspace", one_vector_twice)
     rep = annihilator_rigidity_suite(3, 3, trials=4, n_v_samples=20, seed=3)
+    checks = {c["name"]: c for c in rep.to_dict()["checks"]}
+    assert checks["annihilator-dimension"]["measured"] == 1.0
+    assert not checks["annihilator-dimension"]["passed"]
+    assert not rep.passed
+
+
+def test_rigidity_suite_needs_a_trial():
+    # no trials would pass every perturbed and generic check without searching a space
+    with pytest.raises(BadParameters):
+        annihilator_rigidity_suite(3, 3, trials=0, n_v_samples=20, seed=3)
+
+
+@pytest.mark.parametrize("g,i", [(3, 3), (4, 4)])
+def test_rigidity_suite_measures_a_short_annihilator_basis(monkeypatch, g, i):
+    """A kernel one vector short reads d - 1 maps: the suite ends, and the check fails.
+
+    At (3, 3) the short space has fewer than i maps.  At (4, 4) noise lifts
+    the stacked rank of the short space to d at most, so a redraw loop that
+    waits for d + 1 would never end; a cap on the map draws turns it into an
+    error.
+    """
+    def drop_last(mat, ncols):
+        basis, last = _int_nullspace(mat, ncols)
+        return basis[:-1], last
+
+    calls = itertools.count(1)
+
+    def capped_symmap(genus, rng):
+        if next(calls) > 10_000:
+            raise RuntimeError("10,000 map draws: the noise loop does not end")
+        return random_rational_symmap(genus, rng)
+
+    monkeypatch.setattr(symmaps, "_int_nullspace", drop_last)
+    monkeypatch.setattr(symmaps, "random_rational_symmap", capped_symmap)
+    rep = annihilator_rigidity_suite(g, i, trials=4, n_v_samples=20, seed=3)
     checks = {c["name"]: c for c in rep.to_dict()["checks"]}
     assert checks["annihilator-dimension"]["measured"] == 1.0
     assert not checks["annihilator-dimension"]["passed"]
