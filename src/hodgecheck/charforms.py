@@ -388,9 +388,11 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
     Three phases: random i-planes give lambda >= 0; i-planes inside an exact
     annihilator space {M : M W = 0} with codim W = i - 1 give lambda = 0 and
     carry no evaluation of rank i; planes with a verified rank-i evaluation
-    give lambda strictly positive.  tol bounds |lambda| in the second phase.
-    Each phase restricts its planes as one stack in one restrict_to_plane
-    call (the random planes in chunks of _PLANE_CHUNK).
+    give lambda strictly positive.  tol bounds |lambda| in the second phase,
+    which first measures each annihilator space's dimension against i(i-1)/2
+    and neither searches nor samples a space of fewer than i maps.  Each
+    phase restricts its planes as one stack in one restrict_to_plane call
+    (the random planes in chunks of _PLANE_CHUNK).
     """
     g = tau.g
     if i < 1 or i > g:
@@ -415,11 +417,16 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
 
     if i >= 3:
         wdim = g - i + 1  # >= 1, as i <= g
+        d = i * (i - 1) // 2
         degeneracy_ok = True
         n_spaces = 10
+        worst_dim = 0
         annihilator_planes = []
         for trial in range(n_spaces):
             perp = wperp_exact(_random_rational_w(g, wdim, rng), g)
+            worst_dim = max(worst_dim, abs(len(perp) - d))
+            if len(perp) < i:  # fewer than i maps carry no rank-i evaluation and no i-plane
+                continue
             deg = check_evaluation_degeneracy(perp, i, n_v_samples, seed + trial)
             degeneracy_ok = degeneracy_ok and deg.satisfied
             perp_sub = rational_span_to_subspace(perp)
@@ -429,7 +436,12 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
                 parts = rng.standard_normal((5, 2, i, perp_sub.dim))
                 annihilator_planes.append(
                     _orthonormal_stack((parts[:, 0] + 1j * parts[:, 1]) @ perp_sub.basis))
-        overall_zero = np.abs(restrict_to_plane(s_i, np.concatenate(annihilator_planes))).max()
+        overall_zero = (np.abs(restrict_to_plane(s_i, np.concatenate(annihilator_planes))).max()
+                        if annihilator_planes else np.inf)
+        report.add(passing(
+            "annihilator-dimension",
+            f"dim {{M : M W = 0}} = {d} for codimension {i - 1}, over {n_spaces} spaces",
+            worst_dim, 0.5))
         report.add(passing(
             "annihilator-plane-vanishing",
             f"|restriction of s_{i}| on {i}-planes inside exact annihilator spaces",

@@ -15,7 +15,7 @@ import sys
 
 from .errors import ConfigInvalid, SuiteUnknown
 from .report import canonical_json
-from .suites import DEFAULT_TOLERANCES, FILE_KEYS, SUITES, RunConfig, run_suites
+from .suites import DEFAULT_TOLERANCES, FILE_KEYS, SUITES, RunConfig, genus_span, run_suites
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,9 +104,11 @@ def main(argv=None) -> int:
         print(f"hodgecheck: {exc}", file=sys.stderr)
         return 2
     if all(body["passed"] is None for body in result["suites"].values()):
-        names = ", ".join(result["config"]["suites"])
-        print(f"hodgecheck: nothing verified: no asserting check in {names} "
-              f"at genus {list(cfg.genus_list)}", file=sys.stderr)
+        names = result["config"]["suites"]
+        reach = "; ".join(f"{name} runs at genus {genus_span(SUITES[name].genera)}"
+                          for name in names)
+        print(f"hodgecheck: nothing verified: no asserting check in {', '.join(names)} "
+              f"at genus {list(cfg.genus_list)} ({reach})", file=sys.stderr)
         return 2
     text = canonical_json(result)
     if cfg.output_path:

@@ -15,11 +15,11 @@ wrong with probability bounded by Schwartz-Zippel.  Ranks, kernels and
 reduced echelon forms run through one fraction-free (Bareiss) elimination.
 Both witness searches take (basis, i, ws), ws an iterable of integer
 vectors, and return the first witness w with its rank, or None:
-_find_witness eliminates one draw at a time, _first_witness expands every
-draw's i x i minors at once.  The rigidity suite searches in two ways:
-missed counts the spaces of a family that show no witness in lazy draws
-from the suite's shared stream, and witness runs check_evaluation_degeneracy
-on a space's own stream.  A space of fewer than i maps has no witness and is
+_find_witness eliminates one draw at a time, _first_witness expands the
+i x i minors of chunks of 1, 2, 4, ... draws at once.  The rigidity suite
+searches in two ways: missed counts the spaces of a family that show no
+witness in lazy draws from the suite's shared stream, and witness runs
+check_evaluation_degeneracy on a space's own stream.  A space of fewer than i maps has no witness and is
 not searched, so a short annihilator basis fails annihilator-dimension
 instead of raising.  Every minor is computed by extform._minors:
 the witness minors and the minor derivatives of rank_locus_tangent_check on
@@ -29,6 +29,7 @@ on complex arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -412,28 +413,33 @@ def _find_witness(basis: list[RationalSymMap], i: int, ws):
 
 
 def _first_witness(basis: list[RationalSymMap], i: int, ws):
-    """_find_witness's answer from every draw of ws at once: (w, rank) or None.
+    """_find_witness's answer from the draws of ws in growing chunks: (w, rank) or None.
 
     rank(e_w) >= i exactly when some i x i minor of the dim x g matrix e_w is
-    nonzero.  All e_w come from one integer product, and their minors from
-    one _minors expansion whose batch axis runs over (row subset, draw); the
-    rows are taken along the shorter side p of e_w (its transpose when
-    dim > g), so there are C(p, i) row subsets.  The rank is _rank of the
-    found draw.
+    nonzero.  Each chunk of draws (1, 2, 4, ... of them) gives its e_w from
+    one integer product, and their minors from one _minors expansion whose
+    batch axis runs over (row subset, draw); the rows are taken along the
+    shorter side p of e_w (its transpose when dim > g), so there are C(p, i)
+    row subsets.  The search stops at the first chunk that holds a witness,
+    so a lazy ws is drawn only up to the end of that chunk.  The rank is
+    _rank of the found draw.
     """
-    ws = list(ws)
+    ws = iter(ws)
     g, dim = basis[0].g, len(basis)
-    p = min(dim, g)
+    rows = _subsets(min(dim, g), i)[0]
     num = np.array([m.num for m in basis], dtype=object)
-    e = num @ np.array(ws, dtype=object).reshape(len(ws), g).T  # e[:, :, s] is e_w of ws[s]
-    if dim > g:
-        e = e.swapaxes(0, 1)
-    minors = _minors(np.moveaxis(e[_subsets(p, i)[0]], 0, 2))  # (C(q, i), C(p, i), draws)
-    hits = np.flatnonzero((minors != 0).any(axis=(0, 1)))
-    if not len(hits):
-        return None
-    s = int(hits[0])
-    return ws[s], _rank(e[..., s].tolist())
+    size = 1
+    while chunk := list(itertools.islice(ws, size)):
+        e = num @ np.array(chunk, dtype=object).reshape(len(chunk), g).T  # e[:, :, s]: e_w
+        if dim > g:
+            e = e.swapaxes(0, 1)
+        minors = _minors(np.moveaxis(e[rows], 0, 2))  # (C(q, i), C(p, i), draws)
+        hits = np.flatnonzero((minors != 0).any(axis=(0, 1)))
+        if len(hits):
+            s = int(hits[0])
+            return chunk[s], _rank(e[..., s].tolist())
+        size *= 2
+    return None
 
 
 # ---------------------------------------------------------------------------

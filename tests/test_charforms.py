@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hodgecheck.charforms as charforms
+import hodgecheck.symmaps as symmaps
 from hodgecheck.charforms import (
     QuadratureEstimate,
     _power_traces,
@@ -39,6 +40,7 @@ from hodgecheck.sampling import (
     random_unit_vector,
 )
 from hodgecheck.suites import RunConfig, run_suites
+from hodgecheck.symmaps import _int_nullspace
 from test_extform import python_ints
 
 
@@ -359,9 +361,30 @@ def test_positivity_and_vanishing_report():
     rep = check_positivity_and_vanishing(x, i=3, trials=50, seed=2,
                                          n_v_samples=20)
     assert rep.passed
-    names = [c["name"] for c in rep.to_dict()["checks"]]
-    assert "annihilator-plane-vanishing" in names
-    assert "witness-plane-positivity" in names
+    checks = {c["name"]: c for c in rep.to_dict()["checks"]}
+    assert "annihilator-plane-vanishing" in checks
+    assert "witness-plane-positivity" in checks
+    assert checks["annihilator-dimension"]["measured"] == 0.0
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_positivity_vanishing_fails_a_short_annihilator_basis(g, monkeypatch):
+    """A kernel one vector short is a failed annihilator-dimension check, not a raise.
+
+    At i = 3 the short space has two maps, fewer than i: it is neither
+    searched for a rank-3 evaluation nor sampled for 3-planes.
+    """
+    def drop_last(mat, ncols):
+        basis, last = _int_nullspace(mat, ncols)
+        return basis[:-1], last
+
+    monkeypatch.setattr(symmaps, "_int_nullspace", drop_last)
+    result = run_suites(RunConfig(genus_list=(g,), suites=("positivity-vanishing",)))
+    report = result["suites"]["positivity-vanishing"]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks[f"g{g}.annihilator-dimension"]["measured"] == 1.0
+    assert not checks[f"g{g}.annihilator-dimension"]["passed"]
+    assert report["passed"] is False and result["passed"] is False
 
 
 def test_each_plane_set_is_restricted_in_one_call(monkeypatch):

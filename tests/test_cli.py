@@ -47,12 +47,39 @@ def test_rank_locus_pencils_have_independent_endpoints(seed):
 
 
 @pytest.mark.parametrize("suite,genus", [("rank-locus", 1), ("slice-embed", 1),
-                                         ("curvature-fd", 4)])
+                                         ("curvature-fd", 9), ("dual-identity", 5),
+                                         ("forms-identity", 5)])
 def test_cli_run_that_verifies_nothing_exits_2(suite, genus, capsys):
     assert main(["--suite", suite, "--genus", str(genus)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert suite in captured.err and f"[{genus}]" in captured.err
+
+
+def test_nothing_verified_names_each_suite_genera(capsys):
+    assert main(["--suite", "dual-identity", "--suite", "rank-locus", "--genus", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "dual-identity runs at genus 1-4" in err and "rank-locus runs at genus 2-4" in err
+    assert main(["--suite", "slice-embed", "--genus", "1"]) == 2
+    assert "slice-embed runs at genus 2 and up" in capsys.readouterr().err
+
+
+def test_curvature_fd_checks_genus_4(tmp_path):
+    out = tmp_path / "fd4.json"
+    assert main(["--suite", "curvature-fd", "--genus", "4", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["suites"]["curvature-fd"]["checks"]
+    assert len(checks) == 6 and all(c["name"].startswith("g4.") for c in checks)
+
+
+def test_a_suite_runs_the_genera_of_its_row_in_the_config_order():
+    cfg = RunConfig(genus_list=(9, 2, 1), suites=("curvature-fd", "rank-locus"), n_tau=1,
+                    rank_pairs=2)
+    result = run_suites(cfg)
+    for name, genera in (("curvature-fd", [2, 1]), ("rank-locus", [2])):
+        body = result["suites"][name]
+        assert body["params"]["genus_list"] == genera
+        filed = [c["name"].split(".")[0] for c in body["checks"]]
+        assert list(dict.fromkeys(filed)) == [f"g{g}" for g in genera]
 
 
 def test_suite_without_checks_is_null_and_does_not_fail_the_run():

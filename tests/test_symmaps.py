@@ -571,6 +571,33 @@ def test_find_witness_draws_only_up_to_the_witness():
             assert len(pulled) == (len(ws) if index is None else index + 1)
 
 
+def test_first_witness_draws_only_up_to_the_chunk_of_the_witness():
+    """_first_witness takes draws in chunks of 1, 2, 4, ... and stops at the chunk of the witness.
+
+    A witness at draw 0 takes one draw; one at draw 3 takes the chunks
+    1 + 2 + 4; a space without a witness takes every draw.
+    """
+    rng = derive_rng(68, "chunked-witness")
+    for g, i in ((4, 3), (4, 4), (5, 3)):
+        w = _random_rational_w(g, g - i + 1, rng)
+        perp = wperp_exact(w, g)
+        perturbed = [perp[0].add(random_rational_symmap(g, rng))] + perp[1:]
+        draws = [_random_int_vector(g, rng) for _ in range(20)]
+        # multiples of a vector of W give e_w rank <= 1, so the witness is draw 3
+        lead = [[k * x for x in w[0]] for k in (1, 2, 3)] + draws
+        for basis, ws, pulls in ((perturbed, draws, 1), (perturbed, lead, 7),
+                                 (perp, lead, len(lead))):
+            pulled = []
+
+            def counting():
+                for v in ws:
+                    pulled.append(v)
+                    yield v
+
+            assert _first_witness(basis, i, counting()) == _find_witness(basis, i, ws)
+            assert len(pulled) == pulls
+
+
 @pytest.mark.parametrize("g", [3, 4, 5])
 def test_degeneracy_search_matches_the_sequential_search(g, monkeypatch):
     """check_evaluation_degeneracy gives _find_witness's verdict, v and rank on its stream.
