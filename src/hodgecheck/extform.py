@@ -23,7 +23,9 @@ Conventions that matter elsewhere:
 * wedge multiplies block by block.  For each (k1 + k2)-subset U a split
   table lists every way to write U as a k1-subset and its complement, with
   the sign that sorts their concatenation back to U; moving dtbar[T1] past
-  dt[S2] contributes the block-swap sign (-1)^{|T1||S2|}.
+  dt[S2] contributes the block-swap sign (-1)^{|T1||S2|}.  A (0, 0) factor
+  is a scalar.  FormMatrix.det shares the minors of its leading rows, so a
+  g x g determinant takes g (2^(g-1) - 1) entry wedges, not Leibniz's g g!.
 * conjugate maps coeff * dt[S]^dtbar[T] to conj(coeff) * (-1)^{|S||T|}
   dt[T]^dtbar[S], the sign being the block swap back to canonical order.
 * contract pairs dt[a,b] with the (a,b) entry of a holomorphic vector and
@@ -42,7 +44,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterable
 
 import numpy as np
@@ -89,12 +91,6 @@ def _block_shape(n: int, p: int, q: int) -> tuple[int, int]:
 def _python_scalar(c):
     """A numpy scalar as its Python value, so its width (np.uint8 wraps) never types a block."""
     return c.item() if isinstance(c, np.generic) else c
-
-
-def _coefficients(values) -> np.ndarray:
-    """Coefficients as an array, integers as Python ints in an object array."""
-    values = [_python_scalar(c) for c in values]
-    return np.array(values, object if all(isinstance(c, int) for c in values) else None)
 
 
 def _common_dtype(*blocks: np.ndarray) -> np.dtype:
@@ -159,6 +155,17 @@ def _split_table(n: int, k1: int, k2: int):
             np.array(rest, dtype=np.intp).reshape(shape), sign)
 
 
+@functools.cache
+def _wedge_table(n: int, p1: int, q1: int, p2: int, q2: int):
+    """(splits, anti_first, anti_rest) of a (p1, q1) by (p2, q2) wedge: splits[j] holds hol split
+    j's (first, rest) and the anti weights times its sign and (-1)^(q1 p2), an exact fold."""
+    hol_first, hol_rest, hol_sign = _split_table(n, p1, p2)
+    anti_first, anti_rest, anti_sign = _split_table(n, q1, q2)
+    weights = anti_sign * (-1) ** (q1 * p2)
+    return (list(zip(hol_first.T.copy(), hol_rest.T.copy(), (s * weights for s in hol_sign))),
+            anti_first, anti_rest)
+
+
 def _wedge_block(a: np.ndarray, b: np.ndarray, n: int, dtype: np.dtype, p1: int, q1: int,
                  p2: int, q2: int) -> np.ndarray:
     """Block (p1 + p2, q1 + q2) of a ^ b in dtype, for a (p1, q1) block a and a (p2, q2) block b.
@@ -166,15 +173,20 @@ def _wedge_block(a: np.ndarray, b: np.ndarray, n: int, dtype: np.dtype, p1: int,
     out[U, V] sums a[S1, T1] * b[S2, T2] over the splits U = S1 + S2 and
     V = T1 + T2, signed by both merges and by the block swap of T1 past S2.
     """
-    hol_first, hol_rest, hol_sign = _split_table(n, p1, p2)
-    anti_first, anti_rest, anti_sign = _split_table(n, q1, q2)
-    weights = -anti_sign if (q1 * p2) % 2 else anti_sign
-    out = np.zeros((hol_first.shape[0], anti_first.shape[0]), dtype)
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)  # products then run in place
-    for j, sign in enumerate(hol_sign):
-        terms = a.take(hol_first[:, j], axis=0).take(anti_first, axis=1)
-        terms *= b.take(hol_rest[:, j], axis=0).take(anti_rest, axis=1)
-        out += sign * (terms @ weights)
+    if p1 == q1 == 0 or p2 == q2 == 0:  # a scalar times a block; a stride-0 scalar rounds otherwise
+        out = np.full(b.shape, a[0, 0], dtype) if p1 == q1 == 0 else a.copy()
+        out *= b if p1 == q1 == 0 else np.full(a.shape, b[0, 0], dtype)
+        out += 0  # a zero product is +0.0, as in a sum of splits
+        return out
+    splits, anti_first, anti_rest = _wedge_table(n, p1, q1, p2, q2)
+    for j, (first, rest, weights) in enumerate(splits):
+        terms = a.take(first, axis=0).take(anti_first, axis=1)
+        terms *= b.take(rest, axis=0).take(anti_rest, axis=1)
+        if j:
+            out += terms @ weights
+        else:  # the first split's sum is the output, and later ones add in place
+            out = terms @ weights
     return out
 
 
@@ -232,7 +244,8 @@ class ExtForm:
                 entries.setdefault((s.bit_count(), t.bit_count()), []).append((s, t, c))
         for (p, q), rows in entries.items():
             s, t, values = zip(*rows)
-            values = _coefficients(values)
+            values = [_python_scalar(c) for c in values]  # integers as Python ints, in object
+            values = np.array(values, object if all(isinstance(c, int) for c in values) else None)
             block = self._blocks[(p, q)] = np.zeros(_block_shape(self.n, p, q), values.dtype)
             block[[_subsets(self.n, p)[2][m] for m in s],
                   [_subsets(self.n, q)[2][m] for m in t]] = values
@@ -242,14 +255,20 @@ class ExtForm:
     @classmethod
     def from_blocks(cls, n: int, blocks: dict[tuple[int, int], np.ndarray]) -> "ExtForm":
         """Form with the given (p, q) -> C(n, p) x C(n, q) arrays, kept, not copied, if nonzero."""
-        form = cls(n)
+        n, blocks = cls(n).n, {k: np.asarray(b) for k, b in blocks.items()}
         for (p, q), block in blocks.items():
-            block, shape = np.asarray(block), _block_shape(form.n, p, q)
-            if block.shape != shape:
+            if block.shape != (shape := _block_shape(n, p, q)):
                 raise DimensionMismatch(
                     f"block {(p, q)} has shape {block.shape}, expected {shape} for {n} generators")
-            if block.any():
-                form._blocks[(p, q)] = block
+        return cls._of(n, blocks)
+
+    @classmethod
+    def _of(cls, n: int, blocks: dict[tuple[int, int], np.ndarray], maybe_zero=None) -> "ExtForm":
+        """from_blocks for arrays this module shaped.  Only the keys in maybe_zero (all by default)
+        can hold a zero array: the rest are stored blocks, negated, conjugated or cast."""
+        form = object.__new__(cls)
+        form.n, form._blocks = n, {k: b for k, b in blocks.items()
+                                   if (maybe_zero is not None and k not in maybe_zero) or b.any()}
         return form
 
     @classmethod
@@ -258,7 +277,10 @@ class ExtForm:
 
     @classmethod
     def scalar(cls, n: int, c) -> "ExtForm":
-        return cls.from_blocks(n, {(0, 0): _coefficients([c]).reshape(1, 1)})
+        form, c = cls(n), _python_scalar(c)
+        if c != 0:  # an integer as a Python int, as the terms constructor stores it
+            form._blocks[(0, 0)] = np.array([[c]], object if isinstance(c, int) else None)
+        return form
 
     @classmethod
     def one(cls, n: int) -> "ExtForm":
@@ -304,7 +326,7 @@ class ExtForm:
 
     def component(self, p: int, q: int) -> "ExtForm":
         block = self._blocks.get((p, q))
-        return ExtForm.from_blocks(self.n, {} if block is None else {(p, q): block})
+        return ExtForm._of(self.n, {} if block is None else {(p, q): block}, ())
 
     def bidegrees(self) -> set[tuple[int, int]]:
         return set(self._blocks)
@@ -330,12 +352,13 @@ class ExtForm:
         elif not isinstance(other, ExtForm):
             return NotImplemented
         self._check_count(other)
-        return ExtForm.from_blocks(self.n, _summed(self._blocks, other._blocks))
+        return ExtForm._of(self.n, _summed(self._blocks, other._blocks),
+                           self._blocks.keys() & other._blocks.keys())
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtForm.from_blocks(self.n, {k: -b for k, b in self._blocks.items()})
+        return ExtForm._of(self.n, {k: -b for k, b in self._blocks.items()}, ())
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
@@ -348,7 +371,7 @@ class ExtForm:
     def __mul__(self, c):
         if not isinstance(c, _SCALARS):
             return NotImplemented
-        return ExtForm.from_blocks(self.n, _scaled(self._blocks, c))
+        return ExtForm._of(self.n, _scaled(self._blocks, c))
 
     __rmul__ = __mul__
 
@@ -371,13 +394,13 @@ class ExtForm:
                     continue
                 block = _wedge_block(a, b, n, dtype, p1, q1, p2, q2)
                 out[key] = out[key] + block if key in out else block
-        return ExtForm.from_blocks(self.n, out)
+        return ExtForm._of(self.n, out)
 
     def conjugate(self) -> "ExtForm":
-        return ExtForm.from_blocks(self.n, {
+        return ExtForm._of(self.n, {
             (q, p): (-1 if p * q % 2 else 1) * b.T.conj()
             for (p, q), b in self._blocks.items()
-        })
+        }, ())
 
     def contract(self, hol_vectors: Iterable, anti_vectors: Iterable) -> complex | np.ndarray:
         """Evaluate against symmetric-matrix tangent vectors.
@@ -424,7 +447,7 @@ class ExtForm:
                 u[p + q] = self.component(p, q) + u.get(p + q, ExtForm.zero(self.n))
         cap = 2 * self.n if max_degree is None else max_degree
         # s[d // 2] is the degree-d part; s_0 = 1 has the type of the scalar block
-        s = [ExtForm.from_blocks(self.n, {(0, 0): np.ones((1, 1), self.block(0, 0).dtype)})]
+        s = [ExtForm._of(self.n, {(0, 0): np.ones((1, 1), self.block(0, 0).dtype)})]
         for d in range(2, cap + 1, 2):
             acc = ExtForm.zero(self.n)
             for i, u_i in u.items():
@@ -561,7 +584,7 @@ class FormMatrix:
     def __getitem__(self, ij) -> ExtForm:
         """Entry (i, j), an ExtForm over views of this matrix's arrays."""
         i, j = ij
-        return ExtForm.from_blocks(self.n, {k: b[i, j] for k, b in self._blocks.items()})
+        return ExtForm._of(self.n, {k: b[i, j] for k, b in self._blocks.items()})
 
     def _check_shape(self, other: "FormMatrix"):
         if (other.g, other.n) != (self.g, self.n):
@@ -599,23 +622,34 @@ class FormMatrix:
         return FormMatrix.from_blocks(self.g, self.n, _scaled(self._blocks, c))
 
     def trace(self) -> ExtForm:
-        return ExtForm.from_blocks(self.n, {  # the diagonal in order of i, as a loop adds it
+        return ExtForm._of(self.n, {  # the diagonal in order of i, as a loop adds it
             k: sum((b[i, i] for i in range(1, self.g)), b[0, 0]) for k, b in self._blocks.items()})
 
     def det(self, max_degree: int | None = None) -> ExtForm:
-        """Leibniz determinant; assumes entries commute (even forms)."""
+        """Determinant by Laplace expansion along rows, sharing minors; entries must commute.
+
+        Row m adds the minor of rows 0..m on each (m + 1)-subset C of columns,
+        keyed by bitmask: the sum over j of (-1)^(m + j) minor(C - C[j]) ^
+        entry (m, C[j]), g (2^(g-1) - 1) entry wedges in all against Leibniz's
+        g g!.  Zero entries and minors are skipped; max_degree cuts the entries
+        first, as capped wedges drop those terms anyway.  det of 0 x 0 is 1.
+        """
         g, n = self.g, self.n
-        entries = [[self[i, j] for j in range(g)] for i in range(g)]
-        acc, one = ExtForm.zero(n), ExtForm.one(n)
-        for perm in permutations(range(g)):
-            sign = (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-            prod = one
-            for i in range(g):
-                prod = prod.wedge(entries[i][perm[i]], max_degree=max_degree)
-                if prod.is_zero():
-                    break
-            acc = acc + prod * sign
-        return acc
+        cap = 2 * n if max_degree is None else max_degree
+        minors = {0: ExtForm.one(n)}
+        for m in range(g):
+            row = [ExtForm._of(n, {k: b[m, j] for k, b in self._blocks.items() if sum(k) <= cap})
+                   for j in range(g)]
+            for cols in combinations(range(g), m + 1):
+                mask, acc = sum(1 << c for c in cols), ExtForm.zero(n)
+                for j, c in enumerate(cols):
+                    rest = minors.get(mask ^ (1 << c))
+                    if rest is not None and not row[c].is_zero():
+                        term = rest.wedge(row[c], max_degree) if m else row[c]
+                        acc = acc - term if (m + j) % 2 else acc + term
+                if not acc.is_zero():
+                    minors[mask] = acc
+        return minors.get((1 << g) - 1, ExtForm.zero(n))
 
     def max_coeff_diff(self, other: "FormMatrix") -> float:
         return max((float(np.abs(b).max()) for b in (self - other)._blocks.values()), default=0.0)

@@ -240,12 +240,6 @@ class LinSubspace:
     def projector(self) -> np.ndarray:
         return self.basis.T @ self.basis.conj()
 
-    def contains(self, v, tol: float = 1e-10) -> bool:
-        v = np.asarray(v, dtype=complex)
-        scale = max(1.0, float(np.linalg.norm(v)))
-        resid = np.linalg.norm(v - self.projector() @ v)
-        return resid <= tol * scale
-
 
 def _orthonormal_stack(rows: np.ndarray) -> np.ndarray:
     """LinSubspace.from_spanning's bases, to the bit, for a (..., k, n) stack of spanning sets.

@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 
-from .linalg import LinSubspace, SiegelPoint, _orthonormal_stack, sym_dim
+from .linalg import LinSubspace, SiegelPoint, _orthonormal_stack
 
 
 def _key_part(part) -> int:
@@ -29,11 +29,6 @@ def derive_rng(seed: int, *key) -> np.random.Generator:
 
 def random_symmetric_real(g: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((g, g)) * scale
-    return (a + a.T) / 2
-
-
-def random_symmetric_complex(g: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.standard_normal((g, g)) + 1j * rng.standard_normal((g, g))
     return (a + a.T) / 2
 
 
@@ -77,8 +72,3 @@ def _random_planes(ambient_dim: int, dim: int, count: int, rng: np.random.Genera
     """count random dim-planes as one (count, dim, ambient_dim) array of orthonormal rows."""
     parts = rng.standard_normal((count, 2, dim, ambient_dim))
     return _orthonormal_stack(parts[:, 0] + 1j * parts[:, 1])
-
-
-def random_plane_sg(g: int, k: int, rng: np.random.Generator) -> LinSubspace:
-    """Random complex k-plane of symmetric matrices, in flattened coordinates."""
-    return random_subspace(sym_dim(g), k, rng, "Sg")

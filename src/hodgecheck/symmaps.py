@@ -71,10 +71,6 @@ V_SAMPLE_BOUND = 1000  # integer box for polynomial identity testing
 # ---------------------------------------------------------------------------
 
 
-def frac_matrix(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def _integer_rows(mat) -> tuple[list[list[int]], list[int]]:
     """Each row times the lcm of its denominators (same row space), and the lcms."""
     rows, scales = [], []
@@ -203,12 +199,6 @@ class RationalSymMap:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.num)
 
-    def apply(self, v) -> list[Fraction]:
-        if len(v) != self.g:
-            raise DimensionMismatch(f"vector of length {len(v)} for a genus-{self.g} map")
-        return [sum((a * x for a, x in zip(r, v)), Fraction(0)) / self.den
-                for r in self.num]
-
     def flatten(self) -> list[Fraction]:
         # plain upper-triangle entries; for the isometric coordinates
         # used by LinSubspace("Sg") go through sym_to_vec on as_float()
@@ -242,10 +232,6 @@ def _random_int_vector(g: int, rng, bound: int = V_SAMPLE_BOUND) -> list[int]:
         v = rng.integers(-bound, bound + 1, size=g).tolist()
         if any(v):
             return v
-
-
-def random_rational_vector(g: int, rng, bound: int = V_SAMPLE_BOUND) -> list[Fraction]:
-    return [Fraction(x) for x in _random_int_vector(g, rng, bound)]
 
 
 def random_rational_symmap(g: int, rng) -> RationalSymMap:
@@ -297,10 +283,6 @@ def wperp_exact(w_rows, g: int) -> list[RationalSymMap]:
             eqs.append(row)
     null, last = _int_nullspace(eqs, n)
     return [RationalSymMap._from_int([[v[i] for i in r] for r in index], last) for v in null]
-
-
-def eval_matrix_exact(basis: list[RationalSymMap], v: list[Fraction]):
-    return [m.apply(v) for m in basis]
 
 
 def rational_span_to_subspace(basis: list[RationalSymMap]) -> LinSubspace:

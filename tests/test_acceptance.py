@@ -24,7 +24,7 @@ from hodgecheck.curvature import fd_relative_error
 from hodgecheck.extform import ExtForm, restrict_to_plane
 from hodgecheck.linalg import sym_dim
 from hodgecheck.report import canonical_json, strip_timing
-from hodgecheck.sampling import derive_rng, random_plane_sg, random_siegel_point
+from hodgecheck.sampling import derive_rng, random_siegel_point
 from hodgecheck.slices import (
     AffineSlice,
     complex_structure,
@@ -38,16 +38,15 @@ from hodgecheck.suites import RunConfig, run_suites
 from hodgecheck.symmaps import (
     annihilator_rigidity_suite,
     check_evaluation_degeneracy,
-    eval_matrix_exact,
     frac_rank,
     random_rank_k_symmap,
     random_rational_symmap,
-    random_rational_vector,
     rank_locus_tangent_check,
     rational_span_to_subspace,
     tangent_direction,
     wperp_exact,
 )
+from helpers import eval_matrix_exact, random_plane_sg, random_rational_vector
 
 IDENTITY_TOL = 1e-9
 ROUTE_TOL = 1e-10

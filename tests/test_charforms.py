@@ -34,7 +34,6 @@ from hodgecheck.linalg import make_siegel_point, sym_dim, sym_index_pairs, sym_p
 from hodgecheck.sampling import (
     _random_planes,
     derive_rng,
-    random_plane_sg,
     random_siegel_point,
     random_subspace,
     random_unit_vector,
@@ -42,6 +41,7 @@ from hodgecheck.sampling import (
 from hodgecheck.suites import RunConfig, run_suites
 from hodgecheck.symmaps import _int_nullspace
 from test_extform import python_ints
+from helpers import random_plane_sg
 
 
 def test_chern_constant_term_and_degree_bound():

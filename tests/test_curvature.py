@@ -26,9 +26,9 @@ from hodgecheck.extform import ExtForm, FormMatrix, conjugate, restrict_to_plane
 from hodgecheck.linalg import make_siegel_point, sym_dim
 from hodgecheck.sampling import (
     derive_rng,
-    random_plane_sg,
     random_siegel_point,
 )
+from helpers import random_plane_sg
 
 FD_POINTS = [(1, 0), (2, 1), (3, 2)]
 

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -25,7 +25,8 @@ from hodgecheck.extform import (
     wedge,
 )
 from hodgecheck.linalg import LinSubspace, sym_dim
-from hodgecheck.sampling import derive_rng, random_plane_sg, random_symmetric_complex
+from hodgecheck.sampling import derive_rng
+from helpers import random_plane_sg, random_symmetric_complex
 
 
 def e(g, a, b):
@@ -543,14 +544,28 @@ def grid_matmul(a, b, g, max_degree=None):
 
 
 def grid_det(grid, g):
-    """The Leibniz determinant on a grid of forms."""
-    acc = ExtForm.zero(sym_dim(g))
+    """The determinant on a grid of forms by Laplace expansion along rows, sharing minors.
+
+    The minor of rows 0..m on each column subset C is the sum over C's j-th
+    column c of (-1)^(m + j) (minor of rows 0..m-1 on C without c) ^ grid[m][c].
+    """
+    minors = {(): ExtForm.one(sym_dim(g))}
+    for m in range(g):
+        minors = {cols: sum((minors[cols[:j] + cols[j + 1:]].wedge(grid[m][c]) if m else grid[m][c])
+                            * (-1) ** (m + j) for j, c in enumerate(cols))
+                  for cols in combinations(range(g), m + 1)}
+    return minors[tuple(range(g))]
+
+
+def leibniz_det(grid, max_degree=None):
+    """The Leibniz determinant on a square grid of forms: a signed product per permutation."""
+    n, g = grid[0][0].n, len(grid)
+    acc = ExtForm.zero(n)
     for perm in permutations(range(g)):
-        sign = (-1.0) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-        prod = ExtForm.one(sym_dim(g))
+        prod = ExtForm.one(n)
         for i in range(g):
-            prod = prod.wedge(grid[i][perm[i]])
-        acc = acc + prod * sign
+            prod = prod.wedge(grid[i][perm[i]], max_degree=max_degree)
+        acc = acc + prod * (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
     return acc
 
 
@@ -578,6 +593,102 @@ def test_stacked_formmatrix_matches_grid_oracle_to_the_bit(g):
     want = grid_det([[(ExtForm.one(n) if i == j else ExtForm.zero(n)) - gm[i][j]
                       for j in range(g)] for i in range(g)], g)
     assert (FormMatrix.identity(g, n) - FormMatrix(n, gm)).det().terms() == want.terms()
+
+
+def integer_grid(g, n, rng):
+    """A g x g grid of even forms on n generators with Python-int coefficients, a quarter zero."""
+    def entry():
+        if rng.random() < 0.25:
+            return ExtForm.zero(n)
+        return (ExtForm.scalar(n, int(rng.integers(-3, 4))) + homogeneous_form(n, rng, 2, exact=True)
+                + homogeneous_form(n, rng, 4, n_terms=2, exact=True))
+    return [[entry() for _ in range(g)] for _ in range(g)]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_det_equals_leibniz_exactly_on_integer_grids(g):
+    rng, n = derive_rng(45, "integer-det", g), 4
+    for _ in range(4):
+        grid = integer_grid(g, n, rng)
+        for cap in (None, 0, 2, 3, 4, 6):
+            got = FormMatrix(n, grid).det(max_degree=cap)
+            assert got.terms() == leibniz_det(grid, cap).terms()
+            assert python_ints(got)
+        if g > 1:  # two equal rows: every term cancels exactly
+            assert FormMatrix(n, [grid[0]] + grid[:-1]).det().is_zero()
+
+
+def test_det_of_the_empty_matrix_is_one():
+    for n in (1, 3):
+        for empty in (FormMatrix(n, []), FormMatrix.from_blocks(0, n, {})):
+            det = empty.det()
+            assert det.terms() == {(0, 0): 1} and python_ints(det)
+            assert empty.det(max_degree=0).terms() == {(0, 0): 1}
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_det_wedges_each_entry_once_per_column_subset(monkeypatch, g):
+    """g (2^(g-1) - 1) entry wedges, against g g! for Leibniz: row 0's minors are its entries."""
+    rng, n = derive_rng(47, "det-count", g), sym_dim(g)
+    grid = random_grid(g, rng, keys=[(0, 0), (1, 1)])
+    calls, wedge = [], ExtForm.wedge
+
+    def counted(self, other, max_degree=None):
+        calls.append(1)
+        return wedge(self, other, max_degree)
+
+    monkeypatch.setattr(ExtForm, "wedge", counted)
+    FormMatrix(n, grid).det()
+    assert len(calls) == g * (2 ** (g - 1) - 1)
+    calls.clear()
+    grid[0][0] = ExtForm.zero(n)  # a zero entry and the minors it zeroes are skipped
+    FormMatrix(n, grid).det()
+    assert len(calls) < max(g * (2 ** (g - 1) - 1), 1)
+
+
+def split_loop_block(a, b, n, dtype, p1, q1, p2, q2):
+    """A wedge block as a zeros array plus each hol split's weighted sum, signed after it."""
+    hol_first, hol_rest, hol_sign = extform._split_table(n, p1, p2)
+    anti_first, anti_rest, anti_sign = extform._split_table(n, q1, q2)
+    weights = -anti_sign if (q1 * p2) % 2 else anti_sign
+    out = np.zeros((len(hol_first), len(anti_first)), dtype)
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    for j, sign in enumerate(hol_sign):
+        terms = a.take(hol_first[:, j], axis=0).take(anti_first, axis=1)
+        terms *= b.take(hol_rest[:, j], axis=0).take(anti_rest, axis=1)
+        out += sign * (terms @ weights)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_wedge_block_equals_the_split_loop_to_the_bit(n):
+    """Every bidegree pair that fits, complex, Python-int and mixed, (0, 0) factors included.
+
+    A third of the complex entries are zero, so a zero product's sign shows.
+    """
+    rng = derive_rng(46, "wedge-block", n)
+
+    def block(p, q, exact):
+        shape = (math.comb(n, p), math.comb(n, q))
+        if exact:
+            return rng.integers(-9, 10, shape).astype(object)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return np.where(rng.random(shape) < 1 / 3, 0, values)
+
+    degrees = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    for (p1, q1), (p2, q2) in product(degrees, repeat=2):
+        if p1 + p2 > n or q1 + q2 > n:
+            continue
+        for exact_a, exact_b in ((False, False), (True, True), (True, False)):
+            a, b = block(p1, q1, exact_a), block(p2, q2, exact_b)
+            dtype = extform._common_dtype(a, b)
+            got = extform._wedge_block(a, b, n, dtype, p1, q1, p2, q2)
+            want = split_loop_block(a, b, n, dtype, p1, q1, p2, q2)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            if dtype == object:
+                assert got.tolist() == want.tolist() and all(type(c) is int for c in got.flat)
+            else:
+                assert got.tobytes() == want.tobytes()
 
 
 def test_matmul_wedges_only_pairs_of_nonzero_blocks(monkeypatch):

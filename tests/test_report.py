@@ -13,7 +13,8 @@ from hodgecheck.report import (
     reporting,
     strip_timing,
 )
-from hodgecheck.sampling import derive_rng, random_plane_sg, random_siegel_point
+from hodgecheck.sampling import derive_rng, random_siegel_point
+from helpers import random_plane_sg
 
 
 def test_check_semantics():
