@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .curvature import (
     pairing_matrix_batch,
 )
 from .errors import BadParameters, BadSampleCount
-from .extform import ExtForm, FormMatrix, _minors, restrict_to_plane
+from .extform import ExtForm, FormMatrix, _minors, _subsets, restrict_to_plane
 from .linalg import SiegelPoint, _orthonormal_stack, sym_basis, sym_dim
 from .report import VerificationReport, floor_check, passing
 from .sampling import _random_planes, derive_rng, random_subspace, random_unit_vector
@@ -159,8 +158,8 @@ def wedge_power_stats(k_batch: np.ndarray, k: int):
     size = math.comb(n, k)
     means = np.empty((size, size), dtype=complex)
     second = np.empty((size, size))
-    for i, s_rows in enumerate(combinations(range(n), k)):
-        dets = prefactor * _minors(entries[list(s_rows)])
+    for i, s_rows in enumerate(_subsets(n, k)[0]):
+        dets = prefactor * _minors(entries[s_rows])
         means[i] = dets.mean(axis=-1)
         parts = dets.view(float)  # real and imaginary parts side by side
         second[i] = np.einsum("ij,ij->i", parts, parts) / samples

@@ -190,23 +190,6 @@ def _wedge_block(a: np.ndarray, b: np.ndarray, n: int, dtype: np.dtype, p1: int,
     return out
 
 
-@functools.cache
-def _expansion_tables(n: int, k: int) -> tuple:
-    """Index tables for expanding the m x m minors along a row, m = 1..k.
-
-    Entry m - 1 holds (cols, drop), both of shape (C(n, m), m): for the t-th
-    m-subset T of columns in combinations order, cols[t, j] = T[j] and
-    drop[t, j] is the position of T without T[j] among the (m-1)-subsets.
-    """
-    tables = []
-    for m in range(1, k + 1):
-        cols, masks, _ = _subsets(n, m)
-        position = _subsets(n, m - 1)[2]
-        drop = [[position[mask ^ (1 << int(c))] for c in row] for row, mask in zip(cols, masks)]
-        tables.append((cols, np.array(drop, dtype=np.intp).reshape(cols.shape)))
-    return tuple(tables)
-
-
 def _minors(rows: np.ndarray) -> np.ndarray:
     """The k x k minors of k rows of length n, one per column k-subset in combinations order.
 
@@ -214,10 +197,13 @@ def _minors(rows: np.ndarray) -> np.ndarray:
     empty minor (k = 0) is 1.  The minors of rows[:m] over all column
     m-subsets come from those of rows[:m-1] by expansion along row m - 1.
     """
-    k, n = rows.shape[:2]
+    n = rows.shape[1]
     minors = np.ones((1, *rows.shape[2:]), dtype=rows.dtype)
-    for m, (row, (cols, drop)) in enumerate(zip(rows, _expansion_tables(n, k))):
-        # row sits at position m, so column j carries (-1)^(m + j)
+    for m, row in enumerate(rows):
+        # expand along row m: column T[j] of a column (m + 1)-subset T carries (-1)^(m + j),
+        # and split m - j of T in the split table leaves T[j] out, so its columns run reversed
+        first, rest, _ = _split_table(n, m, 1)
+        drop, cols = first[:, ::-1], rest[:, ::-1]
         minors = sum((-1) ** (m + j) * row[cols[:, j]] * minors[drop[:, j]]
                      for j in range(m + 1))
     return minors

@@ -1,10 +1,12 @@
 """Named verification suites and the configuration they all share.
 
-SUITES, the table at the bottom, is what the command line exposes: each
-Suite states the checks of one genus cell, the settings its report echoes and
-the genera it runs at, and calling it with a RunConfig returns one
-VerificationReport.  Suites derive every random draw from (seed, suite tag, indices),
-so a fixed config yields a byte-identical report apart from wall-clock fields.
+SUITES, the table at the bottom, is what the command line exposes.  Each Suite
+states the genera it runs at, the items its cell at one genus is made of
+(points, degrees k, ranks i, subspace dimensions), how one item is checked and
+the settings its report echoes; calling it with a RunConfig returns one
+VerificationReport.  Suites derive every random draw from (seed, suite tag,
+indices), so a fixed config yields a byte-identical report apart from
+wall-clock fields.
 """
 
 from __future__ import annotations
@@ -101,6 +103,8 @@ class RunConfig:
         if self.output_path is not None and type(self.output_path) is not str:
             raise ConfigInvalid(f"output_path must be a path string, got {self.output_path!r}")
         for name in self.suites:
+            if type(name) is not str:  # checked first: a list or an object is unhashable
+                raise ConfigInvalid(f"suites must be suite names, got {name!r}")
             if name not in SUITES:
                 raise SuiteUnknown(
                     f"unknown suite {name!r}; available: {sorted(SUITES)}")
@@ -120,59 +124,42 @@ FILE_KEYS = {{"genus_list": "genus", "output_path": "out"}.get(f.name, f.name): 
              for f in fields(RunConfig)}
 
 
-def _at_points(label: str, check, **window):
-    """The cell that runs check(cfg, tau) at n_tau random points, point t filed under t{t}."""
-    def cell(cfg: RunConfig, g: int) -> VerificationReport:
-        report = VerificationReport(label)
-        for t in range(cfg.n_tau):
-            tau = random_siegel_point(g, derive_rng(cfg.seed, label, g, t), **window)
-            report.merge(check(cfg, tau), prefix=f"t{t}.")
-        return report
-    return cell
+def _point(cfg: RunConfig, label: str, g: int, *key, **window):
+    """A cell's Siegel point, drawn from the stream (seed, label, g, *key), with that stream."""
+    rng = derive_rng(cfg.seed, label, g, *key)
+    return random_siegel_point(g, rng, **window), rng
 
 
-def _positivity_vanishing(cfg: RunConfig, g: int) -> VerificationReport:
-    tau = random_siegel_point(g, derive_rng(cfg.seed, "posvan-point", g))
-    return check_positivity_and_vanishing(
-        tau, i=min(3, g), trials=cfg.plane_trials, seed=cfg.seed, tol=cfg.tol("vanishing"))
+def _labelled(tag: str, values) -> list:
+    """One item per value, filed under {tag}{value}."""
+    return [(f"{tag}{v}.", v) for v in values]
 
 
-def _average_wedge(cfg: RunConfig, g: int) -> VerificationReport:
-    tau = random_siegel_point(g, derive_rng(cfg.seed, "avg-point", g))
-    cell = VerificationReport("average-wedge")
-    for k in range(1, min(2, g) + 1):
-        cell.merge(check_average_wedge_powers(tau, k=k, n_samples=cfg.n_samples, seed=cfg.seed),
-                   prefix=f"k{k}.")
-    return cell
+def _points(cfg: RunConfig, g: int) -> list:
+    return _labelled("t", range(cfg.n_tau))
 
 
-def _fd_errors(cfg: RunConfig, tau) -> VerificationReport:
+def _fd_errors(cfg: RunConfig, g: int, t: int) -> VerificationReport:
+    tau = _point(cfg, "fd", g, t, spread=0.3, y_lo=0.2, y_hi=0.6)[0]
     return VerificationReport("curvature-fd", checks=[
         passing(metric, "finite-difference curvature matches the closed form",
                 fd_relative_error(tau, metric=metric, step=1e-5), cfg.tol("fd"))
         for metric in ("dual", "hodge")])
 
 
-def _eval_ranks(cfg: RunConfig, g: int) -> tuple:
-    """The ranks i that eval-rank checks at genus g.
+def _eval_ranks(cfg: RunConfig, g: int) -> list:
+    """The ranks i that eval-rank checks at genus g, filed under i{i}.
 
     i = 3 from genus 3 on, and i = 4 as well at genus 4.  A genus list with no
     genus >= 3 checks i = min(2, g) at its largest genus only.
     """
     if g >= 3:
-        return (3, 4) if g == 4 else (3,)
-    return (min(2, g),) if g == max(cfg.genus_list) < 3 else ()
-
-
-def _eval_rank(cfg: RunConfig, g: int) -> VerificationReport:
-    cell = VerificationReport("eval-rank")
-    for i in _eval_ranks(cfg, g):
-        cell.merge(annihilator_rigidity_suite(
-            g, i, trials=cfg.eval_trials, n_v_samples=100, seed=cfg.seed), prefix=f"i{i}.")
-    return cell
+        return _labelled("i", (3, 4) if g == 4 else (3,))
+    return _labelled("i", (min(2, g),) if g == max(cfg.genus_list) < 3 else ())
 
 
 def _rank_locus(cfg: RunConfig, g: int) -> VerificationReport:
+    # the one item of its genus: every draw of the cell, the k loop's too, is from one stream
     cell = VerificationReport("rank-locus")
     rng = derive_rng(cfg.seed, "rank-locus", g)
     for k in range(1, g):
@@ -184,30 +171,21 @@ def _rank_locus(cfg: RunConfig, g: int) -> VerificationReport:
             res = rank_locus_tangent_check(m, n)
             tangent_rejected += tangent and not res.predicate_holds
             disagreements += not res.agree
-        cell.add(passing(
-            f"k{k}.route-agreement",
-            "kernel-image predicate agrees with vanishing of minor "
-            "directional derivatives",
-            float(disagreements), 0.5))
-        cell.add(passing(
-            f"k{k}.tangent-recognized",
-            "constructed tangent directions satisfy the predicate",
-            float(tangent_rejected), 0.5))
+        cell.extend([
+            passing(f"k{k}.route-agreement", "kernel-image predicate agrees with vanishing of "
+                    "minor directional derivatives", float(disagreements), 0.5),
+            passing(f"k{k}.tangent-recognized", "constructed tangent directions satisfy the "
+                    "predicate", float(tangent_rejected), 0.5)])
 
     # a pencil spanned by two rank ones reaches rank 2 but never 3
     m1, m2, _ = _independent_rank_ones(g, rng)
     prof = pencil_rank_profile(m1.as_float(), m2.as_float())
-    cell.add(passing(
-        "pencil-max-rank",
-        "pencil of two independent rank ones attains rank exactly 2",
-        abs(prof.max_rank - 2), 0.5))
+    cell.add(passing("pencil-max-rank", "pencil of two independent rank ones attains rank "
+                     "exactly 2", abs(prof.max_rank - 2), 0.5))
     if g >= 3:
         found = _pencil_rank_one_recovery(g, rng)
-        cell.add(passing(
-            "pencil-rank-one-recovery",
-            "rank-one search recovers both generators inside a "
-            "two-dimensional intersection",
-            float(2 - found), 0.5))
+        cell.add(passing("pencil-rank-one-recovery", "rank-one search recovers both generators "
+                         "inside a two-dimensional intersection", float(2 - found), 0.5))
     return cell
 
 
@@ -233,15 +211,11 @@ def _pencil_rank_one_recovery(g: int, rng) -> int:
     return len(find_rank_ones(rational_span_to_subspace([m1, m2]), v))
 
 
-def _slice_embed(cfg: RunConfig, g: int) -> VerificationReport:
-    cell = VerificationReport("slice-embed")
-    for wdim in sorted({1, g - 1}):
-        rng = derive_rng(cfg.seed, "slice-point", g, wdim)
-        tau0 = random_siegel_point(g, rng)
-        w = random_subspace(g, wdim, rng, "V")
-        cell.merge(check_embedded_subspace_invariance(
-            tau0, w, n_members=5, seed=cfg.seed, tol=cfg.tol("slice")), prefix=f"w{wdim}.")
-    return cell
+def _slice_embed(cfg: RunConfig, g: int, wdim: int) -> VerificationReport:
+    tau0, rng = _point(cfg, "slice-point", g, wdim)
+    w = random_subspace(g, wdim, rng, "V")
+    return check_embedded_subspace_invariance(
+        tau0, w, n_members=5, seed=cfg.seed, tol=cfg.tol("slice"))
 
 
 _UNCAPPED = sys.maxsize  # the end of the range of a suite that takes any genus
@@ -249,15 +223,17 @@ _UNCAPPED = sys.maxsize  # the end of the range of a suite that takes any genus
 
 @dataclass(frozen=True)
 class Suite:
-    """One suite as data: the checks of one genus, what its report echoes, where it runs.
+    """One suite as data: where it runs, what a genus cell is made of, what its report echoes.
 
-    genera is the one statement of the genera a suite runs at.  Calling the
-    suite runs cell(cfg, g) at each genus of cfg.genus_list inside genera, in
-    the config's order, and files that cell's checks under g{g}.
+    genera is the one statement of the genera a suite runs at, and items of what
+    its cell at genus g is made of.  Calling the suite runs cell(cfg, g, item) for
+    each (prefix, item) of items(cfg, g) at each genus of cfg.genus_list inside
+    genera, in the config's order, and files the item's checks under g{g}.{prefix}.
     """
 
     name: str
-    cell: Callable    # (cfg, g) -> the report of one genus
+    items: Callable   # (cfg, g) -> [(prefix, item)], the parts of the cell at genus g
+    cell: Callable    # (cfg, g, item) -> the report of one item
     params: Callable  # (cfg, genera run) -> the settings the report echoes besides its seed
     genera: range
 
@@ -265,7 +241,8 @@ class Suite:
         genera = [g for g in cfg.genus_list if g in self.genera]
         report = VerificationReport(self.name, {**self.params(cfg, genera), "seed": cfg.seed})
         for g in genera:
-            report.merge(self.cell(cfg, g), prefix=f"g{g}.")
+            for prefix, item in self.items(cfg, g):
+                report.merge(self.cell(cfg, g, item), prefix=f"g{g}.{prefix}")
         return report
 
 
@@ -278,32 +255,38 @@ def genus_span(genera: range) -> str:
 
 SUITES = {suite.name: suite for suite in (
     # genus 5 does not finish: a (5, 5) block of the algebra has 9.0e6 coefficients an entry
-    Suite("forms-identity", _at_points("forms", lambda cfg, tau: check_pointwise_identity(
-              tau, tol=cfg.tol("identity"), seed=cfg.seed)),
+    Suite("forms-identity", _points, lambda cfg, g, t: check_pointwise_identity(
+              _point(cfg, "forms", g, t)[0], tol=cfg.tol("identity"), seed=cfg.seed),
           lambda cfg, run: {"genus_list": run, "n_tau": cfg.n_tau, "tol": cfg.tol("identity")},
           range(1, 5)),
-    Suite("dual-identity", _at_points("dual", lambda cfg, tau: check_chern_segre_equality(
-              tau, cfg.tol("equality"))),
+    Suite("dual-identity", _points, lambda cfg, g, t: check_chern_segre_equality(
+              _point(cfg, "dual", g, t)[0], cfg.tol("equality")),
           lambda cfg, run: {"genus_list": run, "n_tau": cfg.n_tau, "tol": cfg.tol("equality")},
           range(1, 5)),
-    Suite("positivity-vanishing", _positivity_vanishing,
+    Suite("positivity-vanishing", lambda cfg, g: [("", min(3, g))],
+          lambda cfg, g, i: check_positivity_and_vanishing(
+              _point(cfg, "posvan-point", g)[0], i=i, trials=cfg.plane_trials, seed=cfg.seed,
+              tol=cfg.tol("vanishing")),
           lambda cfg, run: {"genus_list": run, "trials": cfg.plane_trials}, range(1, _UNCAPPED)),
-    Suite("average-wedge", _average_wedge,
+    Suite("average-wedge", lambda cfg, g: _labelled("k", range(1, min(2, g) + 1)),
+          lambda cfg, g, k: check_average_wedge_powers(
+              _point(cfg, "avg-point", g)[0], k=k, n_samples=cfg.n_samples, seed=cfg.seed),
           lambda cfg, run: {"genus_list": run, "n_samples": cfg.n_samples}, range(1, _UNCAPPED)),
     # a cost cap, not a precision one: the relative error stays at or below 6.0e-7
     # against the 1e-6 bound up to genus 8, at 5 ms (g4) to 0.43 s (g8) an evaluation.
     # The window is well conditioned, so differencing noise stays below tolerance.
-    Suite("curvature-fd", _at_points("fd", _fd_errors, spread=0.3, y_lo=0.2, y_hi=0.6),
+    Suite("curvature-fd", _points, _fd_errors,
           lambda cfg, run: {"genus_list": run, "n_tau": cfg.n_tau, "tol": cfg.tol("fd"),
                             "step": 1e-5},
           range(1, 9)),
-    Suite("eval-rank", _eval_rank,
-          lambda cfg, run: {"pairs": [[g, i] for g in run for i in _eval_ranks(cfg, g)],
+    Suite("eval-rank", _eval_ranks, lambda cfg, g, i: annihilator_rigidity_suite(
+              g, i, trials=cfg.eval_trials, n_v_samples=100, seed=cfg.seed),
+          lambda cfg, run: {"pairs": [[g, i] for g in run for _, i in _eval_ranks(cfg, g)],
                             "trials": cfg.eval_trials},
           range(1, _UNCAPPED)),
-    Suite("rank-locus", _rank_locus,
+    Suite("rank-locus", lambda cfg, g: [("", None)], lambda cfg, g, _: _rank_locus(cfg, g),
           lambda cfg, run: {"genus_list": run, "pairs_per_cell": cfg.rank_pairs}, range(2, 5)),
-    Suite("slice-embed", _slice_embed,
+    Suite("slice-embed", lambda cfg, g: _labelled("w", sorted({1, g - 1})), _slice_embed,
           lambda cfg, run: {"genus_list": run, "tol": cfg.tol("slice")}, range(2, _UNCAPPED)),
 )}
 

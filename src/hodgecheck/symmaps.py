@@ -66,6 +66,16 @@ from .sampling import derive_rng
 V_SAMPLE_BOUND = 1000  # integer box for polynomial identity testing
 
 
+def _miss_bound(i: int, n_v_samples: int) -> str:
+    """The chance that n_v_samples draws from the box all miss a rank-i witness that exists.
+
+    By Schwartz-Zippel on the i x i minors (degree i), one draw from
+    [-V_SAMPLE_BOUND, V_SAMPLE_BOUND]^g misses with probability at most i over
+    the 2 V_SAMPLE_BOUND + 1 values a coordinate takes.
+    """
+    return f"({i}/{2 * V_SAMPLE_BOUND + 1})^{n_v_samples}"
+
+
 # ---------------------------------------------------------------------------
 # Exact linear algebra over Fraction entries.
 # ---------------------------------------------------------------------------
@@ -328,12 +338,11 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
 
     x is a LinSubspace in flattened symmetric coordinates or a list of maps.
     The search is exact when every map is a RationalSymMap, and in floating
-    point otherwise.  Absence of a witness over N integer samples from
-    [-1000, 1000]^g is wrong with probability at most (i/2001)^N when a
-    witness exists, by Schwartz-Zippel applied to the i x i minors.  The
-    exact search owns its stream and hands all N draws to one search:
-    _first_witness, or _find_witness where one draw of the p x q matrix e_v
-    has more than 2pq i x i minors.
+    point otherwise.  Absence of a witness over N integer samples from the box
+    of V_SAMPLE_BOUND is wrong with probability at most _miss_bound(i, N) when
+    a witness exists.  The exact search owns its stream and hands all N draws
+    to one search: _first_witness, or _find_witness where one draw of the
+    p x q matrix e_v has more than 2pq i x i minors.
     """
     exact = (isinstance(x, (list, tuple)) and bool(x)
              and all(isinstance(m, RationalSymMap) for m in x))
@@ -348,7 +357,7 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
 
     rng = derive_rng(seed, "degeneracy", i)
     note = (
-        f"no-witness verdicts are wrong with probability <= ({i}/2001)^{n_v_samples} "
+        f"no-witness verdicts are wrong with probability <= {_miss_bound(i, n_v_samples)} "
         "when a witness exists"
     )
     if exact:
@@ -480,7 +489,7 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
     rng = derive_rng(seed, "rigidity", g, i)
     d = i * (i - 1) // 2
     sz_note = (f"no-witness verdicts wrong with probability <= "
-               f"({i}/2001)^{n_v_samples} per space when a witness exists")
+               f"{_miss_bound(i, n_v_samples)} per space when a witness exists")
 
     def witness(space):
         """A rank-i witness on space from a search on its own stream, or None."""

@@ -82,6 +82,42 @@ def test_a_suite_runs_the_genera_of_its_row_in_the_config_order():
         assert list(dict.fromkeys(filed)) == [f"g{g}" for g in genera]
 
 
+@pytest.mark.parametrize("genus_list,n_tau", [((1, 2, 3), 2), ((4,), 1)])
+def test_each_suite_files_its_checks_under_the_items_of_its_row(genus_list, n_tau):
+    """Each item of items(cfg, g) files at least one check under g{g}.{prefix}, in item order."""
+    cfg = RunConfig(genus_list=genus_list, n_tau=n_tau, n_samples=100, plane_trials=5,
+                    eval_trials=2, rank_pairs=2)
+    result = run_suites(cfg)
+    for name, suite in SUITES.items():
+        want = [f"g{g}.{prefix}" for g in genus_list if g in suite.genera
+                for prefix, _ in suite.items(cfg, g)]
+        assert len(set(want)) == len(want), name
+        # the longest prefix a name starts with: an unlabelled item's g3. starts g3.k1. too
+        filed = [max((p for p in want if c["name"].startswith(p)), key=len, default=None)
+                 for c in result["suites"][name]["checks"]]
+        assert None not in filed and set(filed) == set(want), name
+        assert filed == sorted(filed, key=want.index), name
+
+
+@pytest.mark.parametrize("genus_list,pairs", [
+    ((1,), [[1, 1]]), ((2, 1), [[2, 2]]), ((1, 2), [[2, 2]]), ((3,), [[3, 3]]),
+    ((2, 4), [[4, 3], [4, 4]])])
+def test_eval_rank_pairs_are_its_items(genus_list, pairs):
+    cfg = RunConfig(genus_list=genus_list, suites=("eval-rank",), eval_trials=2)
+    body = run_suites(cfg)["suites"]["eval-rank"]
+    items = [[g, i] for g in genus_list for _, i in SUITES["eval-rank"].items(cfg, g)]
+    assert body["params"]["pairs"] == items == pairs
+    filed = [c["name"].split(".")[:2] for c in body["checks"]]
+    assert list(dict.fromkeys(f"{g}.{i}" for g, i in filed)) == [f"g{g}.i{i}" for g, i in pairs]
+
+
+def test_a_genus_1_average_wedge_cell_has_only_k1():
+    cfg = RunConfig(genus_list=(1,), suites=("average-wedge",), n_samples=100)
+    assert SUITES["average-wedge"].items(cfg, 1) == [("k1.", 1)]
+    checks = run_suites(cfg)["suites"]["average-wedge"]["checks"]
+    assert checks and all(c["name"].startswith("g1.k1.") for c in checks)
+
+
 def test_suite_without_checks_is_null_and_does_not_fail_the_run():
     result = run_suites(RunConfig(genus_list=(1,)))
     verdicts = {name: body["passed"] for name, body in result["suites"].items()}
@@ -269,7 +305,8 @@ def test_config_file_count_that_is_not_a_positive_integer_exits_2(key, value, tm
 @pytest.mark.parametrize("key,value,named", [
     ("tolerances", {"fd": True}, "fd"), ("tolerances", {"slice": "1e-10"}, "slice"),
     ("parallel", "no", "parallel"), ("parallel", 1, "parallel"),
-    ("out", ["report.json"], "out")])
+    ("out", ["report.json"], "out"),
+    ("suites", [["forms-identity"]], "suites"), ("suites", [{"a": 1}], "suites")])
 def test_config_file_value_of_the_wrong_json_type_exits_2(key, value, named, tmp_path, capsys):
     # file values reach validate() as JSON typed them: nothing casts them first
     cfg = tmp_path / "cfg.json"

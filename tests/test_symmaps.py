@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -765,6 +766,17 @@ def test_degeneracy_needs_a_sample():
     for ms in (maps, [m.as_float() for m in maps]):
         with pytest.raises(BadSampleCount):
             check_evaluation_degeneracy(ms, 1, n_v_samples=0, seed=0)
+
+
+def test_no_witness_notes_state_the_miss_bound_of_the_sample_box():
+    bound = symmaps.V_SAMPLE_BOUND
+    assert symmaps._miss_bound(3, 20) == f"(3/{2 * bound + 1})^20" == "(3/2001)^20"
+    assert inspect.signature(_random_int_vector).parameters["bound"].default == bound
+    perp = wperp_exact([[1, 2, 3]], 3)  # every evaluation lands in a plane: rank <= 2
+    rep = check_evaluation_degeneracy(perp, 3, n_v_samples=20, seed=0)
+    assert rep.satisfied and "<= (3/2001)^20 when a witness exists" in rep.notes
+    checks = annihilator_rigidity_suite(3, 3, trials=2, n_v_samples=20, seed=0).checks
+    assert any("<= (3/2001)^20 per space" in c.notes for c in checks)
 
 
 def test_tangent_full_rank_always():
