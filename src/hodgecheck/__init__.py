@@ -23,15 +23,13 @@ from .curvature import (
     curvature_fd,
     curvature_pairing_form,
     curvature_package,
-    dual_curvature_matrix,
     fd_relative_error,
     fundamental_form,
-    hodge_curvature_matrix,
     line_hermitian_form,
     matched_dual_vector,
 )
 from .errors import HodgecheckError
-from .extform import ExtForm, FormMatrix, inverse_even, restrict_to_plane, wedge
+from .extform import ExtForm, FormMatrix, restrict_to_plane
 from .linalg import (
     LinSubspace,
     SiegelPoint,
@@ -43,7 +41,6 @@ from .report import VerificationReport, canonical_json, strip_timing
 from .sampling import derive_rng, random_siegel_point, random_subspace
 from .slices import (
     AffineSlice,
-    OutOfDomain,
     check_embedded_subspace_invariance,
     complex_structure,
     real_embedding,
@@ -70,7 +67,6 @@ __all__ = [
     "FormMatrix",
     "HodgecheckError",
     "LinSubspace",
-    "OutOfDomain",
     "RationalSymMap",
     "RunConfig",
     "SUITES",
@@ -92,12 +88,9 @@ __all__ = [
     "curvature_package",
     "curvature_pairing_form",
     "derive_rng",
-    "dual_curvature_matrix",
     "fd_relative_error",
     "find_rank_ones",
     "fundamental_form",
-    "hodge_curvature_matrix",
-    "inverse_even",
     "line_hermitian_form",
     "make_siegel_point",
     "matched_dual_vector",
@@ -115,7 +108,6 @@ __all__ = [
     "standard_symplectic",
     "strip_timing",
     "subspace_distance",
-    "wedge",
     "wperp",
     "wperp_exact",
 ]

@@ -32,11 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import (
+    METRICS,
     CurvaturePackage,
     curvature_matrix,
     curvature_package,
     fundamental_matrix_batch,
-    hodge_metric,
     pairing_matrix_batch,
 )
 from .errors import BadParameters, BadSampleCount
@@ -247,7 +247,7 @@ def check_pointwise_identity(tau: SiegelPoint, tol: float = 1e-9,
     as c(E) ends in degree g.  The mumford-relation check asserts that
     relation in every degree instead.
     """
-    report = VerificationReport("forms-identity", {"genus": tau.g, "tol": tol, "seed": seed})
+    report = VerificationReport("forms-identity")
     g = tau.g
     n = sym_dim(g)
     pkg = curvature_package(tau)
@@ -307,7 +307,7 @@ def check_chern_segre_equality(tau: SiegelPoint, tol: float = 1e-9) -> Verificat
     is asserted by forms-identity's mumford-relation, not here.
     """
     g = tau.g
-    report = VerificationReport("dual-identity", {"genus": g, "tol": tol})
+    report = VerificationReport("dual-identity")
     pkg = curvature_package(tau)
     c_hodge = chern_total(pkg, "hodge")
     s_dual = segre_by_moments(pkg, g)
@@ -336,12 +336,10 @@ def check_average_wedge_powers(tau: SiegelPoint, k: int = 1,
         raise BadSampleCount(f"need at least 100 samples, got {n_samples}")
     if k < 1 or k > g:
         raise BadParameters(f"power {k} outside 1..{g}")
-    report = VerificationReport(
-        "average-wedge",
-        {"genus": g, "k": k, "n_samples": n_samples, "seed": seed})
+    report = VerificationReport("average-wedge")
     pkg = curvature_package(tau)
     s_k = segre_by_moments(pkg, k).component(k, k)
-    y = hodge_metric(tau)
+    y = METRICS["hodge"](tau.y)
     rng = derive_rng(seed, "avg-wedge", k)
     basis = sym_basis(g)
     n = len(basis)
@@ -396,10 +394,7 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
     g = tau.g
     if i < 1 or i > g:
         raise BadParameters(f"plane dimension {i} outside 1..{g}")
-    report = VerificationReport(
-        "positivity-vanishing",
-        {"genus": g, "i": i, "trials": trials, "seed": seed,
-         "n_v_samples": n_v_samples, "tol": tol})
+    report = VerificationReport("positivity-vanishing")
     pkg = curvature_package(tau)
     s_i = segre_by_moments(pkg, i).component(i, i)
     n = sym_dim(g)

@@ -41,16 +41,6 @@ METRICS = {
 }
 
 
-def dual_metric(tau: SiegelPoint) -> np.ndarray:
-    """Metric on the dual Hodge bundle: inverse of Im(tau)."""
-    return METRICS["dual"](tau.y)
-
-
-def hodge_metric(tau: SiegelPoint) -> np.ndarray:
-    """Metric on the Hodge bundle: Im(tau)."""
-    return METRICS["hodge"](tau.y)
-
-
 def _fold_projector(g: int) -> np.ndarray:
     """P[alpha, i, j] = 1 when the ordered entry (i, j) folds to generator alpha."""
     return (sym_pair_table(g).index == np.arange(sym_dim(g))[:, None, None]).astype(float)
@@ -77,14 +67,6 @@ def curvature_matrix(tau: SiegelPoint, bundle: str = "dual") -> FormMatrix:
     return FormMatrix.from_blocks(tau.g, sym_dim(tau.g), {(1, 1): curvature_array(tau, bundle)})
 
 
-def dual_curvature_matrix(tau: SiegelPoint) -> FormMatrix:
-    return curvature_matrix(tau, "dual")
-
-
-def hodge_curvature_matrix(tau: SiegelPoint) -> FormMatrix:
-    return curvature_matrix(tau, "hodge")
-
-
 @dataclass(frozen=True)
 class CurvaturePackage:
     """Point data for the dual Hodge bundle: metric and normalized curvature.
@@ -99,7 +81,7 @@ class CurvaturePackage:
     g_normalized: FormMatrix = field(init=False)
 
     def __post_init__(self):
-        h = dual_metric(self.tau)
+        h = METRICS["dual"](self.tau.y)
         gm = curvature_array(self.tau, "dual") * (1.0 / (2j * np.pi))
         for a in (h, gm):
             a.setflags(write=False)
@@ -197,10 +179,10 @@ def line_hermitian_form(tau: SiegelPoint, w) -> np.ndarray:
         raise DimensionMismatch(f"vector shape {w.shape} does not match genus {g}")
     if not w.any():
         raise ZeroVector("the form is undefined on the zero vector")
-    h = dual_metric(tau)
+    h = METRICS["dual"](tau.y)
     basis = sym_basis(g)
     mw = np.einsum("agh,h->ga", basis, w)  # column a is basis[a] @ w
-    denom = np.real(np.conj(w) @ hodge_metric(tau) @ w)
+    denom = np.real(np.conj(w) @ METRICS["hodge"](tau.y) @ w)
     return np.einsum("gb,gh,ha->ba", np.conj(mw), h, mw) / denom
 
 

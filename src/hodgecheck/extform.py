@@ -470,22 +470,6 @@ def _stack_minors(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(minors, 0, -1))
 
 
-def wedge(a: ExtForm, b: ExtForm, max_degree: int | None = None) -> ExtForm:
-    return a.wedge(b, max_degree=max_degree)
-
-
-def conjugate(a: ExtForm) -> ExtForm:
-    return a.conjugate()
-
-
-def contract(a: ExtForm, hol_vectors: Iterable, anti_vectors: Iterable) -> complex | np.ndarray:
-    return a.contract(hol_vectors, anti_vectors)
-
-
-def inverse_even(a: ExtForm, max_degree: int | None = None) -> ExtForm:
-    return a.inverse_even(max_degree=max_degree)
-
-
 def restrict_to_plane(a: ExtForm, planes: LinSubspace | np.ndarray) -> float | np.ndarray:
     """Value of the (k, k) component of a on k-planes of symmetric matrices.
 

@@ -40,26 +40,6 @@ from .symmaps import wperp
 WPERP_MEMBERSHIP_TOL = 1e-10
 
 
-class _OutOfDomain:
-    """Sentinel for slice members whose imaginary part loses definiteness."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "OutOfDomain"
-
-    def __bool__(self):
-        return False
-
-
-OutOfDomain = _OutOfDomain()
-
-
 @dataclass(frozen=True)
 class AffineSlice:
     """Affine family {base + N : N W = 0} inside the domain."""
@@ -90,14 +70,14 @@ class AffineSlice:
         return vec_to_sym(coeffs @ self.directions.basis, self.tau0.g)
 
 
-def slice_member(sl: AffineSlice, direction):
+def slice_member(sl: AffineSlice, direction) -> SiegelPoint | None:
     """Base point moved by a direction; the direction must kill W.
 
     direction is either a coefficient vector for the slice's direction basis
     or a symmetric matrix; an asymmetric one raises NotSymmetric, as every
-    symmetric input does.  Members whose imaginary part is not positive
-    definite are reported as OutOfDomain rather than raised, so sweeps can
-    step over them.
+    symmetric input does.  A member whose imaginary part is not positive
+    definite is outside the domain and returned as None rather than raised,
+    so sweeps can step over it.
     """
     g = sl.tau0.g
     direction = np.asarray(direction, dtype=complex)
@@ -107,10 +87,6 @@ def slice_member(sl: AffineSlice, direction):
         if direction.shape != (g, g):
             raise DimensionMismatch(f"direction shape {direction.shape} for genus {g}")
         n = as_sym_array(direction)
-    return _finish_member(sl, n)
-
-
-def _finish_member(sl: AffineSlice, n: np.ndarray):
     if sl.w.dim:
         # members must agree with the base on W
         residual = float(np.max(np.abs(n @ sl.w.basis.T)))
@@ -121,7 +97,7 @@ def _finish_member(sl: AffineSlice, n: np.ndarray):
     try:
         return SiegelPoint(sl.tau0.tau + n)
     except NotPositiveDefinite:
-        return OutOfDomain
+        return None
 
 
 def random_slice_member(sl: AffineSlice, rng) -> SiegelPoint:
@@ -130,7 +106,7 @@ def random_slice_member(sl: AffineSlice, rng) -> SiegelPoint:
     step = 1.0
     while step > 1e-6:
         member = slice_member(sl, coeffs * step)
-        if member is not OutOfDomain:
+        if member is not None:
             return member
         step *= 0.5
     return sl.tau0  # zero step is always inside
@@ -211,10 +187,7 @@ def check_embedded_subspace_invariance(tau0: SiegelPoint, w: LinSubspace,
     preserves the standard symplectic form, tames it, and restricts to the
     base structure on the common image.
     """
-    report = VerificationReport(
-        "slice-embed",
-        {"genus": tau0.g, "w_dim": w.dim, "n_members": n_members,
-         "seed": seed, "tol": tol})
+    report = VerificationReport("slice-embed")
     sl = AffineSlice(tau0, w)
     g = tau0.g
     s = standard_symplectic(g)

@@ -342,7 +342,9 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
     of V_SAMPLE_BOUND is wrong with probability at most _miss_bound(i, N) when
     a witness exists.  The exact search owns its stream and hands all N draws
     to one search: _first_witness, or _find_witness where one draw of the
-    p x q matrix e_v has more than 2pq i x i minors.
+    p x q matrix e_v has more than 2pq i x i minors.  The float search draws
+    complex Gaussian vectors and takes ranks by SVD, so its note states no
+    bound.
     """
     exact = (isinstance(x, (list, tuple)) and bool(x)
              and all(isinstance(m, RationalSymMap) for m in x))
@@ -356,10 +358,6 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
         raise BadDimension(f"space of dimension {dim} cannot carry rank {i}")
 
     rng = derive_rng(seed, "degeneracy", i)
-    note = (
-        f"no-witness verdicts are wrong with probability <= {_miss_bound(i, n_v_samples)} "
-        "when a witness exists"
-    )
     if exact:
         p, q = sorted((dim, mats[0].g))
         # past 2pq minors a draw the expansion outgrows elimination (no benchmark workload there)
@@ -367,7 +365,9 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
         search = _find_witness if eliminate else _first_witness
         hit = search(mats, i, _int_vectors(mats[0].g, n_v_samples, rng))
         if hit is None:
-            return DegeneracyReport(True, None, i, dim, n_v_samples, True, note)
+            return DegeneracyReport(True, None, i, dim, n_v_samples, True, (
+                f"no-witness verdicts are wrong with probability <= "
+                f"{_miss_bound(i, n_v_samples)} when a witness exists"))
         v, rank = hit
         return DegeneracyReport(False, DegeneracyWitness(v, rank),
                                 i, dim, n_v_samples, True, "witness is exact")
@@ -380,7 +380,9 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
         if rank >= i:
             return DegeneracyReport(False, DegeneracyWitness(v, rank),
                                     i, dim, n_v_samples, False, "")
-    return DegeneracyReport(True, None, i, dim, n_v_samples, False, note)
+    return DegeneracyReport(True, None, i, dim, n_v_samples, False, (
+        f"no rank-{i} evaluation in {n_v_samples} complex Gaussian draws, ranks by SVD "
+        f"at relative threshold {DEFAULT_RANK_TOL}; no miss bound is stated in floating point"))
 
 
 def _int_vectors(g: int, n: int, rng):
@@ -483,9 +485,7 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
         raise BadDimension(f"target rank {i} outside 1..{g}")
     if trials < 1:
         raise BadParameters(f"need at least one trial, got {trials}")
-    report = VerificationReport(
-        "eval-rank", {"genus": g, "i": i, "trials": trials,
-                      "n_v_samples": n_v_samples, "seed": seed})
+    report = VerificationReport("eval-rank")
     rng = derive_rng(seed, "rigidity", g, i)
     d = i * (i - 1) // 2
     sz_note = (f"no-witness verdicts wrong with probability <= "

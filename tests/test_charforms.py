@@ -21,11 +21,11 @@ from hodgecheck.charforms import (
     wedge_power_stats,
 )
 from hodgecheck.curvature import (
+    METRICS,
     _fold_projector,
     curvature_array,
     curvature_package,
     fundamental_form,
-    hodge_metric,
     line_hermitian_form,
 )
 from hodgecheck.errors import BadParameters, BadSampleCount
@@ -527,7 +527,7 @@ def test_average_wedge_coefficients_match_the_per_vector_forms(g, monkeypatch):
     tau = random_siegel_point(g, derive_rng(62, "line-forms", g))
     check_average_wedge_powers(tau, k=1, n_samples=100)
     # unit w for the Hodge metric, as the check samples them, so <w, w>_hodge = 1
-    w = random_unit_vector(hodge_metric(tau), derive_rng(63, "line-forms", g), 40)
+    w = random_unit_vector(METRICS["hodge"](tau.y), derive_rng(63, "line-forms", g), 40)
     got = coefficient_maps[0](w)
     assert got.shape == (40, sym_dim(g), sym_dim(g))
     for row, wi in zip(got, w):

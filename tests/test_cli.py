@@ -21,6 +21,9 @@ def test_config_validation():
         RunConfig(genus_list=(2,), tolerances={"mystery": 1.0}).validate()
     with pytest.raises(SuiteUnknown):
         RunConfig(genus_list=(2,), suites=("nope",)).validate()
+    for tolerances in (["fd"], "fd", 3):  # a library caller meets the gate a config file does
+        with pytest.raises(ConfigInvalid, match="tolerances"):
+            RunConfig(tolerances=tolerances).validate()
     RunConfig(genus_list=(1, 2)).validate()
 
 
@@ -61,7 +64,17 @@ def test_nothing_verified_names_each_suite_genera(capsys):
     err = capsys.readouterr().err
     assert "dual-identity runs at genus 1-4" in err and "rank-locus runs at genus 2-4" in err
     assert main(["--suite", "slice-embed", "--genus", "1"]) == 2
-    assert "slice-embed runs at genus 2 and up" in capsys.readouterr().err
+    assert "slice-embed runs at genus 2-32" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_suite_range_ends_and_one_genus_past_it_exits_2(name, capsys):
+    genera = SUITES[name].genera
+    assert genera.stop <= 33  # each range ends at a measured cap, and none past 32 was measured
+    assert main(["--suite", name, "--genus", str(genera.stop)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} runs at genus {genera.start}-{genera.stop - 1}" in captured.err
 
 
 def test_curvature_fd_checks_genus_4(tmp_path):

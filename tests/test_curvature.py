@@ -8,21 +8,18 @@ from hodgecheck.curvature import (
     _fold_projector,
     curvature_array,
     curvature_fd,
+    curvature_matrix,
     curvature_package,
     curvature_pairing_form,
-    dual_curvature_matrix,
-    dual_metric,
     fd_relative_error,
     fundamental_form,
     fundamental_matrix_batch,
-    hodge_curvature_matrix,
-    hodge_metric,
     line_hermitian_form,
     matched_dual_vector,
     pairing_matrix_batch,
 )
 from hodgecheck.errors import BadParameters, ZeroVector
-from hodgecheck.extform import ExtForm, FormMatrix, conjugate, restrict_to_plane
+from hodgecheck.extform import ExtForm, FormMatrix, restrict_to_plane
 from hodgecheck.linalg import make_siegel_point, sym_dim
 from hodgecheck.sampling import (
     derive_rng,
@@ -39,15 +36,15 @@ def complex_vector(dim, rng):
 
 def test_metrics():
     p = make_siegel_point(np.array([[0.3]]), np.array([[2.0]]))
-    assert abs(dual_metric(p)[0, 0] - 0.5) < 1e-15
-    assert abs(hodge_metric(p)[0, 0] - 2.0) < 1e-15
+    assert abs(METRICS["dual"](p.y)[0, 0] - 0.5) < 1e-15
+    assert abs(METRICS["hodge"](p.y)[0, 0] - 2.0) < 1e-15
 
 
 def test_scalar_curvature_closed_form():
     # one-variable case: curvature is -1/(4 y^2) e ^ ebar
     for y in (0.5, 1.0, 2.0, 3.7):
         p = make_siegel_point(np.array([[0.1]]), np.array([[y]]))
-        om = dual_curvature_matrix(p)[0, 0]
+        om = curvature_matrix(p, "dual")[0, 0]
         coeff = om.coefficient(1, 1)
         assert abs(coeff - (-1.0 / (4 * y * y))) < 1e-14
         assert om.bidegrees() == {(1, 1)}
@@ -55,7 +52,7 @@ def test_scalar_curvature_closed_form():
 
 def test_scalar_curvature_at_two_i():
     p = make_siegel_point(np.array([[0.0]]), np.array([[2.0]]))
-    coeff = dual_curvature_matrix(p)[0, 0].coefficient(1, 1)
+    coeff = curvature_matrix(p, "dual")[0, 0].coefficient(1, 1)
     assert coeff == pytest.approx(-0.0625, abs=1e-15)
 
 
@@ -63,7 +60,7 @@ def test_curvature_entries_are_one_one_forms():
     rng = derive_rng(20, "bidegree")
     for g in (1, 2, 3):
         x = random_siegel_point(g, rng)
-        for m in (dual_curvature_matrix(x), hodge_curvature_matrix(x)):
+        for m in (curvature_matrix(x, "dual"), curvature_matrix(x, "hodge")):
             for i, j in product(range(g), repeat=2):
                 assert m[i, j].bidegrees() <= {(1, 1)}
 
@@ -73,7 +70,7 @@ def test_package_consistency():
     x = random_siegel_point(2, rng)
     pkg = curvature_package(x)
     assert np.allclose(pkg.h, np.linalg.inv(x.y))
-    scaled = dual_curvature_matrix(x).scale(1.0 / (2j * np.pi))
+    scaled = curvature_matrix(x, "dual").scale(1.0 / (2j * np.pi))
     assert pkg.g_normalized.max_coeff_diff(scaled) == 0
     assert np.array_equal(pkg.gm, curvature_array(x, "dual") * (1.0 / (2j * np.pi)))
     assert not pkg.h.flags.writeable and not pkg.gm.flags.writeable
@@ -93,7 +90,7 @@ def test_pairing_form_is_real():
             v = complex_vector(g, rng)
             form = curvature_pairing_form(pkg, v)
             assert form.bidegrees() <= {(1, 1)}
-            assert conjugate(form).max_coeff_diff(form) < 1e-12
+            assert form.conjugate().max_coeff_diff(form) < 1e-12
 
 
 def test_pairing_form_scalar_case():
@@ -180,7 +177,7 @@ def test_fundamental_form_bridge():
     for g in (1, 2, 3):
         x = random_siegel_point(g, rng)
         pkg = curvature_package(x)
-        y = hodge_metric(x)
+        y = METRICS["hodge"](x.y)
         w = complex_vector(g, rng)
         w = w / np.sqrt((w.conj() @ y @ w).real)
         ff = fundamental_form(line_hermitian_form(x, w), g)
@@ -222,7 +219,7 @@ def test_fundamental_matrix_batch_matches_fundamental_form(g):
     rng = derive_rng(28, "fundamental-batch", g)
     x = random_siegel_point(g, rng)
     pkg = curvature_package(x)
-    y = hodge_metric(x)
+    y = METRICS["hodge"](x.y)
     w = np.array([complex_vector(g, rng) for _ in range(4)])
     w = w / np.sqrt(np.einsum("ni,ij,nj->n", w.conj(), y, w).real)[:, None]
     kb = fundamental_matrix_batch(np.array([line_hermitian_form(x, wn) for wn in w]), g)
@@ -285,8 +282,8 @@ def test_curvature_matches_wedge_algebra(g):
     b = np.linalg.inv(x.y)
     dual = generator_product(["dt", b, "dtbar", b], g).scale(-0.25)
     hodge = generator_product([b, "dtbar", b, "dt"], g).scale(-0.25)
-    assert dual_curvature_matrix(x).max_coeff_diff(dual) < 1e-14 * np.max(np.abs(b)) ** 2
-    assert hodge_curvature_matrix(x).max_coeff_diff(hodge) < 1e-14 * np.max(np.abs(b)) ** 2
+    assert curvature_matrix(x, "dual").max_coeff_diff(dual) < 1e-14 * np.max(np.abs(b)) ** 2
+    assert curvature_matrix(x, "hodge").max_coeff_diff(hodge) < 1e-14 * np.max(np.abs(b)) ** 2
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])

@@ -17,12 +17,8 @@ from hodgecheck.extform import (
     ExtForm,
     FormMatrix,
     _minors,
-    conjugate,
-    contract,
-    inverse_even,
     pair_index,
     restrict_to_plane,
-    wedge,
 )
 from hodgecheck.linalg import LinSubspace, sym_dim
 from hodgecheck.sampling import derive_rng
@@ -126,13 +122,13 @@ def test_algebra_laws_hold_on_random_forms():
         a, b, c = (homogeneous_form(n, rng, d, exact=exact) for d in degrees)
         da, db = degrees[:2]
         tol = 0 if exact else 1e-11
-        abc, ba, conj = a.wedge(b).wedge(c), b.wedge(a), conjugate(a.wedge(b))
+        abc, ba, conj = a.wedge(b).wedge(c), b.wedge(a), a.wedge(b).conjugate()
         assert abc.max_coeff_diff(a.wedge(b.wedge(c))) <= tol
         assert a.wedge(b).max_coeff_diff(ba * (-1) ** (da * db)) <= tol
-        assert conj.max_coeff_diff(conjugate(a).wedge(conjugate(b))) <= tol
+        assert conj.max_coeff_diff(a.conjugate().wedge(b.conjugate())) <= tol
         assert ExtForm(n, a.terms()).max_coeff_diff(a) == 0.0
         even = sum((homogeneous_form(n, rng, d, exact=exact) for d in (2, 4)), ExtForm.one(n))
-        inverse = inverse_even(even)
+        inverse = even.inverse_even()
         assert (even.wedge(inverse) - 1).norm_inf() <= (0 if exact else 1e-10)
         assert not exact or all(python_ints(f) for f in (abc, ba, conj, inverse))
 
@@ -181,9 +177,9 @@ def test_exact_cancellation_leaves_no_block():
     assert mixed.bidegrees() == {(2, 0)}
     assert len(mixed) == 1
     # an odd part that cancels exactly does not block inversion
-    unit = ExtForm.one(sym_dim(g)) + om.wedge(conjugate(om)) + e(g, 0, 0) - e(g, 0, 0)
+    unit = ExtForm.one(sym_dim(g)) + om.wedge(om.conjugate()) + e(g, 0, 0) - e(g, 0, 0)
     assert unit.is_even()
-    assert unit.wedge(inverse_even(unit)).max_coeff_diff(ExtForm.one(sym_dim(g))) == 0.0
+    assert unit.wedge(unit.inverse_even()).max_coeff_diff(ExtForm.one(sym_dim(g))) == 0.0
 
 
 def test_from_blocks_checks_shapes_and_drops_zero_blocks():
@@ -223,9 +219,9 @@ def test_counts_of_no_genus_reject_only_the_matrix_operations():
     with pytest.raises(DimensionMismatch):
         ExtForm.generator(4, 0, 0)
     with pytest.raises(DimensionMismatch):
-        contract(form, [np.eye(2)], [np.eye(2)])
+        form.contract([np.eye(2)], [np.eye(2)])
     with pytest.raises(DimensionMismatch):
-        restrict_to_plane(form.wedge(conjugate(form)), LinSubspace(np.eye(4)[:2], "Sg"))
+        restrict_to_plane(form.wedge(form.conjugate()), LinSubspace(np.eye(4)[:2], "Sg"))
 
 
 def test_generator_squares_to_zero():
@@ -274,7 +270,7 @@ def test_wedge_associative_and_graded_commutative():
 
 def test_wedge_genus_mismatch():
     with pytest.raises(GenusMismatch):
-        wedge(e(1, 0, 0), e(2, 0, 0))
+        e(1, 0, 0).wedge(e(2, 0, 0))
 
 
 def test_wedge_degree_cap_is_plain_truncation():
@@ -292,14 +288,14 @@ def test_wedge_degree_cap_is_plain_truncation():
 
 
 def test_inverse_of_one():
-    assert inverse_even(ExtForm.one(sym_dim(2))).max_coeff_diff(ExtForm.one(sym_dim(2))) == 0.0
+    assert ExtForm.one(sym_dim(2)).inverse_even().max_coeff_diff(ExtForm.one(sym_dim(2))) == 0.0
 
 
 def test_inverse_geometric_series():
     g = 2
     om = e(g, 0, 0).wedge(ebar(g, 0, 0)) * 0.7
     one = ExtForm.one(sym_dim(g))
-    inv = inverse_even(one + om)
+    inv = (one + om).inverse_even()
     # alternating powers of a single nilpotent term
     expected = one - om + om.wedge(om) - om.wedge(om).wedge(om)
     assert inv.max_coeff_diff(expected) < 1e-15
@@ -319,31 +315,31 @@ def test_inverse_roundtrip_random_even():
             u = u + ExtForm(sym_dim(g), {(s, t): complex(rng.standard_normal(),
                                                 rng.standard_normal())})
         a = ExtForm.one(sym_dim(g)) + u
-        b = inverse_even(a)
+        b = a.inverse_even()
         assert a.wedge(b).max_coeff_diff(ExtForm.one(sym_dim(g))) < 1e-12
         assert b.wedge(a).max_coeff_diff(ExtForm.one(sym_dim(g))) < 1e-12
 
 
 def test_inverse_rejects_bad_scalar():
     with pytest.raises(NotUnitScalar):
-        inverse_even(ExtForm.one(sym_dim(2)) * 2.0)
+        (ExtForm.one(sym_dim(2)) * 2.0).inverse_even()
     with pytest.raises(OddComponent):
-        inverse_even(ExtForm.one(sym_dim(2)) + e(2, 0, 0))
+        (ExtForm.one(sym_dim(2)) + e(2, 0, 0)).inverse_even()
 
 
 def test_conjugate_basics():
     g = 2
-    assert conjugate(e(g, 0, 0)).max_coeff_diff(ebar(g, 0, 0)) == 0.0
+    assert e(g, 0, 0).conjugate().max_coeff_diff(ebar(g, 0, 0)) == 0.0
     # a real (1,1)-form is fixed
     om = e(g, 0, 0).wedge(ebar(g, 0, 0)) * 1j
-    assert conjugate(om).max_coeff_diff(om) == 0.0
+    assert om.conjugate().max_coeff_diff(om) == 0.0
 
 
 def test_conjugate_involution():
     rng = derive_rng(10, "conj")
     for _ in range(10):
         a = random_form(2, rng)
-        assert conjugate(conjugate(a)).max_coeff_diff(a) < 1e-15
+        assert a.conjugate().conjugate().max_coeff_diff(a) < 1e-15
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 10])
@@ -399,8 +395,8 @@ def test_minors_equal_the_bitmask_expansion_to_the_bit(n):
 def test_contract_single_generator():
     g = 2
     m = random_symmetric_complex(g, derive_rng(11, "c1"))
-    assert abs(contract(e(g, 0, 0), [m], []) - m[0, 0]) < 1e-15
-    assert abs(contract(e(g, 0, 1), [m], []) - m[0, 1]) < 1e-15
+    assert abs(e(g, 0, 0).contract([m], []) - m[0, 0]) < 1e-15
+    assert abs(e(g, 0, 1).contract([m], []) - m[0, 1]) < 1e-15
 
 
 def test_contract_mixed_pair():
@@ -409,7 +405,7 @@ def test_contract_mixed_pair():
     m = random_symmetric_complex(g, rng)
     n = random_symmetric_complex(g, rng)
     form = e(g, 0, 1).wedge(ebar(g, 0, 1))
-    got = contract(form, [m], [n])
+    got = form.contract([m], [n])
     assert abs(got - m[0, 1] * np.conj(n[0, 1])) < 1e-15
 
 
@@ -419,17 +415,17 @@ def test_contract_determinant_expansion():
     m = random_symmetric_complex(g, rng)
     n = random_symmetric_complex(g, rng)
     form = e(g, 0, 0).wedge(e(g, 1, 1))
-    got = contract(form, [m, n], [])
+    got = form.contract([m, n], [])
     want = m[0, 0] * n[1, 1] - m[1, 1] * n[0, 0]
     assert abs(got - want) < 1e-14
     # swapping the vectors flips the sign
-    assert abs(contract(form, [n, m], []) + want) < 1e-14
+    assert abs(form.contract([n, m], []) + want) < 1e-14
 
 
 def test_contract_degree_mismatch_is_zero():
     form = e(2, 0, 0).wedge(ebar(2, 0, 0))
-    assert contract(form, [], []) == 0
-    assert contract(form, [np.eye(2)], [np.eye(2), np.eye(2)]) == 0
+    assert form.contract([], []) == 0
+    assert form.contract([np.eye(2)], [np.eye(2), np.eye(2)]) == 0
 
 
 def test_contract_one_stack_on_both_sides_matches_two_stacks():
@@ -441,13 +437,13 @@ def test_contract_one_stack_on_both_sides_matches_two_stacks():
         for k in (1, 2, 3):
             form = homogeneous_form(sym_dim(g), rng, 2 * k, n_terms=12)
             stack = np.array([random_symmetric_complex(g, rng) for _ in range(k)])
-            shared = contract(form, stack, stack)
-            assert shared == contract(form, stack, stack.copy())
-            assert shared == contract(form, list(stack), list(stack))
+            shared = form.contract(stack, stack)
+            assert shared == form.contract(stack, stack.copy())
+            assert shared == form.contract(list(stack), list(stack))
             nonzero += shared != 0
     assert nonzero >= 4
     with pytest.raises(NotSymmetric):
-        contract(form, [np.triu(np.ones((3, 3)))] * 2, [np.triu(np.ones((3, 3)))] * 2)
+        form.contract([np.triu(np.ones((3, 3)))] * 2, [np.triu(np.ones((3, 3)))] * 2)
 
 
 def test_stacked_sets_contract_as_each_set_alone():
@@ -457,14 +453,14 @@ def test_stacked_sets_contract_as_each_set_alone():
             form = homogeneous_form(sym_dim(g), rng, p + q, n_terms=12)
             hol = np.array([[random_symmetric_complex(g, rng) for _ in range(p)] for _ in range(7)])
             anti = np.array([[random_symmetric_complex(g, rng) for _ in range(q)] for _ in range(7)])
-            got = contract(form, hol, anti)
+            got = form.contract(hol, anti)
             assert got.shape == (7,)
-            assert got.tolist() == [contract(form, h, a) for h, a in zip(hol, anti)]
-            shared = contract(form, hol, hol)
-            assert shared.tolist() == [contract(form, h, h) for h in hol]
-    assert contract(ExtForm.zero(sym_dim(g)), hol[:, :1], hol[:, :1]).tolist() == [0j] * 7
+            assert got.tolist() == [form.contract(h, a) for h, a in zip(hol, anti)]
+            shared = form.contract(hol, hol)
+            assert shared.tolist() == [form.contract(h, h) for h in hol]
+    assert ExtForm.zero(sym_dim(g)).contract(hol[:, :1], hol[:, :1]).tolist() == [0j] * 7
     with pytest.raises(DimensionMismatch):
-        contract(form, hol, anti[:3])
+        form.contract(hol, anti[:3])
 
 
 def test_restrict_zero_form():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from hodgecheck.curvature import hodge_metric
+from hodgecheck.curvature import METRICS
 from hodgecheck.errors import BadDimension
 from hodgecheck.sampling import derive_rng, random_siegel_point, random_subspace, random_unit_vector
 
 
 def metric_for(g):
-    return hodge_metric(random_siegel_point(g, derive_rng(50, "sphere-metric", g)))
+    return METRICS["hodge"](random_siegel_point(g, derive_rng(50, "sphere-metric", g)).y)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])

@@ -775,6 +775,10 @@ def test_no_witness_notes_state_the_miss_bound_of_the_sample_box():
     perp = wperp_exact([[1, 2, 3]], 3)  # every evaluation lands in a plane: rank <= 2
     rep = check_evaluation_degeneracy(perp, 3, n_v_samples=20, seed=0)
     assert rep.satisfied and "<= (3/2001)^20 when a witness exists" in rep.notes
+    # the float route draws complex Gaussian vectors, not from the box: it states no box bound
+    rep = check_evaluation_degeneracy([m.as_float() for m in perp], 3, n_v_samples=20, seed=0)
+    assert rep.satisfied and not rep.exact
+    assert "20 complex Gaussian draws" in rep.notes and "2001" not in rep.notes
     checks = annihilator_rigidity_suite(3, 3, trials=2, n_v_samples=20, seed=0).checks
     assert any("<= (3/2001)^20 per space" in c.notes for c in checks)
 
