@@ -42,7 +42,7 @@ from .curvature import (
 from .errors import BadParameters, BadSampleCount
 from .extform import ExtForm, FormMatrix, _minors, _subsets, restrict_to_plane
 from .linalg import SiegelPoint, _orthonormal_stack, sym_basis, sym_dim
-from .report import VerificationReport, floor_check, passing
+from .report import CheckRecord, floor_check, passing
 from .sampling import _random_planes, derive_rng, random_subspace, random_unit_vector
 from .symmaps import (
     _random_rational_w,
@@ -239,7 +239,7 @@ def segre_by_quadrature(x, k: int, n_samples: int = 100_000,
 
 
 def check_pointwise_identity(tau: SiegelPoint, tol: float = 1e-9,
-                             seed: int = 0) -> VerificationReport:
+                             seed: int = 0) -> list[CheckRecord]:
     """c ^ s = 1 for the dual bundle, across both exact Segre routes at one point.
 
     The Segre routes and their products with c stop at degree g: above it
@@ -247,7 +247,7 @@ def check_pointwise_identity(tau: SiegelPoint, tol: float = 1e-9,
     as c(E) ends in degree g.  The mumford-relation check asserts that
     relation in every degree instead.
     """
-    report = VerificationReport("forms-identity")
+    checks = []
     g = tau.g
     n = sym_dim(g)
     pkg = curvature_package(tau)
@@ -255,19 +255,19 @@ def check_pointwise_identity(tau: SiegelPoint, tol: float = 1e-9,
     s_inv = segre_by_inverse(c_dual, k_max=g)
     s_mom = segre_by_moments(pkg, g)
 
-    report.add(passing(
+    checks.append(passing(
         "chern-wedge-inverse-segre",
         "det(I-G) ^ inverse_even(det(I-G)) = 1 through degree (g, g)",
         (c_dual.wedge(s_inv, max_degree=2 * g) - 1).norm_inf(), tol))
-    report.add(passing(
+    checks.append(passing(
         "chern-wedge-moment-segre",
         "det(I-G) ^ (moment-route Segre) = 1 through degree (g, g)",
         (c_dual.wedge(s_mom, max_degree=2 * g) - 1).norm_inf(), tol))
-    report.add(passing(
+    checks.append(passing(
         "moment-vs-inverse",
         "per-coefficient agreement of the two exact Segre routes through degree g",
         s_mom.max_coeff_diff(s_inv), 1e-10))
-    report.add(passing(
+    checks.append(passing(
         "mumford-relation",
         "c(E) ^ c(E^dual) = 1 in every degree, each relative to the largest "
         "product of Chern classes that cancels in it",
@@ -276,11 +276,11 @@ def check_pointwise_identity(tau: SiegelPoint, tol: float = 1e-9,
     # orientation guard: s_1 restricted to coordinate lines must be >= 0,
     # which pins the sign convention of G against its negative
     lines = _random_planes(n, 1, 8, derive_rng(seed, "identity-lines", g))
-    report.add(floor_check(
+    checks.append(floor_check(
         "first-segre-lines",
         "restriction of s_1 to random lines stays nonnegative",
         restrict_to_plane(s_inv.component(1, 1), lines).min(), -1e-10))
-    return report
+    return checks
 
 
 def _mumford_residual(c_hodge: ExtForm, c_dual: ExtForm, g: int) -> float:
@@ -300,28 +300,26 @@ def _mumford_residual(c_hodge: ExtForm, c_dual: ExtForm, g: int) -> float:
     return float(worst)
 
 
-def check_chern_segre_equality(tau: SiegelPoint, tol: float = 1e-9) -> VerificationReport:
+def check_chern_segre_equality(tau: SiegelPoint, tol: float = 1e-9) -> list[CheckRecord]:
     """c_k of the bundle against s_k of its dual, coefficient by coefficient, k = 1..g.
 
     Mumford's relation c(E) c(E^dual) = 1, which gives c(E) = s(E^dual) as totals,
     is asserted by forms-identity's mumford-relation, not here.
     """
     g = tau.g
-    report = VerificationReport("dual-identity")
     pkg = curvature_package(tau)
     c_hodge = chern_total(pkg, "hodge")
     s_dual = segre_by_moments(pkg, g)
-    for k in range(1, g + 1):
-        report.add(passing(
-            f"c{k}-equals-dual-s{k}",
-            f"c_{k} of the bundle matches s_{k} of the dual pointwise",
-            c_hodge.component(k, k).max_coeff_diff(s_dual.component(k, k)), tol))
-    return report
+    return [passing(
+        f"c{k}-equals-dual-s{k}",
+        f"c_{k} of the bundle matches s_{k} of the dual pointwise",
+        c_hodge.component(k, k).max_coeff_diff(s_dual.component(k, k)), tol)
+        for k in range(1, g + 1)]
 
 
 def check_average_wedge_powers(tau: SiegelPoint, k: int = 1,
                                n_samples: int = 20_000,
-                               seed: int = 0) -> VerificationReport:
+                               seed: int = 0) -> list[CheckRecord]:
     """Sphere average of k-th powers of rank-one fundamental forms vs s_k.
 
     For a unit vector w of the fiber with its metric, the Hermitian form
@@ -336,7 +334,7 @@ def check_average_wedge_powers(tau: SiegelPoint, k: int = 1,
         raise BadSampleCount(f"need at least 100 samples, got {n_samples}")
     if k < 1 or k > g:
         raise BadParameters(f"power {k} outside 1..{g}")
-    report = VerificationReport("average-wedge")
+    checks = []
     pkg = curvature_package(tau)
     s_k = segre_by_moments(pkg, k).component(k, k)
     y = METRICS["hodge"](tau.y)
@@ -359,27 +357,27 @@ def check_average_wedge_powers(tau: SiegelPoint, k: int = 1,
     den = np.vdot(mean, mean).real
     fitted = np.vdot(mean, s_k.block(k, k)).real / den if den > 0 else 0.0
 
-    report.add(passing(
+    checks.append(passing(
         "scaled-average-matches-segre",
         "binom(g+k-1,k)/(4 pi)^k times the average power matches s_k "
         "within 3 standard errors per coefficient",
         scaled.compare(s_k), 1.0))
-    report.add(floor_check(
+    checks.append(floor_check(
         "fitted-ratio-positive",
         "least-squares ratio between average and s_k is positive",
         fitted, 1e-12))
     rel = abs(fitted - ratio) / ratio
-    report.add(passing(
+    checks.append(passing(
         "fitted-ratio-value",
         "fitted ratio agrees with binom(g+k-1,k)/(4 pi)^k",
         rel, 0.05))
-    return report
+    return checks
 
 
 def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
                                    trials: int = 1000, seed: int = 0,
                                    n_v_samples: int = 100,
-                                   tol: float = 1e-10) -> VerificationReport:
+                                   tol: float = 1e-10) -> list[CheckRecord]:
     """Restrictions of s_i to i-planes: nonnegative, zero exactly on annihilators.
 
     Three phases: random i-planes give lambda >= 0; i-planes inside an exact
@@ -394,7 +392,7 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
     g = tau.g
     if i < 1 or i > g:
         raise BadParameters(f"plane dimension {i} outside 1..{g}")
-    report = VerificationReport("positivity-vanishing")
+    checks = []
     pkg = curvature_package(tau)
     s_i = segre_by_moments(pkg, i).component(i, i)
     n = sym_dim(g)
@@ -404,7 +402,7 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
     chunks = (_random_planes(n, i, min(_PLANE_CHUNK, trials - start), rng)
               for start in range(0, trials, _PLANE_CHUNK))
     worst = min((v for bases in chunks for v in restrict_to_plane(s_i, bases)), default=np.inf)
-    report.add(floor_check(
+    checks.append(floor_check(
         "random-plane-floor",
         f"minimum restriction of s_{i} over {trials} random {i}-planes",
         worst, -1e-10))
@@ -432,15 +430,15 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
                     _orthonormal_stack((parts[:, 0] + 1j * parts[:, 1]) @ perp_sub.basis))
         overall_zero = (np.abs(restrict_to_plane(s_i, np.concatenate(annihilator_planes))).max()
                         if annihilator_planes else np.inf)
-        report.add(passing(
+        checks.append(passing(
             "annihilator-dimension",
             f"dim {{M : M W = 0}} = {d} for codimension {i - 1}, over {n_spaces} spaces",
             worst_dim, 0.5))
-        report.add(passing(
+        checks.append(passing(
             "annihilator-plane-vanishing",
             f"|restriction of s_{i}| on {i}-planes inside exact annihilator spaces",
             overall_zero, tol))
-        report.add(passing(
+        checks.append(passing(
             "annihilator-rank-bound",
             f"no evaluation of rank {i} found on annihilator spaces "
             f"({n_spaces} spaces x {n_v_samples} exact rational vectors)",
@@ -455,9 +453,9 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
                                           seed=seed + attempts)
         if not deg.satisfied:
             witnessed.append(plane.basis)
-    report.add(floor_check(
+    checks.append(floor_check(
         "witness-plane-positivity",
         f"minimum restriction of s_{i} over {len(witnessed)} planes with a rank-{i} "
         "evaluation witness",
         restrict_to_plane(s_i, np.array(witnessed)).min() if witnessed else np.inf, 1e-12))
-    return report
+    return checks

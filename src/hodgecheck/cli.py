@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .errors import ConfigInvalid, SuiteUnknown
 from .report import canonical_json
@@ -86,12 +87,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigInvalid(f"VERIFY_SEED={raw_seed!r} is not an integer") from exc
     values.update((name, value) for name, value in vars(args).items()
                   if name in FILE_KEYS.values() and value is not None)
-    tolerances = values.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigInvalid("config key 'tolerances' must be an object")
-    values["tolerances"] = {**DEFAULT_TOLERANCES, **tolerances,
-                            **_parse_tol_overrides(args.tol)}
-    return RunConfig(**values).validate()
+    # validated before --tol joins it, so a file's tolerances must be a mapping
+    cfg = RunConfig(**values).validate()
+    return replace(cfg, tolerances={**cfg.tolerances, **_parse_tol_overrides(args.tol)}).validate()
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,15 +54,7 @@ class CheckRecord:
 
     def to_dict(self) -> dict:
         finite = math.isfinite(self.measured)
-        return {
-            "name": self.name,
-            "anchor": self.anchor,
-            "measured": jsonable(self.measured) if finite else None,
-            "tolerance": jsonable(self.tolerance),
-            "passed": self.passed,
-            "asserting": self.asserting,
-            "notes": self.notes,
-        }
+        return jsonable({**asdict(self), "measured": self.measured if finite else None})
 
 
 def passing(name, anchor, measured, tolerance, notes=""):
@@ -94,15 +86,6 @@ class VerificationReport:
         """None when no asserting check ran: the report verified nothing."""
         verdicts = [c.passed for c in self.checks if c.asserting]
         return all(verdicts) if verdicts else None
-
-    def add(self, check: CheckRecord):
-        self.checks.append(check)
-
-    def extend(self, checks):
-        self.checks.extend(checks)
-
-    def merge(self, other: "VerificationReport", prefix: str = ""):
-        self.checks.extend(replace(c, name=prefix + c.name) for c in other.checks)
 
     def to_dict(self) -> dict:
         return {

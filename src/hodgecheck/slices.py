@@ -33,7 +33,7 @@ from .linalg import (
     subspace_distance,
     vec_to_sym,
 )
-from .report import VerificationReport, floor_check, passing
+from .report import CheckRecord, floor_check, passing
 from .sampling import derive_rng
 from .symmaps import wperp
 
@@ -179,7 +179,7 @@ def embedded_subspace(m, w: LinSubspace) -> LinSubspace:
 
 def check_embedded_subspace_invariance(tau0: SiegelPoint, w: LinSubspace,
                                        n_members: int = 10, seed: int = 0,
-                                       tol: float = 1e-10) -> VerificationReport:
+                                       tol: float = 1e-10) -> list[CheckRecord]:
     """Everything about f_M(W) that should not depend on the member M.
 
     Per member: the moved direction kills W; the real image subspace matches
@@ -187,7 +187,7 @@ def check_embedded_subspace_invariance(tau0: SiegelPoint, w: LinSubspace,
     preserves the standard symplectic form, tames it, and restricts to the
     base structure on the common image.
     """
-    report = VerificationReport("slice-embed")
+    checks = []
     sl = AffineSlice(tau0, w)
     g = tau0.g
     s = standard_symplectic(g)
@@ -202,7 +202,7 @@ def check_embedded_subspace_invariance(tau0: SiegelPoint, w: LinSubspace,
         nondeg_floor = float(np.linalg.svd(gram, compute_uv=False)[-1])
 
     c = g - w.dim
-    report.add(passing(
+    checks.append(passing(
         "direction-space-dimension",
         "slice dimension is c(c+1)/2 for c the codimension of W",
         abs(sl.dim - c * (c + 1) // 2), 0.5))
@@ -227,33 +227,33 @@ def check_embedded_subspace_invariance(tau0: SiegelPoint, w: LinSubspace,
         tame_floor = min(tame_floor, float(np.min(np.linalg.eigvalsh(taming))))
         worst_restrict = max(worst_restrict, float(np.max(np.abs((j - j0) @ p0))))
 
-    report.add(passing(
+    checks.append(passing(
         "member-difference-kills-w",
         "member minus base annihilates the pinned subspace",
         worst_kill, 1e-12))
-    report.add(passing(
+    checks.append(passing(
         "embedded-image-constant",
         "distance between member and base images of W under the real chart",
         worst_dist, tol))
-    report.add(passing(
+    checks.append(passing(
         "complex-structure-squares",
         "J^2 + 1 for the transported complex structure",
         worst_sq, tol))
-    report.add(passing(
+    checks.append(passing(
         "symplectic-preserved",
         "J^T S J - S against the standard symplectic form",
         worst_symp, tol))
-    report.add(floor_check(
+    checks.append(floor_check(
         "taming-positivity",
         "smallest eigenvalue of sym(S J)",
         tame_floor, 1e-10))
-    report.add(passing(
+    checks.append(passing(
         "structure-constant-on-image",
         "difference of member and base structures on the embedded image",
         worst_restrict, tol))
     if w.dim:
-        report.add(floor_check(
+        checks.append(floor_check(
             "image-nondegenerate",
             "smallest singular value of the symplectic form on the image",
             nondeg_floor, 1e-10))
-    return report
+    return checks

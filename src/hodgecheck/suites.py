@@ -3,10 +3,10 @@
 SUITES, the table at the bottom, is what the command line exposes.  Each Suite
 states the genera it runs at, the items its cell at one genus is made of
 (points, degrees k, ranks i, subspace dimensions), how one item is checked and
-the settings its report echoes; calling it with a RunConfig returns one
-VerificationReport.  Suites derive every random draw from (seed, suite tag,
-indices), so a fixed config yields a byte-identical report apart from
-wall-clock fields.
+the settings its report echoes.  A cell returns its checks; calling a Suite with
+a RunConfig files them in its one VerificationReport.  Suites derive every
+random draw from (seed, suite tag, indices), so a fixed config yields a
+byte-identical report apart from wall-clock fields.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 import os
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .charforms import (
 )
 from .curvature import fd_relative_error
 from .errors import ConfigInvalid, SuiteUnknown
-from .report import SCHEMA_VERSION, VerificationReport, jsonable, passing
+from .report import SCHEMA_VERSION, CheckRecord, VerificationReport, jsonable, passing
 from .sampling import derive_rng, random_siegel_point, random_subspace
 from .slices import check_embedded_subspace_invariance
 from .symmaps import (
@@ -64,7 +64,7 @@ class RunConfig:
     plane_trials: int = 200
     eval_trials: int = 50
     rank_pairs: int = 25
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    tolerances: dict = field(default_factory=dict)  # overrides of DEFAULT_TOLERANCES
     output_path: str | None = None
     parallel: bool = False
 
@@ -117,6 +117,7 @@ class RunConfig:
         return self
 
     def tol(self, name: str) -> float:
+        """The named tolerance: the one place the defaults of DEFAULT_TOLERANCES apply."""
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))
 
 
@@ -140,12 +141,11 @@ def _points(cfg: RunConfig, g: int) -> list:
     return _labelled("t", range(cfg.n_tau))
 
 
-def _fd_errors(cfg: RunConfig, g: int, t: int) -> VerificationReport:
+def _fd_errors(cfg: RunConfig, g: int, t: int) -> list[CheckRecord]:
     tau = _point(cfg, "fd", g, t, spread=0.3, y_lo=0.2, y_hi=0.6)[0]
-    return VerificationReport("curvature-fd", checks=[
-        passing(metric, "finite-difference curvature matches the closed form",
-                fd_relative_error(tau, metric=metric, step=1e-5), cfg.tol("fd"))
-        for metric in ("dual", "hodge")])
+    return [passing(metric, "finite-difference curvature matches the closed form",
+                    fd_relative_error(tau, metric=metric, step=1e-5), cfg.tol("fd"))
+            for metric in ("dual", "hodge")]
 
 
 def _eval_ranks(cfg: RunConfig, g: int) -> list:
@@ -159,9 +159,9 @@ def _eval_ranks(cfg: RunConfig, g: int) -> list:
     return _labelled("i", (min(2, g),) if g == max(cfg.genus_list) < 3 else ())
 
 
-def _rank_locus(cfg: RunConfig, g: int) -> VerificationReport:
+def _rank_locus(cfg: RunConfig, g: int) -> list[CheckRecord]:
     # the one item of its genus: every draw of the cell, the k loop's too, is from one stream
-    cell = VerificationReport("rank-locus")
+    checks = []
     rng = derive_rng(cfg.seed, "rank-locus", g)
     for k in range(1, g):
         disagreements = tangent_rejected = 0
@@ -172,7 +172,7 @@ def _rank_locus(cfg: RunConfig, g: int) -> VerificationReport:
             res = rank_locus_tangent_check(m, n)
             tangent_rejected += tangent and not res.predicate_holds
             disagreements += not res.agree
-        cell.extend([
+        checks.extend([
             passing(f"k{k}.route-agreement", "kernel-image predicate agrees with vanishing of "
                     "minor directional derivatives", float(disagreements), 0.5),
             passing(f"k{k}.tangent-recognized", "constructed tangent directions satisfy the "
@@ -181,13 +181,14 @@ def _rank_locus(cfg: RunConfig, g: int) -> VerificationReport:
     # a pencil spanned by two rank ones reaches rank 2 but never 3
     m1, m2, _ = _independent_rank_ones(g, rng)
     prof = pencil_rank_profile(m1.as_float(), m2.as_float())
-    cell.add(passing("pencil-max-rank", "pencil of two independent rank ones attains rank "
-                     "exactly 2", abs(prof.max_rank - 2), 0.5))
+    checks.append(passing("pencil-max-rank", "pencil of two independent rank ones attains "
+                          "rank exactly 2", abs(prof.max_rank - 2), 0.5))
     if g >= 3:
         found = _pencil_rank_one_recovery(g, rng)
-        cell.add(passing("pencil-rank-one-recovery", "rank-one search recovers both generators "
-                         "inside a two-dimensional intersection", float(2 - found), 0.5))
-    return cell
+        checks.append(passing("pencil-rank-one-recovery", "rank-one search recovers both "
+                              "generators inside a two-dimensional intersection",
+                              float(2 - found), 0.5))
+    return checks
 
 
 def _independent_rank_ones(g: int, rng):
@@ -212,7 +213,7 @@ def _pencil_rank_one_recovery(g: int, rng) -> int:
     return len(find_rank_ones(rational_span_to_subspace([m1, m2]), v))
 
 
-def _slice_embed(cfg: RunConfig, g: int, wdim: int) -> VerificationReport:
+def _slice_embed(cfg: RunConfig, g: int, wdim: int) -> list[CheckRecord]:
     tau0, rng = _point(cfg, "slice-point", g, wdim)
     w = random_subspace(g, wdim, rng, "V")
     return check_embedded_subspace_invariance(
@@ -226,22 +227,24 @@ class Suite:
     genera is the one statement of the genera a suite runs at, and items of what
     its cell at genus g is made of.  Calling the suite runs cell(cfg, g, item) for
     each (prefix, item) of items(cfg, g) at each genus of cfg.genus_list inside
-    genera, in the config's order, and files the item's checks under g{g}.{prefix}.
+    genera, in the config's order, and files the item's checks under g{g}.{prefix}
+    in the suite's report, timed from the first cell to the last.
     """
 
     name: str
     items: Callable   # (cfg, g) -> [(prefix, item)], the parts of the cell at genus g
-    cell: Callable    # (cfg, g, item) -> the report of one item
+    cell: Callable    # (cfg, g, item) -> [CheckRecord], the checks of one item
     params: Callable  # (cfg, genera run) -> the settings the report echoes besides its seed
     genera: range
 
     def __call__(self, cfg: RunConfig) -> VerificationReport:
+        t0 = time.perf_counter()
         genera = [g for g in cfg.genus_list if g in self.genera]
-        report = VerificationReport(self.name, {**self.params(cfg, genera), "seed": cfg.seed})
-        for g in genera:
-            for prefix, item in self.items(cfg, g):
-                report.merge(self.cell(cfg, g, item), prefix=f"g{g}.{prefix}")
-        return report
+        checks = [replace(c, name=f"g{g}.{prefix}{c.name}")
+                  for g in genera for prefix, item in self.items(cfg, g)
+                  for c in self.cell(cfg, g, item)]
+        return VerificationReport(self.name, {**self.params(cfg, genera), "seed": cfg.seed},
+                                  checks, int((time.perf_counter() - t0) * 1000))
 
 
 # A cost cap ends a range at the largest genus that finishes within 60 s and 2 GiB peak
@@ -288,11 +291,8 @@ SUITES = {suite.name: suite for suite in (
 )}
 
 
-def _timed(name: str, cfg: RunConfig) -> VerificationReport:
-    t0 = time.perf_counter()
-    rep = SUITES[name](cfg)
-    rep.wall_time_ms = int((time.perf_counter() - t0) * 1000)
-    return rep
+def _run(name: str, cfg: RunConfig) -> VerificationReport:
+    return SUITES[name](cfg)  # a module-level function, so a spawned worker can unpickle it
 
 
 def run_suites(cfg: RunConfig) -> dict:
@@ -305,9 +305,9 @@ def run_suites(cfg: RunConfig) -> dict:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
         with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-            reports = list(pool.map(_timed, names, [cfg] * len(names)))
+            reports = list(pool.map(_run, names, [cfg] * len(names)))
     else:
-        reports = [_timed(name, cfg) for name in names]
+        reports = [_run(name, cfg) for name in names]
 
     # a suite without asserting checks (passed None) cannot fail the run
     verdicts = [rep.passed for rep in reports if rep.passed is not None]

@@ -60,7 +60,7 @@ from .linalg import (
     sym_to_vec,
     vec_to_sym,
 )
-from .report import VerificationReport, passing
+from .report import CheckRecord, passing
 from .sampling import derive_rng
 
 V_SAMPLE_BOUND = 1000  # integer box for polynomial identity testing
@@ -471,7 +471,7 @@ def _perturbed(perp: list[RationalSymMap], rank: int, eps: Fraction,
 
 def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
                                n_v_samples: int = 100,
-                               seed: int = 0) -> VerificationReport:
+                               seed: int = 0) -> list[CheckRecord]:
     """Degenerate evaluation characterizes annihilator spaces, tested exactly.
 
     For i >= 3 and spaces of dimension i(i-1)/2: annihilators {M : M W = 0}
@@ -485,7 +485,7 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
         raise BadDimension(f"target rank {i} outside 1..{g}")
     if trials < 1:
         raise BadParameters(f"need at least one trial, got {trials}")
-    report = VerificationReport("eval-rank")
+    checks = []
     rng = derive_rng(seed, "rigidity", g, i)
     d = i * (i - 1) // 2
     sz_note = (f"no-witness verdicts wrong with probability <= "
@@ -508,11 +508,11 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
         for _ in range(3):
             perps.append(wperp_exact(_random_rational_w(g, g - i + 1, rng), g))
             found.append(witness(perps[-1]))
-        report.add(passing(
+        checks.append(passing(
             "annihilator-dimension",
             f"dim {{M : M W = 0}} = {d} for codimension {i - 1}",
             max(abs(len(perp) - d) for perp in perps), 0.5))
-        report.add(passing(
+        checks.append(passing(
             "annihilator-no-witness",
             f"no rank-{i} evaluation on annihilator spaces",
             1.0 if any(found) else 0.0, 0.5, notes=sz_note))
@@ -524,27 +524,27 @@ def annihilator_rigidity_suite(g: int, i: int, trials: int = 50,
             example = "" if first is None else (
                 "example witness v = [" + ", ".join(str(x) for x in first.v)
                 + f"], rank {first.rank}")
-            report.add(passing(
+            checks.append(passing(
                 f"perturbed-witness-eps-{label}",
                 f"perturbing one basis vector of the annihilator by {eps} "
                 f"times an outside map always restores a rank-{i} evaluation",
                 (first is None) + missed(copies, i), 0.5, notes=example))
 
-        report.add(passing(
+        checks.append(passing(
             "generic-same-dim-witness",
             f"generic {d}-dimensional spaces always show a rank-{i} evaluation",
             missed((_random_rational_space(g, d, rng) for _ in range(trials)), i), 0.5))
-        report.add(passing(
+        checks.append(passing(
             "larger-dim-witness",
             f"spaces of dimension {d + 1} always show a rank-{i} evaluation",
             missed((_random_rational_space(g, d + 1, rng) for _ in range(trials)), i), 0.5))
 
     for small_i in (1, 2)[:i]:
-        report.add(passing(
+        checks.append(passing(
             f"rank-{small_i}-always-witnessed",
             f"every {small_i}-dimensional space shows a rank-{small_i} evaluation",
             missed((_random_rational_space(g, small_i, rng) for _ in range(10)), small_i), 0.5))
-    return report
+    return checks
 
 
 # ---------------------------------------------------------------------------

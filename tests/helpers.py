@@ -9,8 +9,14 @@ import numpy as np
 
 from hodgecheck.errors import DimensionMismatch
 from hodgecheck.linalg import LinSubspace, sym_dim
+from hodgecheck.report import VerificationReport
 from hodgecheck.sampling import random_subspace
 from hodgecheck.symmaps import V_SAMPLE_BOUND, RationalSymMap, _random_int_vector
+
+
+def verdict(checks) -> bool | None:
+    """The verdict of a report filing these checks: None when none of them asserts."""
+    return VerificationReport("checks", checks=list(checks)).passed
 
 
 def random_symmetric_complex(g: int, rng: np.random.Generator) -> np.ndarray:

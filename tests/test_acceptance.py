@@ -46,7 +46,7 @@ from hodgecheck.symmaps import (
     tangent_direction,
     wperp_exact,
 )
-from helpers import eval_matrix_exact, random_plane_sg, random_rational_vector
+from helpers import eval_matrix_exact, random_plane_sg, random_rational_vector, verdict
 
 IDENTITY_TOL = 1e-9
 ROUTE_TOL = 1e-10
@@ -133,9 +133,9 @@ def test_criterion_04_dual_chern_equals_segre_low_orders():
         rng = derive_rng(0, "acc4", g)
         for _ in range(5):
             x = random_siegel_point(g, rng)
-            rep = check_chern_segre_equality(x, tol=EQUALITY_TOL)
-            assert rep.passed
-            checks = rep.to_dict()["checks"]
+            records = check_chern_segre_equality(x, tol=EQUALITY_TOL)
+            assert verdict(records)
+            checks = [c.to_dict() for c in records]
             assert [c["name"] for c in checks] == [f"c{k}-equals-dual-s{k}"
                                                   for k in range(1, g + 1)]
             worst = max([worst] + [c["measured"] for c in checks])
@@ -191,9 +191,9 @@ def test_criterion_06_vanishing_on_annihilators():
 def test_criterion_07_annihilator_rigidity_suite():
     t0 = time.perf_counter()
     for g, i in RIGIDITY_CELLS:
-        rep = annihilator_rigidity_suite(g, i, trials=RIGIDITY_TRIALS,
-                                         n_v_samples=N_V_SAMPLES, seed=0)
-        assert rep.passed, f"cell (g={g}, i={i}) failed"
+        checks = annihilator_rigidity_suite(g, i, trials=RIGIDITY_TRIALS,
+                                            n_v_samples=N_V_SAMPLES, seed=0)
+        assert verdict(checks), f"cell (g={g}, i={i}) failed"
     elapsed = time.perf_counter() - t0
     _announce(7, elapsed < RIGIDITY_BUDGET_S,
               f"4 cells x {RIGIDITY_TRIALS} trials passed, "

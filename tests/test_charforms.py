@@ -41,7 +41,7 @@ from hodgecheck.sampling import (
 from hodgecheck.suites import RunConfig, run_suites
 from hodgecheck.symmaps import _int_nullspace
 from test_extform import python_ints
-from helpers import random_plane_sg
+from helpers import random_plane_sg, verdict
 
 
 def test_chern_constant_term_and_degree_bound():
@@ -242,9 +242,9 @@ def test_mumford_relation_holds_exactly_over_the_integers(g):
 def test_pointwise_identity_report():
     rng = derive_rng(36, "pointwise")
     x = random_siegel_point(2, rng)
-    rep = check_pointwise_identity(x, tol=1e-9, seed=3)
-    assert rep.passed
-    names = [c["name"] for c in rep.to_dict()["checks"]]
+    checks = check_pointwise_identity(x, tol=1e-9, seed=3)
+    assert verdict(checks)
+    names = [c.name for c in checks]
     assert "moment-vs-inverse" in names
 
 
@@ -270,8 +270,8 @@ def _mutated(route, k, factor, bundle="dual"):
 def test_mumford_relation_fails_when_one_hodge_chern_degree_is_off_by_1e9(g, monkeypatch):
     tau = random_siegel_point(g, derive_rng(43, "mumford", g))
 
-    def mumford(report):
-        return next(c for c in report.checks if c.name == "mumford-relation")
+    def mumford(checks):
+        return next(c for c in checks if c.name == "mumford-relation")
 
     unmutated = mumford(check_pointwise_identity(tau))
     assert unmutated.passed and unmutated.tolerance == charforms.MUMFORD_TOL
@@ -312,9 +312,9 @@ def test_forms_identity_asserts_five_checks_per_point():
 def test_dual_equality_low_orders():
     rng = derive_rng(37, "dual-eq")
     x = random_siegel_point(3, rng)
-    rep = check_chern_segre_equality(x)
-    assert rep.passed
-    checks = rep.to_dict()["checks"]
+    records = check_chern_segre_equality(x)
+    assert verdict(records)
+    checks = [c.to_dict() for c in records]
     assert [c["name"] for c in checks] == [f"c{k}-equals-dual-s{k}" for k in (1, 2, 3)]
     for c in checks:
         assert c["asserting"] and c["measured"] < 1e-9
@@ -323,24 +323,24 @@ def test_dual_equality_low_orders():
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_dual_equality_fails_exactly_the_degree_whose_hodge_chern_is_off_by_1e3(g, monkeypatch):
     tau = random_siegel_point(g, derive_rng(44, "dual-mutation", g))
-    assert check_chern_segre_equality(tau).passed
+    assert verdict(check_chern_segre_equality(tau))
     for k in range(1, g + 1):
         with monkeypatch.context() as patch:
             patch.setattr(charforms, "chern_total", _mutated("chern_total", k, 1 + 1e-3, "hodge"))
-            report = check_chern_segre_equality(tau)
-        assert [c.name for c in report.checks if not c.passed] == [f"c{k}-equals-dual-s{k}"]
+            checks = check_chern_segre_equality(tau)
+        assert [c.name for c in checks if not c.passed] == [f"c{k}-equals-dual-s{k}"]
 
 
 @pytest.mark.parametrize("g", [2, 3])
 @pytest.mark.parametrize("route", ["segre_by_inverse", "segre_by_moments", "chern_total"])
 def test_forms_identity_fails_when_one_degree_of_a_route_is_off_by_1e6(g, route, monkeypatch):
     tau = random_siegel_point(g, derive_rng(45, "route-mutation", g))
-    assert check_pointwise_identity(tau).passed
+    assert verdict(check_pointwise_identity(tau))
     for k in range(1, g + 1):
         with monkeypatch.context() as patch:
             patch.setattr(charforms, route, _mutated(route, k, 1 + 1e-6))
-            report = check_pointwise_identity(tau)
-        assert not report.passed, (k, [(c.name, c.measured) for c in report.checks])
+            checks = check_pointwise_identity(tau)
+        assert verdict(checks) is False, (k, [(c.name, c.measured) for c in checks])
 
 
 def test_positivity_on_random_planes():
@@ -358,10 +358,10 @@ def test_positivity_on_random_planes():
 def test_positivity_and_vanishing_report():
     rng = derive_rng(39, "pv")
     x = random_siegel_point(3, rng)
-    rep = check_positivity_and_vanishing(x, i=3, trials=50, seed=2,
-                                         n_v_samples=20)
-    assert rep.passed
-    checks = {c["name"]: c for c in rep.to_dict()["checks"]}
+    records = check_positivity_and_vanishing(x, i=3, trials=50, seed=2,
+                                             n_v_samples=20)
+    assert verdict(records)
+    checks = {c.name: c.to_dict() for c in records}
     assert "annihilator-plane-vanishing" in checks
     assert "witness-plane-positivity" in checks
     assert checks["annihilator-dimension"]["measured"] == 0.0
@@ -397,9 +397,9 @@ def test_each_plane_set_is_restricted_in_one_call(monkeypatch):
 
     monkeypatch.setattr(charforms, "restrict_to_plane", counted)
     x = random_siegel_point(4, derive_rng(39, "pv", 4))
-    rep = check_positivity_and_vanishing(x, i=4, trials=50, seed=2, n_v_samples=20)
-    assert rep.passed
-    checks = {c["name"]: c for c in rep.to_dict()["checks"]}
+    records = check_positivity_and_vanishing(x, i=4, trials=50, seed=2, n_v_samples=20)
+    assert verdict(records)
+    checks = {c.name: c.to_dict() for c in records}
     assert checks["annihilator-plane-vanishing"]["asserting"]
     assert shapes[:2] == [(50, 4, 10), (10 * 5, 4, 10)]
     assert len(shapes) == 3 and shapes[2][0] > 0
@@ -411,15 +411,15 @@ def test_random_plane_chunks_keep_the_report(monkeypatch):
     whole = check_positivity_and_vanishing(x, i=3, trials=50, seed=2, n_v_samples=20)
     monkeypatch.setattr(charforms, "_PLANE_CHUNK", 7)
     chunked = check_positivity_and_vanishing(x, i=3, trials=50, seed=2, n_v_samples=20)
-    assert chunked.to_dict()["checks"] == whole.to_dict()["checks"]
+    assert [c.to_dict() for c in chunked] == [c.to_dict() for c in whole]
 
 
 def test_average_wedge_report():
     rng = derive_rng(40, "avg")
     x = random_siegel_point(2, rng)
-    rep = check_average_wedge_powers(x, k=1, n_samples=4000, seed=5)
-    assert rep.passed
-    checks = {c["name"]: c for c in rep.to_dict()["checks"]}
+    records = check_average_wedge_powers(x, k=1, n_samples=4000, seed=5)
+    assert verdict(records)
+    checks = {c.name: c.to_dict() for c in records}
     assert checks["fitted-ratio-positive"]["passed"]
     with pytest.raises(BadSampleCount):
         check_average_wedge_powers(x, k=1, n_samples=10)
@@ -541,6 +541,6 @@ def test_forms_identity_lines_follow_the_run_seed():
     got = next(c for c in report["suites"]["forms-identity"]["checks"]
                if c["name"] == "g2.t0.first-segre-lines")
     tau = random_siegel_point(2, derive_rng(5, "forms", 2, 0))
-    want = next(c for c in check_pointwise_identity(tau, seed=5).checks
+    want = next(c for c in check_pointwise_identity(tau, seed=5)
                 if c.name == "first-segre-lines").to_dict()
     assert got == {**want, "name": "g2.t0.first-segre-lines"}

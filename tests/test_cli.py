@@ -4,7 +4,7 @@ import pytest
 
 from hodgecheck.cli import main
 from hodgecheck.errors import ConfigInvalid, SuiteUnknown
-from hodgecheck.report import canonical_json
+from hodgecheck.report import canonical_json, strip_timing
 from hodgecheck.suites import SUITES, RunConfig, run_suites
 
 
@@ -146,9 +146,20 @@ def test_parallel_matches_serial():
                   seed=9, n_tau=2)
     serial = run_suites(RunConfig(**kwargs))
     parallel = run_suites(RunConfig(**kwargs, parallel=True))
-    from hodgecheck.report import canonical_json, strip_timing
     assert canonical_json(strip_timing(serial["suites"])) == \
         canonical_json(strip_timing(parallel["suites"]))
+
+
+def test_parallel_flag_writes_the_serial_report(tmp_path):
+    docs = {}
+    for flags in ([], ["--parallel"]):
+        out = tmp_path / f"report{len(flags)}.json"
+        assert main(["--suite", "slice-embed", "--suite", "curvature-fd", "--genus", "2",
+                     "--seed", "9", "--out", str(out), *flags]) == 0
+        docs[bool(flags)] = json.loads(out.read_text())
+    for parallel, doc in docs.items():
+        assert doc["config"].pop("parallel") is parallel
+    assert canonical_json(strip_timing(docs[True])) == canonical_json(strip_timing(docs[False]))
 
 
 def test_cli_writes_report(tmp_path, capsys):
@@ -328,6 +339,18 @@ def test_config_file_value_of_the_wrong_json_type_exits_2(key, value, named, tmp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert named in captured.err
+
+
+@pytest.mark.parametrize("value,flags", [
+    (["fd"], []), ("fd", []), (["fd"], ["--tol", "fd=1e-6"])])
+def test_config_file_tolerances_that_are_not_an_object_exit_2(value, flags, tmp_path, capsys):
+    # a --tol flag merges into the file's tolerances, so it must not hide their shape either
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["slice-embed"], "genus": [2], "tolerances": value}))
+    assert main(["--config", str(cfg), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerances" in captured.err
 
 
 def test_vanishing_tolerance_is_the_annihilator_plane_bound(tmp_path):

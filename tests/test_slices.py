@@ -24,7 +24,7 @@ from hodgecheck.slices import (
     standard_symplectic,
 )
 from hodgecheck.symmaps import wperp
-from helpers import contains
+from helpers import contains, verdict
 
 
 def span_e1(g):
@@ -174,20 +174,20 @@ def test_invariance_report_measures_a_wrong_direction_dimension(monkeypatch):
 
     monkeypatch.setattr(symmaps, "rank_with_kernel", one_kernel_row_fewer)
     tau0 = random_siegel_point(3, derive_rng(66, "short-kernel"))
-    rep = check_embedded_subspace_invariance(tau0, span_e1(3), n_members=4, seed=4)
-    checks = {c["name"]: c for c in rep.to_dict()["checks"]}
+    records = check_embedded_subspace_invariance(tau0, span_e1(3), n_members=4, seed=4)
+    checks = {c.name: c.to_dict() for c in records}
     assert checks["direction-space-dimension"]["measured"] == 1.0
     assert not checks["direction-space-dimension"]["passed"]
-    assert not rep.passed
+    assert verdict(records) is False
 
 
 def test_invariance_report():
     rng = derive_rng(65, "inv-rep")
     tau0 = random_siegel_point(2, rng)
-    rep = check_embedded_subspace_invariance(tau0, span_e1(2), n_members=8,
-                                             seed=4)
-    assert rep.passed
-    names = [c["name"] for c in rep.to_dict()["checks"]]
+    checks = check_embedded_subspace_invariance(tau0, span_e1(2), n_members=8,
+                                                seed=4)
+    assert verdict(checks)
+    names = [c.name for c in checks]
     assert "embedded-image-constant" in names
     assert "complex-structure-squares" in names
     assert "taming-positivity" in names

@@ -43,7 +43,7 @@ from hodgecheck.symmaps import (
     wperp,
     wperp_exact,
 )
-from helpers import apply_map, eval_matrix_exact, frac_matrix, random_rational_vector
+from helpers import apply_map, eval_matrix_exact, frac_matrix, random_rational_vector, verdict
 
 
 def line(g, j):
@@ -779,7 +779,7 @@ def test_no_witness_notes_state_the_miss_bound_of_the_sample_box():
     rep = check_evaluation_degeneracy([m.as_float() for m in perp], 3, n_v_samples=20, seed=0)
     assert rep.satisfied and not rep.exact
     assert "20 complex Gaussian draws" in rep.notes and "2001" not in rep.notes
-    checks = annihilator_rigidity_suite(3, 3, trials=2, n_v_samples=20, seed=0).checks
+    checks = annihilator_rigidity_suite(3, 3, trials=2, n_v_samples=20, seed=0)
     assert any("<= (3/2001)^20 per space" in c.notes for c in checks)
 
 
@@ -962,9 +962,9 @@ def test_find_rank_ones_recovers_both_generators_of_a_pencil(g):
 
 
 def test_rigidity_suite_small():
-    rep = annihilator_rigidity_suite(3, 3, trials=4, n_v_samples=20, seed=3)
-    assert rep.passed
-    checks = {c["name"]: c for c in rep.to_dict()["checks"]}
+    records = annihilator_rigidity_suite(3, 3, trials=4, n_v_samples=20, seed=3)
+    assert verdict(records)
+    checks = {c.name: c.to_dict() for c in records}
     assert checks["annihilator-dimension"]["passed"]
     assert checks["perturbed-witness-eps-unit"]["passed"]
     assert checks["generic-same-dim-witness"]["passed"]
@@ -979,11 +979,11 @@ def test_rigidity_suite_measures_a_wrong_annihilator_dimension(monkeypatch):
         return basis + basis[:1], last
 
     monkeypatch.setattr(symmaps, "_int_nullspace", one_vector_twice)
-    rep = annihilator_rigidity_suite(3, 3, trials=4, n_v_samples=20, seed=3)
-    checks = {c["name"]: c for c in rep.to_dict()["checks"]}
+    records = annihilator_rigidity_suite(3, 3, trials=4, n_v_samples=20, seed=3)
+    checks = {c.name: c.to_dict() for c in records}
     assert checks["annihilator-dimension"]["measured"] == 1.0
     assert not checks["annihilator-dimension"]["passed"]
-    assert not rep.passed
+    assert verdict(records) is False
 
 
 def test_rigidity_suite_needs_a_trial():
@@ -1014,11 +1014,11 @@ def test_rigidity_suite_measures_a_short_annihilator_basis(monkeypatch, g, i):
 
     monkeypatch.setattr(symmaps, "_int_nullspace", drop_last)
     monkeypatch.setattr(symmaps, "random_rational_symmap", capped_symmap)
-    rep = annihilator_rigidity_suite(g, i, trials=4, n_v_samples=20, seed=3)
-    checks = {c["name"]: c for c in rep.to_dict()["checks"]}
+    records = annihilator_rigidity_suite(g, i, trials=4, n_v_samples=20, seed=3)
+    checks = {c.name: c.to_dict() for c in records}
     assert checks["annihilator-dimension"]["measured"] == 1.0
     assert not checks["annihilator-dimension"]["passed"]
-    assert not rep.passed
+    assert verdict(records) is False
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
