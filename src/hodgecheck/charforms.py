@@ -45,6 +45,7 @@ from .linalg import SiegelPoint, _orthonormal_stack, sym_basis, sym_dim
 from .report import CheckRecord, floor_check, passing
 from .sampling import _random_planes, derive_rng, random_subspace, random_unit_vector
 from .symmaps import (
+    _miss_bound,
     _random_rational_w,
     check_evaluation_degeneracy,
     rational_span_to_subspace,
@@ -387,7 +388,8 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
     which first measures each annihilator space's dimension against i(i-1)/2
     and neither searches nor samples a space of fewer than i maps.  Each
     phase restricts its planes as one stack in one restrict_to_plane call
-    (the random planes in chunks of _PLANE_CHUNK).
+    (the random planes in chunks of _PLANE_CHUNK).  Each evaluation-rank
+    search has a stream of its own, seeded from the cell's stream of seeds.
     """
     g = tau.g
     if i < 1 or i > g:
@@ -397,6 +399,7 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
     s_i = segre_by_moments(pkg, i).component(i, i)
     n = sym_dim(g)
     rng = derive_rng(seed, "posvan", g, i)
+    search_seeds = derive_rng(seed, "posvan-searches", g, i)
 
     # memory stays flat in trials, and the chunks consume the stream as one draw does
     chunks = (_random_planes(n, i, min(_PLANE_CHUNK, trials - start), rng)
@@ -414,13 +417,13 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
         n_spaces = 10
         worst_dim = 0
         annihilator_planes = []
-        for trial in range(n_spaces):
+        for _ in range(n_spaces):
             perp = wperp_exact(_random_rational_w(g, wdim, rng), g)
             worst_dim = max(worst_dim, abs(len(perp) - d))
             if len(perp) < i:  # fewer than i maps carry no rank-i evaluation and no i-plane
                 continue
-            deg = check_evaluation_degeneracy(perp, i, n_v_samples, seed + trial)
-            degeneracy_ok = degeneracy_ok and deg.satisfied
+            degeneracy_ok &= check_evaluation_degeneracy(
+                perp, i, n_v_samples, int(search_seeds.integers(1 << 30))).satisfied
             perp_sub = rational_span_to_subspace(perp)
             if perp_sub.dim == i:  # the space is itself an i-plane
                 annihilator_planes.append(perp_sub.basis[None])
@@ -442,7 +445,9 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
             "annihilator-rank-bound",
             f"no evaluation of rank {i} found on annihilator spaces "
             f"({n_spaces} spaces x {n_v_samples} exact rational vectors)",
-            0.0 if degeneracy_ok else 1.0, 0.5))
+            0.0 if degeneracy_ok else 1.0, 0.5,
+            notes=f"no-witness verdicts wrong with probability <= "
+                  f"{_miss_bound(i, n_v_samples)} per space when a witness exists"))
 
     witnessed = []
     attempts = 0
@@ -450,7 +455,7 @@ def check_positivity_and_vanishing(tau: SiegelPoint, i: int = 3,
         attempts += 1
         plane = random_subspace(n, i, rng, "Sg")
         deg = check_evaluation_degeneracy(plane, i, n_v_samples=20,
-                                          seed=seed + attempts)
+                                          seed=int(search_seeds.integers(1 << 30)))
         if not deg.satisfied:
             witnessed.append(plane.basis)
     checks.append(floor_check(

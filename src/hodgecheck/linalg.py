@@ -2,9 +2,9 @@
 
 Tolerances follow two conventions.  Symmetry of inputs is absolute (1e-12 on
 the raw entries, then the input is symmetrized so stored matrices equal their
-transpose exactly).  Rank decisions are relative: a singular value counts as
-nonzero when it exceeds ``tol`` times the largest singular value, which makes
-rank invariant under overall scaling.
+transpose exactly).  Rank decisions follow the one rule of relative_rank: a
+singular value counts when it exceeds ``tol`` times the largest of its matrix
+(of each matrix of a stack), which makes rank invariant under scaling.
 """
 
 from __future__ import annotations
@@ -235,7 +235,7 @@ class LinSubspace:
         """Orthonormalize spanning rows, dropping dependent ones."""
         a = np.atleast_2d(np.asarray(rows, dtype=complex))
         _, s, vh = np.linalg.svd(a, full_matrices=False)
-        return cls(vh[:int(np.sum(s > SPAN_TOL * s[:1]))], ambient_tag)
+        return cls(vh[:relative_rank(s, SPAN_TOL)], ambient_tag)
 
     def projector(self) -> np.ndarray:
         return self.basis.T @ self.basis.conj()
@@ -248,7 +248,7 @@ def _orthonormal_stack(rows: np.ndarray) -> np.ndarray:
     the smaller subspace that from_spanning returns for it.
     """
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if np.any(np.sum(s > SPAN_TOL * s[..., :1], axis=-1) < rows.shape[-2]):
+    if np.any(relative_rank(s, SPAN_TOL) < rows.shape[-2]):
         raise BadDimension("a spanning set of the stack has dependent rows")
     _check_orthonormal(vh)
     return vh
@@ -274,6 +274,11 @@ def subspace_distance(a: LinSubspace, b: LinSubspace) -> float:
     return float(np.linalg.norm(a.projector() - b.projector(), 2))
 
 
+def relative_rank(s: np.ndarray, tol: float = DEFAULT_RANK_TOL):
+    """The rank, or ranks of a stack, of singular values s (..., k): those above tol * s[..., 0]."""
+    return np.sum(s > tol * s[..., :1], axis=-1)
+
+
 def rank_with_kernel(m, tol: float = DEFAULT_RANK_TOL):
     """Rank, kernel and image of a complex matrix, by SVD.
 
@@ -285,7 +290,7 @@ def rank_with_kernel(m, tol: float = DEFAULT_RANK_TOL):
         raise BadParameters(f"rank tolerance must be positive, got {tol}")
     a = np.atleast_2d(np.asarray(m, dtype=complex))
     u, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > tol * s[:1]))
+    rank = int(relative_rank(s, tol))
     kernel = LinSubspace(np.conj(vh[rank:]), "V")
     image = LinSubspace(u[:, :rank].T, "V")
     return rank, kernel, image

@@ -13,23 +13,25 @@ is Python-int rows over one denominator, and every exact answer is computed
 on integers, so a reported witness is a proof and a reported absence is
 wrong with probability bounded by Schwartz-Zippel.  Ranks, kernels and
 reduced echelon forms run through one fraction-free (Bareiss) elimination.
-Both witness searches take (basis, i, ws), ws an iterable of integer
-vectors, and return the first witness w with its rank, or None:
-_find_witness eliminates one draw at a time, _first_witness expands the
-i x i minors of chunks of 1, 2, 4, ... draws at once.  The rigidity suite
-searches in two ways: missed counts the spaces of a family that show no
-witness in lazy draws from the suite's shared stream, and witness runs
-check_evaluation_degeneracy on a space's own stream.  A space of fewer than i maps has no witness and is
-not searched, so a short annihilator basis fails annihilator-dimension
-instead of raising.  Every minor is computed by extform._minors:
-the witness minors and the minor derivatives of rank_locus_tangent_check on
-object arrays of Python ints, and the quadratics of find_rank_ones' pencils
-on complex arrays.
+Both witness searches take (basis, i, ws), ws an iterable of integer vectors,
+and return the first witness w with its rank, or None: _find_witness
+eliminates one draw at a time and stops at the witness, _first_witness
+expands the i x i minors of all its draws at once, and
+check_evaluation_degeneracy eliminates its first draw and expands the rest.
+The rigidity suite's missed counts the spaces of a family without a witness
+in lazy draws from the suite's shared stream, one at a time, as a batch would
+draw past the witness and shift every later draw of the cell; its witness
+runs check_evaluation_degeneracy on a space's own stream.  A space of fewer
+than i maps has no witness and is not searched, so a short annihilator basis
+fails annihilator-dimension instead of raising.  Float ranks of a stack come
+from one stacked SVD read by linalg.relative_rank.  Every minor is computed
+by extform._minors: the witness minors and the minor derivatives of
+rank_locus_tangent_check on object arrays of Python ints, and the quadratics
+of find_rank_ones' pencils on complex arrays.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -53,6 +55,7 @@ from .linalg import (
     SymMap,
     as_sym_array,
     rank_with_kernel,
+    relative_rank,
     sym_basis,
     sym_dim,
     sym_index_pairs,
@@ -332,6 +335,11 @@ def _float_basis(x) -> list[np.ndarray]:
     return [m.as_float() if isinstance(m, RationalSymMap) else as_sym_array(m) for m in x]
 
 
+def _svd_ranks(a: np.ndarray):
+    """relative_rank of a matrix, or of each matrix of a stack, at DEFAULT_RANK_TOL."""
+    return relative_rank(np.linalg.svd(a, compute_uv=False))
+
+
 def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
                                 seed: int = 0) -> DegeneracyReport:
     """Search for v with rank(e_v restricted to span(x)) >= i.
@@ -340,11 +348,13 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
     The search is exact when every map is a RationalSymMap, and in floating
     point otherwise.  Absence of a witness over N integer samples from the box
     of V_SAMPLE_BOUND is wrong with probability at most _miss_bound(i, N) when
-    a witness exists.  The exact search owns its stream and hands all N draws
-    to one search: _first_witness, or _find_witness where one draw of the
-    p x q matrix e_v has more than 2pq i x i minors.  The float search draws
-    complex Gaussian vectors and takes ranks by SVD, so its note states no
-    bound.
+    a witness exists.  The exact search owns its stream.  Where one draw of
+    the p x q matrix e_v has at most 2pq i x i minors, _find_witness
+    eliminates the first draw, nearly always a witness where there is one,
+    and _first_witness expands the other N - 1 in one call; past that,
+    _find_witness eliminates every draw in turn.  The float search takes its
+    N complex Gaussian vectors in one draw and their ranks from one stacked
+    SVD, so its note states no bound.
     """
     exact = (isinstance(x, (list, tuple)) and bool(x)
              and all(isinstance(m, RationalSymMap) for m in x))
@@ -360,29 +370,25 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
     rng = derive_rng(seed, "degeneracy", i)
     if exact:
         p, q = sorted((dim, mats[0].g))
+        ws = _int_vectors(mats[0].g, n_v_samples, rng)
         # past 2pq minors a draw the expansion outgrows elimination (no benchmark workload there)
-        eliminate = math.comb(p, i) * math.comb(q, i) > 2 * p * q
-        search = _find_witness if eliminate else _first_witness
-        hit = search(mats, i, _int_vectors(mats[0].g, n_v_samples, rng))
-        if hit is None:
-            return DegeneracyReport(True, None, i, dim, n_v_samples, True, (
-                f"no-witness verdicts are wrong with probability <= "
-                f"{_miss_bound(i, n_v_samples)} when a witness exists"))
-        v, rank = hit
-        return DegeneracyReport(False, DegeneracyWitness(v, rank),
-                                i, dim, n_v_samples, True, "witness is exact")
-
-    g = mats[0].shape[0]
-    for _ in range(n_v_samples):
-        v = rng.standard_normal(g) + 1j * rng.standard_normal(g)
-        rows = np.array([m @ v for m in mats], dtype=complex)
-        rank, _, _ = rank_with_kernel(rows)
-        if rank >= i:
-            return DegeneracyReport(False, DegeneracyWitness(v, rank),
-                                    i, dim, n_v_samples, False, "")
-    return DegeneracyReport(True, None, i, dim, n_v_samples, False, (
-        f"no rank-{i} evaluation in {n_v_samples} complex Gaussian draws, ranks by SVD "
-        f"at relative threshold {DEFAULT_RANK_TOL}; no miss bound is stated in floating point"))
+        if math.comb(p, i) * math.comb(q, i) > 2 * p * q:
+            hit = _find_witness(mats, i, ws)
+        else:
+            hit = _find_witness(mats, i, [next(ws)]) or _first_witness(mats, i, ws)
+        notes = "witness is exact" if hit else (
+            f"no-witness verdicts are wrong with probability <= "
+            f"{_miss_bound(i, n_v_samples)} when a witness exists")
+    else:
+        z = rng.standard_normal((n_v_samples, 2, mats[0].shape[0]))  # as n_v_samples draws of v
+        vs = z[:, 0] + 1j * z[:, 1]
+        ranks = _svd_ranks((np.array(mats) @ vs[:, None, :, None])[..., 0])  # e_v: dim x g
+        hit = next(((vs[s], int(ranks[s])) for s in np.flatnonzero(ranks >= i)), None)
+        notes = "" if hit else (
+            f"no rank-{i} evaluation in {n_v_samples} complex Gaussian draws, ranks by SVD "
+            f"at relative threshold {DEFAULT_RANK_TOL}; no miss bound is stated in floating point")
+    return DegeneracyReport(hit is None, DegeneracyWitness(*hit) if hit else None,
+                            i, dim, n_v_samples, exact, notes)
 
 
 def _int_vectors(g: int, n: int, rng):
@@ -406,33 +412,24 @@ def _find_witness(basis: list[RationalSymMap], i: int, ws):
 
 
 def _first_witness(basis: list[RationalSymMap], i: int, ws):
-    """_find_witness's answer from the draws of ws in growing chunks: (w, rank) or None.
+    """_find_witness's answer from one expansion of every draw of ws: (w, rank) or None.
 
     rank(e_w) >= i exactly when some i x i minor of the dim x g matrix e_w is
-    nonzero.  Each chunk of draws (1, 2, 4, ... of them) gives its e_w from
-    one integer product, and their minors from one _minors expansion whose
-    batch axis runs over (row subset, draw); the rows are taken along the
-    shorter side p of e_w (its transpose when dim > g), so there are C(p, i)
-    row subsets.  The search stops at the first chunk that holds a witness,
-    so a lazy ws is drawn only up to the end of that chunk.  The rank is
-    _rank of the found draw.
+    nonzero.  The e_w of all draws come from one integer product, and their
+    minors from one _minors expansion whose batch axis runs over (row subset,
+    draw); the rows are taken along the shorter side p of e_w (its transpose
+    when dim > g), so there are C(p, i) row subsets.  ws is taken whole; the
+    rank is _rank of the first draw with a nonzero minor.
     """
-    ws = iter(ws)
+    ws = list(ws)
     g, dim = basis[0].g, len(basis)
+    e = np.array([m.num for m in basis], dtype=object) @ np.array(ws, dtype=object).reshape(-1, g).T
+    if dim > g:  # e[:, :, s]: e_w of draw s, or its transpose
+        e = e.swapaxes(0, 1)
     rows = _subsets(min(dim, g), i)[0]
-    num = np.array([m.num for m in basis], dtype=object)
-    size = 1
-    while chunk := list(itertools.islice(ws, size)):
-        e = num @ np.array(chunk, dtype=object).reshape(len(chunk), g).T  # e[:, :, s]: e_w
-        if dim > g:
-            e = e.swapaxes(0, 1)
-        minors = _minors(np.moveaxis(e[rows], 0, 2))  # (C(q, i), C(p, i), draws)
-        hits = np.flatnonzero((minors != 0).any(axis=(0, 1)))
-        if len(hits):
-            s = int(hits[0])
-            return chunk[s], _rank(e[..., s].tolist())
-        size *= 2
-    return None
+    minors = _minors(np.moveaxis(e[rows], 0, 2))  # (C(q, i), C(p, i), draws)
+    hits = np.flatnonzero((minors != 0).any(axis=(0, 1)))
+    return (ws[hits[0]], _rank(e[..., hits[0]].tolist())) if len(hits) else None
 
 
 # ---------------------------------------------------------------------------
@@ -676,26 +673,16 @@ def pencil_rank_profile(m, n) -> PencilProfile:
     """Rank profile of the pencil a M + b N for rank-one M, N, at 24 grid and 24 random points."""
     ma = as_sym_array(m)
     na = as_sym_array(n)
-    for name, a in (("first", ma), ("second", na)):
-        r, _, _ = rank_with_kernel(a)
+    for name, r in zip(("first", "second"), _svd_ranks(np.array([ma, na]))):
         if r != 1:
             raise InputNotRankOne(f"{name} pencil endpoint has rank {r}")
-    stack = np.array([ma.reshape(-1), na.reshape(-1)])
-    r, _, _ = rank_with_kernel(stack)
-    if r != 2:
+    if _svd_ranks(np.array([ma.reshape(-1), na.reshape(-1)])) != 2:
         raise NotIndependent("pencil endpoints are linearly dependent")
-    rng = derive_rng(0, "pencil")
-    best = 0
-    count = 0
-    coeffs = [(np.cos(t), np.sin(t)) for t in np.linspace(0, np.pi, 24, endpoint=False)]
-    coeffs += [tuple(rng.standard_normal(2) + 1j * rng.standard_normal(2)) for _ in range(24)]
-    for a, b in coeffs:
-        if abs(a) + abs(b) < 1e-12:
-            continue
-        rank, _, _ = rank_with_kernel(a * ma + b * na)
-        best = max(best, rank)
-        count += 1
-    return PencilProfile(best, best >= 2, count)
+    t = np.linspace(0, np.pi, 24, endpoint=False)
+    z = derive_rng(0, "pencil").standard_normal((24, 2, 2))  # as 24 draws of complex (a, b)
+    a, b = np.concatenate([np.stack([np.cos(t), np.sin(t)], axis=1), z[:, 0] + 1j * z[:, 1]]).T
+    best = int(_svd_ranks(a[:, None, None] * ma + b[:, None, None] * na).max())
+    return PencilProfile(best, best >= 2, len(a))
 
 
 def find_rank_ones(x: LinSubspace, v) -> list[SymMap]:

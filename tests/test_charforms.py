@@ -367,6 +367,39 @@ def test_positivity_and_vanishing_report():
     assert checks["annihilator-dimension"]["measured"] == 0.0
 
 
+def test_positivity_vanishing_searches_share_no_stream(monkeypatch):
+    """Every evaluation-rank search of a cell has a stream no other search of it, or of
+    another run seed, draws from."""
+    keys = {}
+
+    def spy(seed, *key):
+        if key[0] == "degeneracy":
+            keys[run_seed].append((seed, *key))
+        return derive_rng(seed, *key)
+
+    monkeypatch.setattr(symmaps, "derive_rng", spy)
+    x = random_siegel_point(3, derive_rng(39, "pv"))
+    for run_seed in (0, 1):
+        keys[run_seed] = []
+        records = check_positivity_and_vanishing(x, i=3, trials=10, seed=run_seed,
+                                                 n_v_samples=20)
+        assert verdict(records)
+        assert len(keys[run_seed]) >= 10 + 20  # one per annihilator space, one per attempt
+        assert len(set(keys[run_seed])) == len(keys[run_seed])
+    assert not set(keys[0]) & set(keys[1])
+
+
+def test_annihilator_rank_bound_states_its_miss_bound():
+    """The no-witness verdict on annihilator spaces states its Schwartz-Zippel bound per space."""
+    x = random_siegel_point(3, derive_rng(39, "pv"))
+    for n_v_samples in (20, 100):
+        records = check_positivity_and_vanishing(x, i=3, trials=10, n_v_samples=n_v_samples)
+        (bound,) = [c for c in records if c.name == "annihilator-rank-bound"]
+        assert bound.passed
+        assert bound.notes == (f"no-witness verdicts wrong with probability <= "
+                               f"(3/2001)^{n_v_samples} per space when a witness exists")
+
+
 @pytest.mark.parametrize("g", [3, 4])
 def test_positivity_vanishing_fails_a_short_annihilator_basis(g, monkeypatch):
     """A kernel one vector short is a failed annihilator-dimension check, not a raise.

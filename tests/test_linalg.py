@@ -14,6 +14,7 @@ from hodgecheck.linalg import (
     SymMap,
     make_siegel_point,
     rank_with_kernel,
+    relative_rank,
     subspace_distance,
     sym_basis,
     sym_dim,
@@ -108,6 +109,25 @@ def test_rank_zero_matrix():
     assert rank == 0
     assert kernel.dim == 3
     assert image.dim == 0
+
+
+def test_relative_rank_of_a_stack_is_the_rank_of_each_matrix():
+    """One stacked SVD and the rank rule give rank_with_kernel's rank of every matrix."""
+    rng = derive_rng(70, "stacked-rank")
+    mats = [np.zeros((4, 5))]  # rank 0, with no NaN from its zero largest singular value
+    for k in range(1, 5):
+        a = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
+        b = rng.standard_normal((k, 5)) + 1j * rng.standard_normal((k, 5))
+        mats += [a @ b, 1e-9 * a @ b, 1e9 * a @ b]  # rank k, at three scales
+    stack = np.array(mats)
+    with np.errstate(all="raise"):
+        s = np.linalg.svd(stack, compute_uv=False)
+        ranks = relative_rank(s)
+        assert ranks.tolist() == [rank_with_kernel(m)[0] for m in mats]
+        assert ranks.tolist() == [0] + [k for k in range(1, 5) for _ in range(3)]
+        assert [relative_rank(v) for v in s] == ranks.tolist()
+        tol = 1e-3
+        assert relative_rank(s, tol).tolist() == [rank_with_kernel(m, tol)[0] for m in mats]
 
 
 def test_rank_rejects_bad_tolerance():

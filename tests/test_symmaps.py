@@ -16,7 +16,7 @@ from hodgecheck.errors import (
     NotIndependent,
     NotSymmetric,
 )
-from hodgecheck.linalg import LinSubspace, sym_dim, sym_pair_table, sym_to_vec
+from hodgecheck.linalg import LinSubspace, rank_with_kernel, sym_dim, sym_pair_table, sym_to_vec
 from hodgecheck.sampling import derive_rng, random_subspace
 from hodgecheck.symmaps import (
     RationalSymMap,
@@ -570,13 +570,13 @@ def test_find_witness_draws_only_up_to_the_witness():
             assert len(pulled) == (len(ws) if index is None else index + 1)
 
 
-def test_first_witness_draws_only_up_to_the_chunk_of_the_witness():
-    """_first_witness takes draws in chunks of 1, 2, 4, ... and stops at the chunk of the witness.
+def test_first_witness_takes_every_draw_and_gives_the_find_witness_answer():
+    """_first_witness expands every draw it is given and answers as _find_witness does.
 
-    A witness at draw 0 takes one draw; one at draw 3 takes the chunks
-    1 + 2 + 4; a space without a witness takes every draw.
+    A witness at draw 0, a witness at draw 3 and no witness at all each pull
+    every draw from the iterable; no draws at all give None.
     """
-    rng = derive_rng(68, "chunked-witness")
+    rng = derive_rng(68, "one-expansion-witness")
     for g, i in ((4, 3), (4, 4), (5, 3)):
         w = _random_rational_w(g, g - i + 1, rng)
         perp = wperp_exact(w, g)
@@ -584,8 +584,8 @@ def test_first_witness_draws_only_up_to_the_chunk_of_the_witness():
         draws = [_random_int_vector(g, rng) for _ in range(20)]
         # multiples of a vector of W give e_w rank <= 1, so the witness is draw 3
         lead = [[k * x for x in w[0]] for k in (1, 2, 3)] + draws
-        for basis, ws, pulls in ((perturbed, draws, 1), (perturbed, lead, 7),
-                                 (perp, lead, len(lead))):
+        for basis, ws, index in ((perturbed, draws, 0), (perturbed, lead, 3),
+                                 (perp, lead, None)):
             pulled = []
 
             def counting():
@@ -593,8 +593,12 @@ def test_first_witness_draws_only_up_to_the_chunk_of_the_witness():
                     pulled.append(v)
                     yield v
 
-            assert _first_witness(basis, i, counting()) == _find_witness(basis, i, ws)
-            assert len(pulled) == pulls
+            got = _first_witness(basis, i, counting())
+            want = per_draw_witness(basis, i, ws)
+            assert (want and want[0]) == index
+            assert got == _find_witness(basis, i, ws) == (want and (ws[index], want[1]))
+            assert len(pulled) == len(ws)
+        assert _first_witness(perturbed, i, iter([])) is None
 
 
 @pytest.mark.parametrize("g", [3, 4, 5])
@@ -602,24 +606,30 @@ def test_degeneracy_search_matches_the_sequential_search(g, monkeypatch):
     """check_evaluation_degeneracy gives _find_witness's verdict, v and rank on its stream.
 
     At g = 5 the annihilator spaces for i = 4 and 5 (6 and 10 maps) are past the
-    cost rule, so their draws are eliminated in turn and never reach _first_witness.
-    Every other i is searched by _first_witness alone, all draws in one call.
+    cost rule, so all their draws are eliminated in one _find_witness call and
+    never reach _first_witness.  Below the rule a search eliminates its first
+    draw alone and, unless that draw is a witness, expands the other 24 in one
+    _first_witness call.
     """
-    expanded, eliminated = set(), set()
+    calls = []
 
     def spy(basis, i, ws):
-        expanded.add(i)
+        ws = list(ws)
+        calls.append(("expand", len(ws)))
         return _first_witness(basis, i, ws)
 
     def eliminating_spy(basis, i, ws):
-        eliminated.add(i)
+        ws = list(ws)
+        calls.append(("eliminate", len(ws)))
         return _find_witness(basis, i, ws)
 
     monkeypatch.setattr(symmaps, "_first_witness", spy)
     monkeypatch.setattr(symmaps, "_find_witness", eliminating_spy)
     rng = derive_rng(65, "stacked-degeneracy", g)
     late = 0
+    expanded = set()
     for i in range(3, g + 1):
+        past_rule = (g, i) in ((5, 4), (5, 5))
         for seed in range(3):
             stream = derive_rng(seed, "degeneracy", i)
             first_draws = [_random_int_vector(g, stream) for _ in range(2)]
@@ -634,6 +644,7 @@ def test_degeneracy_search_matches_the_sequential_search(g, monkeypatch):
                       [lead[0].add(noise)] + lead[1:],
                       [random_rational_symmap(g, rng) for _ in range(len(perp))])
             for basis in spaces:
+                calls.clear()
                 rep = check_evaluation_degeneracy(basis, i, n_v_samples=25, seed=seed)
                 draws = _int_vectors(g, 25, derive_rng(seed, "degeneracy", i))
                 hit = _find_witness(basis, i, draws)
@@ -641,10 +652,51 @@ def test_degeneracy_search_matches_the_sequential_search(g, monkeypatch):
                 if hit is not None:
                     assert (rep.witness.v, rep.witness.rank) == hit
                     late += hit[0] != first_draws[0]
+                if past_rule:
+                    assert calls == [("eliminate", 25)]
+                else:
+                    at_first = hit is not None and hit[0] == first_draws[0]
+                    assert calls == [("eliminate", 1)] + ([] if at_first else [("expand", 24)])
+                    if not at_first:
+                        expanded.add(i)
     assert late >= 3 * (g - 2)  # each leading-W copy is witnessed after the first draw
-    past_rule = {i for i in range(3, g + 1) if (g, i) in ((5, 4), (5, 5))}
-    assert expanded == set(range(3, g + 1)) - past_rule
-    assert eliminated == past_rule
+    assert expanded == {i for i in range(3, g + 1) if (g, i) not in ((5, 4), (5, 5))}
+
+
+def sequential_float_search(mats, i, n, seed):
+    """The float route one draw at a time, each rank from rank_with_kernel: (v, rank) or None."""
+    rng = derive_rng(seed, "degeneracy", i)
+    g = mats[0].shape[0]
+    for _ in range(n):
+        v = rng.standard_normal(g) + 1j * rng.standard_normal(g)
+        rank, _, _ = rank_with_kernel(np.array([m @ v for m in mats], dtype=complex))
+        if rank >= i:
+            return v, rank
+    return None
+
+
+def test_stacked_float_search_matches_the_sequential_search():
+    """One normal draw and one stacked SVD give the per-draw loop's verdict, v and rank."""
+    rng = derive_rng(69, "stacked-float")
+    cases = []
+    for g in (3, 4, 5):
+        n = sym_dim(g)
+        for i in range(1, 4):
+            cases.append((random_subspace(n, i, rng, "Sg"), i))  # a witness at once
+        perp = wperp_exact(_random_rational_w(g, g - 2, rng), g)
+        cases.append((rational_span_to_subspace(perp), 3))  # rank <= 2: no witness
+        cases.append(([m.as_float() for m in perp], 2))
+        cases.append(([m.as_float() for m in perp[:2]], 2))
+    witnessed = 0
+    for x, i in cases:
+        for seed in range(3):
+            rep = check_evaluation_degeneracy(x, i, n_v_samples=15, seed=seed)
+            hit = sequential_float_search(symmaps._float_basis(x), i, 15, seed)
+            assert not rep.exact and rep.satisfied == (hit is None)
+            if hit is not None:
+                witnessed += 1
+                assert np.array_equal(rep.witness.v, hit[0]) and rep.witness.rank == hit[1]
+    assert 0 < witnessed < 3 * len(cases)
 
 
 def det_minor_derivatives(m, n, k):
@@ -892,6 +944,7 @@ def test_pencil_profile():
     prof = pencil_rank_profile(e11, e22)
     assert prof.max_rank == 2
     assert prof.rank_two_achieved
+    assert prof.n_samples == 48  # every grid and random point is ranked
     with pytest.raises(NotIndependent):
         pencil_rank_profile(e11, 2.0 * e11)
     with pytest.raises(InputNotRankOne):
