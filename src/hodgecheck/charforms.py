@@ -21,7 +21,12 @@ coefficient matrix K being k! times the sum of its k x k minors:
 with both index blocks ascending.  That identity is also what lets the
 sampling loops run on whole batches: each batch of unit vectors is one
 draw, whose minors come from the minors kernel of extform, the one behind
-contraction, and whose averages travel as (k, k) coefficient blocks.
+contraction, and whose averages travel as (k, k) coefficient blocks.  Every
+sampled form (a fundamental form, or a pairing form <G v, v>) is a real
+(1,1)-form, so its K is anti-Hermitian (K^H = -K) and
+det K[T, S] = (-1)^k conj(det K[S, T]): wedge_power_stats expands only the
+column subsets T >= S and mirrors the others.  That is its precondition,
+which it does not check.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .curvature import (
     pairing_matrix_batch,
 )
 from .errors import BadParameters, BadSampleCount
-from .extform import ExtForm, FormMatrix, _minors, _subsets, restrict_to_plane
+from .extform import ExtForm, FormMatrix, _minors, _split_table, _subsets, restrict_to_plane
 from .linalg import SiegelPoint, _orthonormal_stack, sym_basis, sym_dim
 from .report import CheckRecord, floor_check, passing
 from .sampling import _random_planes, derive_rng, random_subspace, random_unit_vector
@@ -149,21 +154,51 @@ def wedge_power_stats(k_batch: np.ndarray, k: int):
     Returns (means, second moments) as the C(n, k) x C(n, k) arrays of the
     (k, k) block; the second moment is the batch mean of |coefficient|^2,
     one dot product of each row with itself.
-    Row i comes from one _minors call on the i-th k-subset of rows, with the
-    samples on its trailing batch axis.
+
+    Precondition, not checked: every omega is a real (1,1)-form, so each K
+    is anti-Hermitian (K^H = -K), as the fundamental and pairing forms of
+    the callers are.  Then det K[T, S] = (-1)^k conj(det K[S, T]) sample by
+    sample, so only the column subsets T >= S are expanded and the rest are
+    mirrored: means[T, S] = (-1)^k conj(means[S, T]) and
+    second[T, S] = second[S, T].  Row i, for the i-th k-subset S, expands
+    along the last row of S over the column subsets from i on, on the
+    _minors of its other rows (one call for each run of subsets that share
+    them), with the samples on the trailing batch axis.
     """
+    if k == 0:  # the empty minor: every coefficient is 1
+        return np.ones((1, 1), dtype=complex), np.ones((1, 1))
     samples, n = k_batch.shape[:2]
-    sign = -1.0 if (k * (k - 1) // 2) % 2 else 1.0
-    prefactor = sign * math.factorial(k)
+    # the sign of omega^k's coefficients times (-1)^(k-1), the sign of the expansion's column 0
+    prefactor = (-1.0) ** (k * (k - 1) // 2 + k - 1) * math.factorial(k)
     entries = k_batch.transpose(1, 2, 0)
     size = math.comb(n, k)
     means = np.empty((size, size), dtype=complex)
     second = np.empty((size, size))
+    first, rest, _ = _split_table(n, k - 1, 1)
+    drop, cols = first[:, ::-1], rest[:, ::-1]  # column j of T and the minor that leaves it out
+    lead = None
     for i, s_rows in enumerate(_subsets(n, k)[0]):
-        dets = prefactor * _minors(entries[s_rows])
-        means[i] = dets.mean(axis=-1)
+        if tuple(s_rows[:-1]) != lead:
+            lead = tuple(s_rows[:-1])
+            minors = _minors(entries[s_rows[:-1]])
+        row = entries[s_rows[-1]]
+        dets = row[cols[i:, 0]]  # table rows i on: the column subsets T >= S
+        if k > 1:  # at k = 1 the minor is the empty one, 1
+            dets *= minors[drop[i:, 0]]
+        for j in range(1, k):
+            term = row[cols[i:, j]]
+            term *= minors[drop[i:, j]]
+            if j % 2:
+                dets -= term
+            else:
+                dets += term
+        means[i, i:] = prefactor * dets.mean(axis=-1)
         parts = dets.view(float)  # real and imaginary parts side by side
-        second[i] = np.einsum("ij,ij->i", parts, parts) / samples
+        second[i, i:] = prefactor ** 2 * np.einsum("ij,ij->i", parts, parts) / samples
+    lower = np.tril_indices(size, -1)
+    mirror = means.T[lower].conj()
+    means[lower] = -mirror if k % 2 else mirror
+    second[lower] = second.T[lower]
     return means, second
 
 

@@ -265,7 +265,8 @@ SUITES = {suite.name: suite for suite in (
               _point(cfg, "posvan-point", g)[0], i=i, trials=cfg.plane_trials, seed=cfg.seed,
               tol=cfg.tol("vanishing")),
           lambda cfg, run: {"genus_list": run, "trials": cfg.plane_trials}, range(1, 7)),
-    # a cost cap: genus 7 ran past 60 s, genus 6 takes 21 s (at 5 and 6 the band fails)
+    # a cost cap, set when genus 7 ran past 60 s: genus 6 takes 6-7 s and genus 7's two cells
+    # 26 s in process since wedge_power_stats mirrors T < S (at 5 and 6 the band fails)
     Suite("average-wedge", lambda cfg, g: _labelled("k", range(1, min(2, g) + 1)),
           lambda cfg, g, k: check_average_wedge_powers(
               _point(cfg, "avg-point", g)[0], k=k, n_samples=cfg.n_samples, seed=cfg.seed),

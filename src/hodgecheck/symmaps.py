@@ -353,8 +353,9 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
     eliminates the first draw, nearly always a witness where there is one,
     and _first_witness expands the other N - 1 in one call; past that,
     _find_witness eliminates every draw in turn.  The float search takes its
-    N complex Gaussian vectors in one draw and their ranks from one stacked
-    SVD, so its note states no bound.
+    N complex Gaussian vectors in one draw, ranks the first alone by SVD
+    and, only if it is no witness, the other N - 1 in one stacked SVD; its
+    note states no bound.
     """
     exact = (isinstance(x, (list, tuple)) and bool(x)
              and all(isinstance(m, RationalSymMap) for m in x))
@@ -382,7 +383,10 @@ def check_evaluation_degeneracy(x, i: int, n_v_samples: int = 100,
     else:
         z = rng.standard_normal((n_v_samples, 2, mats[0].shape[0]))  # as n_v_samples draws of v
         vs = z[:, 0] + 1j * z[:, 1]
-        ranks = _svd_ranks((np.array(mats) @ vs[:, None, :, None])[..., 0])  # e_v: dim x g
+        e = (np.array(mats) @ vs[:, None, :, None])[..., 0]  # e_v: dim x g
+        ranks = _svd_ranks(e[:1])
+        if ranks[0] < i:
+            ranks = np.concatenate([ranks, _svd_ranks(e[1:])])
         hit = next(((vs[s], int(ranks[s])) for s in np.flatnonzero(ranks >= i)), None)
         notes = "" if hit else (
             f"no rank-{i} evaluation in {n_v_samples} complex Gaussian draws, ranks by SVD "

@@ -482,7 +482,8 @@ def det_loop_stats(k_batch, k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_wedge_power_stats_matches_determinant_loop(n, k):
     rng = derive_rng(41, "minors", n, k)
-    k_batch = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
+    a = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
+    k_batch = a - a.conj().transpose(0, 2, 1)  # anti-Hermitian, as every real (1,1)-form
     means, second = wedge_power_stats(k_batch, k)
     want_means, want_second = det_loop_stats(k_batch, k)
     assert means.shape == second.shape == want_means.shape
@@ -498,7 +499,8 @@ def test_wedge_power_stats_matches_exterior_power(k):
     g = 2
     pairs, n = sym_index_pairs(g), sym_dim(g)
     rng = derive_rng(42, "wedge-power", k)
-    coeffs = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    coeffs = a - a.conj().T  # anti-Hermitian, as every real (1,1)-form
     omega = ExtForm.zero(n)
     for p, dt in enumerate(pairs):
         for q, dtbar in enumerate(pairs):
@@ -513,6 +515,29 @@ def test_wedge_power_stats_matches_exterior_power(k):
     # one sample: its squared modulus is the second moment
     assert np.allclose(second, np.abs(means) ** 2, rtol=1e-14, atol=0)
     assert form.max_coeff_diff(power) < 1e-13 * power.norm_inf()
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (6, 1), (6, 2), (6, 3), (10, 2)])
+def test_wedge_power_stats_expands_t_from_s_and_mirrors_the_rest_exactly(n, k):
+    """The lower triangle is the mirror of the upper one, bit for bit, whatever K is.
+
+    K here is a general complex batch, not anti-Hermitian, so the true
+    minors below the diagonal differ from the mirror: the kernel computes
+    T >= S (diagonal included) and only mirrors T < S.
+    """
+    rng = derive_rng(43, "mirror", n, k)
+    k_batch = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
+    means, second = wedge_power_stats(k_batch, k)
+    want_means, want_second = det_loop_stats(k_batch, k)
+    upper = np.triu_indices(len(means))
+    assert np.max(np.abs(means - want_means)[upper]) <= 1e-12 * np.max(np.abs(want_means))
+    assert np.max(np.abs(second - want_second)[upper]) <= 1e-12 * np.max(want_second)
+    lower = np.tril_indices(len(means), -1)
+    conj = means.T.conj()
+    mirror = -conj if k % 2 else conj  # (-1)^k conj(means[S, T])
+    assert means[lower].tobytes() == mirror[lower].tobytes()
+    assert second[lower].tobytes() == second.T[lower].tobytes()
+    assert np.max(np.abs(means - want_means)[lower]) > 1e-3 * np.max(np.abs(want_means))
 
 
 def _restriction_oracle(form, basis, g):
@@ -566,6 +591,33 @@ def test_average_wedge_coefficients_match_the_per_vector_forms(g, monkeypatch):
     for row, wi in zip(got, w):
         want = fundamental_form(line_hermitian_form(tau, wi), g).block(1, 1)
         assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_sampled_coefficient_matrices_are_anti_hermitian(g, monkeypatch):
+    """Both callers of wedge_power_stats pass real (1,1)-forms, its precondition.
+
+    The coefficient map of check_average_wedge_powers and the pairing forms
+    of segre_by_quadrature (pairing_matrix_batch), each on unit vectors of
+    the metric its sphere average samples, give K^H = -K up to roundoff.
+    """
+    sampled = []
+
+    def keep_coefficient_map(metric, rng, n_samples, batch_size, k, coeff_batch):
+        sampled.append((metric, coeff_batch))
+        return np.zeros((sym_dim(g), sym_dim(g)), dtype=complex), np.zeros((sym_dim(g),) * 2)
+
+    monkeypatch.setattr(charforms, "_sphere_average", keep_coefficient_map)
+    tau = random_siegel_point(g, derive_rng(64, "anti-hermitian", g))
+    check_average_wedge_powers(tau, k=1, n_samples=100)
+    segre_by_quadrature(tau, 1, n_samples=100)
+    assert len(sampled) == 2
+    rng = derive_rng(65, "anti-hermitian", g)
+    for metric, coeff_batch in sampled:
+        k_batch = coeff_batch(random_unit_vector(metric, rng, 200))
+        assert k_batch.shape == (200, sym_dim(g), sym_dim(g))
+        skew = k_batch + k_batch.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(skew)) <= 1e-15 * np.max(np.abs(k_batch))
 
 
 def test_forms_identity_lines_follow_the_run_seed():

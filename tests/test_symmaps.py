@@ -699,6 +699,48 @@ def test_stacked_float_search_matches_the_sequential_search():
     assert 0 < witnessed < 3 * len(cases)
 
 
+class RecordedDraws:
+    """A stream that keeps its normal draws in drawn, their first row set to 0 if zero_first."""
+
+    def __init__(self, rng, drawn, zero_first):
+        self.rng, self.drawn, self.zero_first = rng, drawn, zero_first
+
+    def standard_normal(self, shape):
+        z = self.rng.standard_normal(shape)
+        if self.zero_first:
+            z[0] = 0
+        self.drawn.append(z)
+        return z
+
+
+@pytest.mark.parametrize("case", ["first", "later", "none"])
+def test_float_search_ranks_draw_one_alone_then_the_rest_in_one_stack(case, monkeypatch):
+    """Draw 1 alone, then the other draws only if it misses: the one-stack search's answer."""
+    g, i, n_draws = 4, 3, 20
+    rng = derive_rng(70, "float-first", case)
+    if case == "none":  # rank <= 2 on an annihilator of a 2-dimensional W
+        x = rational_span_to_subspace(wperp_exact(_random_rational_w(g, g - 2, rng), g))
+    else:
+        x = random_subspace(sym_dim(g), i, rng, "Sg")
+    drawn = []
+    # draw 1 of the later case is v = 0, rank 0, so the witness is draw 2
+    monkeypatch.setattr(symmaps, "derive_rng",
+                        lambda *key: RecordedDraws(derive_rng(*key), drawn, case == "later"))
+    ranks_of, stacks = symmaps._svd_ranks, []
+    monkeypatch.setattr(symmaps, "_svd_ranks", lambda a: stacks.append(len(a)) or ranks_of(a))
+    rep = check_evaluation_degeneracy(x, i, n_v_samples=n_draws, seed=3)
+    [z] = drawn
+    vs = z[:, 0] + 1j * z[:, 1]
+    ranks = ranks_of((np.array(symmaps._float_basis(x)) @ vs[:, None, :, None])[..., 0])
+    hits = np.flatnonzero(ranks >= i)
+    assert stacks == ([1] if case == "first" else [1, n_draws - 1])
+    assert not rep.exact and rep.satisfied == (case == "none") == (len(hits) == 0)
+    if case != "none":
+        assert hits[0] == (0 if case == "first" else 1)
+        assert rep.witness.v.tobytes() == vs[hits[0]].tobytes()
+        assert rep.witness.rank == ranks[hits[0]] == i
+
+
 def det_minor_derivatives(m, n, k):
     """_minor_derivatives by one gj_det per (minor, row taken from n), nested lists."""
     g = len(m)
